@@ -21,7 +21,7 @@ import hashlib
 
 from repro.cache.keys import code_fingerprint
 from repro.cache.store import get_cache
-from repro.obs import env_flag
+from repro.obs import DET, env_flag, get_registry
 
 #: Environment variable enabling measurement/result memoization.
 RESULT_CACHE_ENV = "REPRO_RESULT_CACHE"
@@ -56,7 +56,6 @@ def result_key(kind, parts, replay_metrics=False):
 def _det_diff(reg, snap):
     """DET-only slice of a registry diff: what ``compute`` deterministically
     recorded, with the schedule/wallclock entries stripped."""
-    from repro.obs import DET
     return {section: {name: entry for name, entry in values.items()
                       if entry[0] == DET}
             for section, values in reg.diff(snap).items()}
@@ -64,28 +63,20 @@ def _det_diff(reg, snap):
 
 def _serve(entry, replay_metrics):
     """The memoized value carried by ``entry``, or :data:`MISS` when the
-    entry is unusable (corruption, key collision, or a shape that does
-    not match the caller's ``replay_metrics`` expectation).
-
-    Replaying the metrics blob is transactional: ``registry.apply`` can
-    mutate counters before raising on a truncated or schema-drifted
-    payload, so the registry is snapshotted first and rolled back on any
-    failure — otherwise the recompute that follows a corrupt blob would
-    double-count whatever ``apply`` managed to fold in."""
+    entry is unusable (corruption, key collision, a shape that does not
+    match the caller's ``replay_metrics`` expectation, or a metrics blob
+    that does not apply).  ``registry.apply`` validates the whole blob
+    before folding any of it in, so a corrupt blob leaves the registry
+    untouched and the recompute that follows cannot double-count."""
     if not (isinstance(entry, tuple) and entry and entry[0] == "result"):
         return MISS
     if len(entry) != (3 if replay_metrics else 2):
         return MISS                   # replay-flag/shape mismatch → stale
-    if not replay_metrics:
-        return entry[1]
-    from repro.obs import get_registry
-    reg = get_registry()
-    snap = reg.snapshot()
-    try:
-        reg.apply(entry[2])
-    except Exception:
-        reg.restore(snap)             # corrupt replay blob → stale
-        return MISS
+    if replay_metrics:
+        try:
+            get_registry().apply(entry[2])
+        except Exception:
+            return MISS               # corrupt replay blob → stale
     return entry[1]
 
 
@@ -94,8 +85,8 @@ def lookup(kind, parts, replay_metrics=False):
 
     Returns the memoized value, or :data:`MISS` when memoization is
     disabled or no usable entry exists.  A ``replay_metrics=True`` hit
-    re-applies the stored DET metrics diff (atomically — see
-    :func:`_serve`), exactly as :func:`cached_result` would."""
+    re-applies the stored DET metrics diff (atomically), exactly as
+    :func:`cached_result` would."""
     if not results_enabled():
         return MISS
     entry = get_cache().get(result_key(kind, parts, replay_metrics))
@@ -126,9 +117,9 @@ def cached_result(kind, parts, compute, replay_metrics=False):
     the failed cell) recomputes from scratch.  An entry that does not
     look like a memoized result (corruption, or a key collision with a
     foreign artifact), or whose ``replay_metrics`` blob fails to apply
-    (truncated write, registry schema drift — the partial application is
-    rolled back first), is treated as stale and recomputed over rather
-    than failing the sweep.
+    (truncated write, registry schema drift — ``apply`` rejects it
+    before folding anything in), is treated as stale and recomputed over
+    rather than failing the sweep.
     """
     if not results_enabled():
         return compute()
@@ -138,7 +129,6 @@ def cached_result(kind, parts, compute, replay_metrics=False):
     if value is not MISS:
         return value
     if replay_metrics:
-        from repro.obs import get_registry
         reg = get_registry()
         snap = reg.snapshot()
         value = compute()

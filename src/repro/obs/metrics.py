@@ -3,12 +3,17 @@
 Determinism is structural, not aspirational:
 
 * **Counters** accumulate integers on an ``int`` fast path and floats as
-  exact :class:`fractions.Fraction` values.  Fraction addition is
-  associative *and* commutative with no rounding, so a counter's final
-  value is independent of the order (and process grouping) in which the
-  increments happened — the one ``float()`` conversion at export time is
-  correctly rounded.  Serial and parallel sweeps therefore export
-  byte-identical values.
+  an exact scaled integer: every finite double is a whole multiple of
+  2**-1074 (the smallest subnormal), so the float part is kept as an
+  ``int`` count of those units.  Integer addition is associative *and*
+  commutative with no rounding, so a counter's final value is
+  independent of the order (and process grouping) in which the
+  increments happened — the one division at export time is correctly
+  rounded.  Serial and parallel sweeps therefore export byte-identical
+  values.  Non-float increments must be dyadic rationals no finer than
+  that unit (the exact :class:`fractions.Fraction` cycle totals of
+  ``repro.engine.profdecode`` are); anything else raises
+  ``ValueError`` rather than being rounded.
 * **Gauges** merge by ``max`` (a commutative, associative, idempotent
   reduction) rather than last-write-wins, which would be
   schedule-dependent.
@@ -28,14 +33,14 @@ different tag raises, so a metric cannot silently drift out of the
 parity-checked set.
 
 Worker processes ship their increments home as :meth:`diff` payloads
-(pickleable; Fractions pickle exactly) which the parent folds in with
-:meth:`apply` — see ``repro.harness.parallel``.
+(plain ints and tuples, so they pickle exactly) which the parent folds
+in with :meth:`apply` — see ``repro.harness.parallel``.  ``apply`` is
+atomic: it validates the whole payload before folding any of it in.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from fractions import Fraction
 
 DET = "det"
 SCHED = "sched"
@@ -46,15 +51,37 @@ _STABILITIES = (DET, SCHED, WALL)
 #: Default histogram bucket upper bounds (powers of two, ms/count scale).
 DEFAULT_BOUNDS = tuple(2 ** i for i in range(0, 21))
 
-_ZERO = Fraction(0)
+#: Float parts of counters are ``int`` multiples of ``2 ** -FRAC_BITS``:
+#: 1074 is the exponent of the smallest subnormal double, so every finite
+#: float is exactly representable.
+FRAC_BITS = 1074
+_FRAC_ONE = 1 << FRAC_BITS
+
+
+def scaled(value):
+    """``value`` as an exact ``int`` count of ``2 ** -FRAC_BITS`` units.
+
+    Accepts anything with ``as_integer_ratio`` (floats, ``Fraction``)
+    whose value is a dyadic rational no finer than the unit; raises
+    ``ValueError`` for any other rational instead of rounding it (and
+    ``OverflowError``/``ValueError`` for infinities and NaN)."""
+    num, den = value.as_integer_ratio()
+    shift = den.bit_length() - 1
+    if den != 1 << shift or shift > FRAC_BITS:
+        raise ValueError(
+            f"counter increment {value!r} is not a multiple of "
+            f"2**-{FRAC_BITS}")
+    return num << (FRAC_BITS - shift)
 
 
 class Counter:
-    """Monotonic sum with exact float accumulation."""
+    """Monotonic sum with exact float accumulation: ``ints`` holds the
+    integer increments, ``frac`` the float ones in ``2 ** -FRAC_BITS``
+    units (see :func:`scaled`)."""
 
     __slots__ = ("ints", "frac")
 
-    def __init__(self, ints=0, frac=_ZERO):
+    def __init__(self, ints=0, frac=0):
         self.ints = ints
         self.frac = frac
 
@@ -62,7 +89,7 @@ class Counter:
         if isinstance(value, int):
             self.ints += value
         else:
-            self.frac += Fraction(value)
+            self.frac += scaled(value)
 
     @property
     def value(self):
@@ -70,7 +97,7 @@ class Counter:
         correctly-rounded float of the exact sum."""
         if not self.frac:
             return self.ints
-        return float(self.ints + self.frac)
+        return ((self.ints << FRAC_BITS) + self.frac) / _FRAC_ONE
 
 
 class Gauge:
@@ -120,16 +147,24 @@ class MetricsRegistry:
 
     # -- registration ----------------------------------------------------
 
-    def _tag(self, name, stability):
-        if stability not in _STABILITIES:
-            raise ValueError(f"unknown stability {stability!r}")
-        prev = self._stability.get(name)
+    def _check_tag(self, name, stability, pending):
+        """Raise unless ``name`` may carry ``stability``; a name neither
+        registered nor in ``pending`` is added to ``pending``."""
+        prev = self._stability.get(name) or pending.get(name)
         if prev is None:
-            self._stability[name] = stability
+            if stability not in _STABILITIES:
+                raise ValueError(f"unknown stability {stability!r}")
+            pending[name] = stability
         elif prev != stability:
             raise ValueError(
                 f"metric {name!r} already registered as {prev!r}, "
                 f"refusing {stability!r}")
+
+    def _tag(self, name, stability):
+        if self._stability.get(name) != stability:
+            pending = {}
+            self._check_tag(name, stability, pending)
+            self._stability.update(pending)
 
     # -- recording -------------------------------------------------------
 
@@ -181,7 +216,7 @@ class MetricsRegistry:
         dcounters = {}
         for name, c in self._counters.items():
             base = counters.get(name)
-            base_i, base_f = base if base is not None else (0, _ZERO)
+            base_i, base_f = base if base is not None else (0, 0)
             di, df = c.ints - base_i, c.frac - base_f
             # A newly registered counter ships even at zero delta: a
             # zero-valued counter (e.g. a pass that ran but rewrote
@@ -204,18 +239,55 @@ class MetricsRegistry:
 
     def apply(self, payload):
         """Fold a :meth:`diff` payload in.  Counter addition is exact and
-        gauges max-merge, so application order does not matter."""
-        for name, (stability, di, df) in payload["counters"].items():
-            self._tag(name, stability)
+        gauges max-merge, so application order does not matter.
+
+        Atomic: every entry's stability tag, shape and delta types
+        (``int`` counter and bucket deltas, numeric gauge peaks) are
+        checked before anything is folded, so a truncated or
+        schema-drifted payload raises ``ValueError`` (or the
+        ``TypeError``/``KeyError`` of a malformed container) and leaves
+        the registry untouched.  Only entries that change something are
+        then folded in: zero counter deltas touch nothing beyond
+        registering a name the registry has not seen yet."""
+        known = self._stability
+        tags = {}                 # names this payload registers
+        counters = payload["counters"]
+        for name, (stability, di, df) in counters.items():
+            if known.get(name) != stability:
+                self._check_tag(name, stability, tags)
+            if type(di) is not int or type(df) is not int:
+                raise ValueError(f"counter {name!r} delta is not int")
+        gauges = payload["gauges"]
+        for name, (stability, peak) in gauges.items():
+            self._check_tag(name, stability, tags)
+            if type(peak) not in (int, float):
+                raise ValueError(f"gauge {name!r} peak is not a number")
+        hists = payload["hists"]
+        for name, (stability, bounds, delta) in hists.items():
+            self._check_tag(name, stability, tags)
+            hist = self._hists.get(name)
+            width = len(hist.counts) if hist is not None \
+                else len(bounds) + 1
+            if len(delta) != width or \
+                    any(type(d) is not int for d in delta):
+                raise ValueError(f"histogram {name!r} delta is malformed")
+
+        known.update(tags)
+        for name, (_, di, df) in counters.items():
             counter = self._counters.get(name)
             if counter is None:
-                counter = self._counters[name] = Counter()
-            counter.ints += di
-            counter.frac += df
-        for name, (stability, peak) in payload["gauges"].items():
-            self.gauge_max(name, peak, stability)
-        for name, (stability, bounds, delta) in payload["hists"].items():
-            self._tag(name, stability)
+                self._counters[name] = Counter(di, df)
+                continue
+            if di:
+                counter.ints += di
+            if df:
+                counter.frac += df
+        for name, (_, peak) in gauges.items():
+            gauge = self._gauges.get(name)
+            if gauge is None:
+                gauge = self._gauges[name] = Gauge()
+            gauge.observe(peak)
+        for name, (_, bounds, delta) in hists.items():
             hist = self._hists.get(name)
             if hist is None:
                 hist = self._hists[name] = Histogram(bounds)

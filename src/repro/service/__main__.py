@@ -4,7 +4,8 @@ Default mode starts the server and blocks until ``POST /shutdown`` (or
 SIGINT).  ``--smoke`` exercises the full loop in one process — start an
 ephemeral server, stream one tiny sweep through it twice (cold, then
 memo-warm), verify the streamed result lines are byte-identical to the
-direct path and that the warm pass hit the cache, shut down — and exits
+direct path, that the warm pass hit the cache and that it replayed
+exactly the DET metrics the cold pass recorded, shut down — and exits
 non-zero on any mismatch.  Tier-1 CI runs the smoke.
 """
 
@@ -47,8 +48,23 @@ def _parse_args(argv):
     return parser.parse_args(argv)
 
 
+def _det_delta(registry, snap):
+    """The DET increments recorded since ``snap``: counters (zero deltas
+    dropped — a cold pass ships the names it registers, a warm pass
+    finds them registered) and histograms.  Gauges are left out: they
+    max-merge, so replaying a peak the cold pass set cannot raise it."""
+    from repro.obs import DET
+    payload = registry.diff(snap)
+    counters = {name: entry for name, entry in payload["counters"].items()
+                if entry[0] == DET and (entry[1] or entry[2])}
+    hists = {name: entry for name, entry in payload["hists"].items()
+             if entry[0] == DET}
+    return counters, hists
+
+
 async def _smoke(args):
     from repro.cache import get_cache
+    from repro.obs import get_registry
     from repro.service.cells import direct_lines
     from repro.service.client import get_json, request_lines
 
@@ -68,9 +84,20 @@ async def _smoke(args):
             return [line for line in request_lines(host, port, SMOKE_PAYLOAD)
                     if json.loads(line).get("event") == "result"]
 
+        # Registry reads queue on the service's executor thread: it
+        # serializes every registry mutation, and a sweep folds its
+        # workers' metrics in only after the last cell has streamed.
+        registry = get_registry()
+        executor = server.service._executor
+        snap = await loop.run_in_executor(executor, registry.snapshot)
         cold = await loop.run_in_executor(None, stream)
+        cold_det, snap = await loop.run_in_executor(
+            executor, lambda: (_det_delta(registry, snap),
+                               registry.snapshot()))
         hits_before = get_cache().stats.hits
         warm = await loop.run_in_executor(None, stream)
+        warm_det = await loop.run_in_executor(
+            executor, _det_delta, registry, snap)
         if not cold:
             print("smoke: no result lines streamed", flush=True)
             return 1
@@ -80,6 +107,10 @@ async def _smoke(args):
         if get_cache().stats.hits <= hits_before:
             print("smoke: warm pass did not hit the result cache",
                   flush=True)
+            return 1
+        if not cold_det[0] or warm_det != cold_det:
+            print("smoke: warm pass's DET metrics delta differs from the "
+                  "cold pass's", flush=True)
             return 1
         cells = server.service.last_cells
         direct = await loop.run_in_executor(
@@ -94,7 +125,8 @@ async def _smoke(args):
         swept = stats["counters"].get("service.cells.swept", 0)
         warm_hits = stats["counters"].get("service.cells.warm", 0)
         print(f"smoke: ok — {len(cold)} cell(s), swept={swept}, "
-              f"warm={warm_hits}", flush=True)
+              f"warm={warm_hits}, det counters replayed="
+              f"{len(warm_det[0])}", flush=True)
         return 0
     finally:
         await server.stop()

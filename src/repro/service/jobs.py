@@ -46,7 +46,8 @@ from concurrent.futures import ThreadPoolExecutor
 from repro.cache import MISS, get_cache, lookup
 from repro.harness.parallel import run_sweep
 from repro.obs import (
-    SCHED, TraceContext, emit_span, env_float, env_int, get_registry,
+    SCHED, TraceContext, emit_span, env_float, env_int, events_enabled,
+    get_registry,
 )
 from repro.service.cells import run_cell_task
 from repro.service.requests import MEMO_KIND, canonicalize_request
@@ -230,7 +231,9 @@ class SweepService:
                 self._outstanding += 1
                 self._cell_traces[key] = ctx
                 new_keys.append((key, spec))
-            else:
+            elif events_enabled():
+                # The link span's id costs a sha256: derive it only when
+                # the span has somewhere to go.
                 owner = self._cell_traces.get(key)
                 link = {}
                 if owner is not None:
@@ -282,7 +285,7 @@ class SweepService:
             t0 = time.perf_counter()
             value = lookup(MEMO_KIND, spec.key_parts(),
                            replay_metrics=True)
-            if ctx is not None:
+            if ctx is not None and events_enabled():
                 emit_span(ctx.child("service.cache_probe"),
                           "service.cache_probe", started,
                           time.perf_counter() - t0,

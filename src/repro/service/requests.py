@@ -40,7 +40,7 @@ Request payload (JSON object; scalars are promoted to one-element lists):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.cache import result_key
 from repro.compilers.base import OPT_LEVELS
@@ -96,6 +96,14 @@ class CellSpec:
     size: str
     profile: str
     repetitions: int
+    _key: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # The key is a sha256 over the parts and the code fingerprint;
+        # admission, dedupe, settling and streaming all need it, so it
+        # is derived once per spec.
+        object.__setattr__(self, "_key", result_key(
+            MEMO_KIND, self.key_parts(), replay_metrics=True))
 
     def key_parts(self):
         return (self.benchmark, self.target, self.toolchain,
@@ -105,7 +113,7 @@ class CellSpec:
     def cell_key(self):
         """Content-addressed result key (includes the package code
         fingerprint via :func:`repro.cache.result_key`)."""
-        return result_key(MEMO_KIND, self.key_parts(), replay_metrics=True)
+        return self._key
 
     def label(self):
         """Human-readable scheduler label (failure reports, fault

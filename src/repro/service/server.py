@@ -18,6 +18,12 @@ no frameworks, no threads per connection.  Endpoints:
       exhausted their retries,
     * one closing ``done`` line.
 
+    Framing: the response head and the ``accepted`` line go out in one
+    write.  Lines of cells that have already resolved are buffered until
+    the stream has to wait on an unresolved cell, or until ``done`` — so
+    a memo-warm request is two writes, cold results still stream as
+    they land, and the bytes on the wire are the same either way.
+
 ``GET /healthz``
     Liveness: ``{"ok": true}``.
 
@@ -81,6 +87,11 @@ class _HttpError(Exception):
 _STATUS_TEXT = {200: "OK", 400: "Bad Request", 404: "Not Found",
                 405: "Method Not Allowed", 413: "Payload Too Large",
                 429: "Too Many Requests", 500: "Internal Server Error"}
+
+
+def _json_line(payload):
+    return json.dumps(payload, sort_keys=True,
+                      default=str).encode("utf-8") + b"\n"
 
 
 def _head(status, content_type, extra=()):
@@ -197,16 +208,12 @@ class SweepServer:
         return method, path.split("?", 1)[0], body
 
     async def _send_error(self, writer, exc):
-        writer.write(_head(exc.status, "application/json"))
-        writer.write(json.dumps(
-            {"error": exc.reason, "message": exc.message},
-            sort_keys=True).encode("utf-8") + b"\n")
+        writer.write(_head(exc.status, "application/json") + _json_line(
+            {"error": exc.reason, "message": exc.message}))
         await writer.drain()
 
     async def _send_json(self, writer, payload):
-        writer.write(_head(200, "application/json"))
-        writer.write(json.dumps(payload, sort_keys=True,
-                                default=str).encode("utf-8") + b"\n")
+        writer.write(_head(200, "application/json") + _json_line(payload))
         await writer.drain()
 
     # -- routing -------------------------------------------------------------
@@ -262,7 +269,6 @@ class SweepServer:
         t0 = time.perf_counter()
         completed = failed = 0
         try:
-            writer.write(_head(200, "application/x-ndjson"))
             accepted = {
                 "event": "accepted", "client": request.client,
                 "cells": request.cell_count, "deduped": job.deduped,
@@ -270,30 +276,42 @@ class SweepServer:
             if traced:
                 accepted["trace"] = {"trace_id": root.trace_id,
                                      "span_id": root.span_id}
-            await self._write_line(writer, accepted)
+            writer.write(_head(200, "application/x-ndjson")
+                         + _json_line(accepted))
+            await writer.drain()
             if request.progress:
                 progress_token = self._tap_progress(job, writer, loop,
                                                     traced)
+            # Resolved cells' lines wait in ``lines`` for the next write;
+            # waiting on an unresolved cell flushes them first, so cold
+            # results still stream as they land (see "Framing" above).
+            lines = []
             for spec, ctx, future in zip(request.cells, job.cell_traces,
                                          job.futures):
-                status, value = await asyncio.shield(future)
+                if not future.done():
+                    if lines:
+                        writer.write(b"".join(lines))
+                        lines.clear()
+                        await writer.drain()
+                    await asyncio.shield(future)
+                status, value = future.result()
                 trace = ctx if traced else None
                 if status == "failed":
                     failed += 1
-                    writer.write(failure_line(spec, value, trace=trace)
-                                 .encode("utf-8") + b"\n")
+                    line = failure_line(spec, value, trace=trace)
                 else:
                     completed += 1
-                    writer.write(result_line(spec, value, trace=trace)
-                                 .encode("utf-8") + b"\n")
-                await writer.drain()
+                    line = result_line(spec, value, trace=trace)
+                lines.append(line.encode("utf-8") + b"\n")
             done = {
                 "event": "done", "cells": request.cell_count,
                 "completed": completed, "failed": failed}
             if traced:
                 done["trace"] = {"trace_id": root.trace_id,
                                  "span_id": root.span_id}
-            await self._write_line(writer, done)
+            lines.append(_json_line(done))
+            writer.write(b"".join(lines))
+            await writer.drain()
         finally:
             if progress_token is not None:
                 remove_listener(progress_token)
@@ -336,11 +354,6 @@ class SweepServer:
             loop.call_soon_threadsafe(push)
 
         return add_listener(write_progress)
-
-    async def _write_line(self, writer, payload):
-        writer.write(json.dumps(payload, sort_keys=True,
-                                default=str).encode("utf-8") + b"\n")
-        await writer.drain()
 
 
 async def run_server(host=None, port=None, **kwargs):

@@ -12,12 +12,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.jsengine.bytecode import JS_OP_COST, JS_OP_COST_OPT
+from repro.native.machine import N_COST, VECTOR_COST_FACTOR
 from repro.obs import (
     DET, SCHED, WALL, EngineProfile, MetricsRegistry, emit, events_enabled,
     get_registry, new_profile, profile_enabled, reset_registry, span,
 )
 from repro.obs.metrics import Counter, DEFAULT_BOUNDS
+from repro.wasm.instructions import OP_COST
 
 
 @pytest.fixture(autouse=True)
@@ -64,6 +68,98 @@ def test_counter_value_is_order_and_grouping_independent():
     merged.ints = g1.ints + g2.ints
     merged.frac = g1.frac + g2.frac
     assert a.value == b.value == merged.value
+
+
+class _FractionCounter:
+    """Oracle: the ``fractions.Fraction`` accumulator the scaled-integer
+    counter must agree with, value for value."""
+
+    def __init__(self):
+        self.ints = 0
+        self.frac = Fraction(0)
+
+    def add(self, value):
+        if isinstance(value, int):
+            self.ints += value
+        else:
+            self.frac += Fraction(value)
+
+    @property
+    def value(self):
+        if not self.frac:
+            return self.ints
+        return float(self.ints + self.frac)
+
+
+def _outcome(counter):
+    """A counter's exported value with its type, or the overflow the
+    float conversion raised (both accumulators must agree on either)."""
+    try:
+        value = counter.value
+    except OverflowError:
+        return "overflow"
+    return type(value), repr(value)
+
+
+_SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                   2.225073858507201e-308, -1e-310, 1e300, -1e300,
+                   1.7976931348623157e308, 0.1, -0.7)
+
+
+# What profdecode feeds the registry: a cost-table entry (a float, so
+# dyadic), possibly scaled by the native vector factor, times an op
+# count.
+_PROFDECODE_COSTS = sorted({float(c) for table in (
+    OP_COST, JS_OP_COST, JS_OP_COST_OPT, N_COST) for c in table})
+_PROFDECODE_FRACTIONS = st.builds(
+    lambda cost, vector, count: Fraction(cost) * Fraction(vector) * count,
+    st.sampled_from(_PROFDECODE_COSTS),
+    st.sampled_from([1.0, VECTOR_COST_FACTOR]),
+    st.integers(min_value=0, max_value=10 ** 9))
+
+_INCREMENTS = st.lists(st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True,
+              min_value=-1e-300, max_value=1e-300),
+    st.sampled_from(_SPECIAL_FLOATS),
+    st.integers(min_value=-10 ** 12, max_value=10 ** 12),
+    _PROFDECODE_FRACTIONS), max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_INCREMENTS)
+def test_scaled_counter_matches_fraction_oracle(values):
+    counter, oracle = Counter(), _FractionCounter()
+    for value in values:
+        counter.add(value)
+        oracle.add(value)
+    assert _outcome(counter) == _outcome(oracle)
+    # Split in two and merged the way a worker diff is folded in.
+    cut = len(values) // 2
+    left, right = Counter(), Counter()
+    for value in values[:cut]:
+        left.add(value)
+    for value in values[cut:]:
+        right.add(value)
+    merged = Counter(left.ints + right.ints, left.frac + right.frac)
+    assert _outcome(merged) == _outcome(oracle)
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 3), Fraction(1, 10),
+                                   Fraction(1, 2 ** 1075)])
+def test_counter_rejects_non_dyadic_increment(value):
+    c = Counter()
+    c.add(0.5)
+    with pytest.raises(ValueError, match="not a multiple"):
+        c.add(value)
+    assert c.value == 0.5
+
+
+def test_counter_accepts_finest_dyadic_increment():
+    c = Counter()
+    c.add(Fraction(3, 2 ** 1074))
+    assert c.frac == 3
+    assert c.value == 3 * 5e-324
 
 
 # -- registry --------------------------------------------------------------
@@ -161,6 +257,57 @@ def test_diff_is_empty_when_nothing_changed():
     snap = reg.snapshot()
     payload = reg.diff(snap)
     assert payload == {"counters": {}, "gauges": {}, "hists": {}}
+
+
+def _seeded_registry():
+    reg = MetricsRegistry()
+    reg.counter_add("c", 2)
+    reg.counter_add("f", 0.25)
+    reg.gauge_max("g", 7, SCHED)
+    reg.hist_observe("h", 4, SCHED)
+    return reg
+
+
+def _state(reg):
+    return reg.export(), reg.snapshot()
+
+
+@pytest.mark.parametrize("tail", [
+    ("counters", "tail", ("bogus", 1, 0)),           # unknown tag
+    ("counters", "c", (SCHED, 1, 0)),                # tag conflict
+    ("counters", "tail", (DET, 1, Fraction(1, 4))),  # non-int delta
+    ("counters", "tail", (DET, 1.0, 0)),             # non-int delta
+    ("counters", "tail", (DET, 1)),                  # truncated entry
+    ("gauges", "tail", (SCHED, "high")),             # non-numeric peak
+    ("hists", "h", (SCHED, DEFAULT_BOUNDS, [1])),    # wrong width
+])
+def test_apply_rejects_bad_last_entry_atomically(tail):
+    """``apply`` validates the whole payload first: a bad final entry
+    leaves every earlier, valid entry unapplied too."""
+    reg = _seeded_registry()
+    before = _state(reg)
+    source = _seeded_registry()
+    snap = source.snapshot()
+    source.counter_add("c", 5)
+    source.counter_add("f", 0.5)
+    source.counter_add("fresh", 1)
+    source.gauge_max("g", 70, SCHED)
+    source.hist_observe("h", 4, SCHED)
+    payload = source.diff(snap)
+    section, name, entry = tail
+    payload[section][name] = entry
+    with pytest.raises(ValueError):
+        reg.apply(payload)
+    assert _state(reg) == before
+
+
+def test_apply_registers_zero_delta_counters_and_skips_known_ones():
+    reg = _seeded_registry()
+    reg.apply({"counters": {"c": (DET, 0, 0), "new": (DET, 0, 0)},
+               "gauges": {}, "hists": {}})
+    assert reg.export()["c"] == 2
+    assert reg.export()["new"] == 0
+    assert reg.stability("new") == DET
 
 
 # -- events ----------------------------------------------------------------

@@ -11,8 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.cache import RESULT_CACHE_ENV, configure
-from repro.obs import SCHED, TRACE_ENV, get_registry, reset_registry
+from repro.cache import MISS, RESULT_CACHE_ENV, configure, result_key
+from repro.obs import (
+    EVENTS_ENV, SCHED, TRACE_ENV, TraceContext, add_listener, get_registry,
+    remove_listener, reset_registry, tracing,
+)
 from repro.service import (
     AdmissionError,
     CellSpec,
@@ -28,6 +31,7 @@ from repro.service import (
     result_line,
     run_cell,
 )
+from repro.service.requests import MEMO_KIND
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -132,6 +136,16 @@ class TestCanonicalization:
                         "chrome-desktop", 1)
         assert CellSpec.from_tuple(spec.as_tuple()) == spec
         assert spec.label() == "atax|wasm|cheerp|O2|S|chrome-desktop|1"
+
+    def test_cell_key_is_derived_once_per_spec(self):
+        spec = CellSpec("atax", "wasm", "cheerp", "O2", "S",
+                        "chrome-desktop", 1)
+        assert spec.cell_key() == result_key(
+            MEMO_KIND, spec.key_parts(), replay_metrics=True)
+        assert spec.cell_key() is spec.cell_key()      # stored, not rehashed
+        # The stored key stays out of repr, equality and ordering.
+        assert "_key" not in repr(spec)
+        assert spec == CellSpec.from_tuple(spec.as_tuple())
 
 
 class TestAdmissionControl:
@@ -243,6 +257,97 @@ class TestDedupe:
         assert counters["service.cells.warm"] == 1
         assert counters.get("sched.cells", 0) == 0   # never scheduled
         assert counters["cache.hits"] >= 1
+
+
+class TestWarmHotPath:
+    """Tracing off, a warm serve derives no span ids it cannot ship, and
+    a memo-warm response goes out in two writes."""
+
+    WARM_PAYLOAD = dict(TINY_PAYLOAD, opt_levels=["O2", "O3"])
+
+    @pytest.fixture()
+    def warm_cells(self, service_env, monkeypatch):
+        monkeypatch.delenv(EVENTS_ENV, raising=False)
+        cells = canonicalize_request(self.WARM_PAYLOAD).cells
+        for spec in cells:
+            run_cell(spec)                  # populate the result cache
+        return cells
+
+    @pytest.fixture()
+    def derived(self, monkeypatch):
+        calls = []
+        real = tracing.derive_id
+
+        def counting(*parts):
+            calls.append(parts)
+            return real(*parts)
+
+        monkeypatch.setattr(tracing, "derive_id", counting)
+        return calls
+
+    def test_warm_probe_derives_no_ids_with_events_off(self, warm_cells,
+                                                       derived):
+        root = TraceContext.root("request", 1)
+        pairs = [(spec, root.child("cell", spec.cell_key()))
+                 for spec in warm_cells]
+        derived.clear()
+        values = SweepService._probe_warm(pairs)
+        assert MISS not in values
+        assert derived == []
+
+    def _admit_twice(self):
+        async def scenario():
+            service = SweepService(jobs=1, batch_window=0.01)
+            await service.start()
+            try:
+                first = service.admit(self.WARM_PAYLOAD)
+                second = service.admit(self.WARM_PAYLOAD)
+                await asyncio.gather(*first.futures, *second.futures)
+                first.close()
+                second.close()
+                return second.deduped
+            finally:
+                await service.stop()
+
+        return asyncio.run(scenario())
+
+    def test_dedupe_and_probe_spans_only_derive_when_shipped(
+            self, warm_cells, derived):
+        assert self._admit_twice() == len(warm_cells)
+        span_names = {"service.dedupe", "service.cache_probe"}
+        assert not [p for p in derived if span_names & set(p)]
+        spans = []
+        token = add_listener(lambda record: spans.append(record.get("name")))
+        try:
+            assert self._admit_twice() == len(warm_cells)
+        finally:
+            remove_listener(token)
+        assert spans.count("service.dedupe") == len(warm_cells)
+        assert spans.count("service.cache_probe") == len(warm_cells)
+
+    def test_warm_response_is_two_writes(self, warm_cells, monkeypatch):
+        writes = []
+        real_write = asyncio.StreamWriter.write
+
+        def counting_write(writer, data):
+            writes.append(bytes(data))
+            return real_write(writer, data)
+
+        monkeypatch.setattr(asyncio.StreamWriter, "write", counting_write)
+
+        async def scenario(server, loop):
+            return await loop.run_in_executor(None, lambda: list(
+                request_lines(server.host, server.port, self.WARM_PAYLOAD)))
+
+        stream = TestHttpServer._run_server(self, scenario)
+        assert len(writes) == 2
+        assert writes[0].startswith(b"HTTP/1.1 200 OK")
+        assert writes[0].endswith(stream[0] + b"\n")        # accepted
+        assert writes[1] == b"".join(line + b"\n" for line in stream[1:])
+        results = [line for line in stream
+                   if json.loads(line)["event"] == "result"]
+        assert results == [line.encode("utf-8")
+                           for line in direct_lines(warm_cells)]
 
 
 class TestHttpServer:
