@@ -90,12 +90,56 @@ def literal(value):
     raise ValueError(f"unsupported literal {value!r}")
 
 
+#: Most terms one flush statement sums.  A ``+`` chain is a left-nested
+#: AST that CPython's compiler walks recursively, and translation can run
+#: deep inside a recursive guest call, so longer chains are cut into
+#: several statements.
+FLUSH_TERMS = 100
+
+
+def scaled(k, acc):
+    """Source for ``k`` times the block counter ``acc``."""
+    return acc if k == 1 else f"{k} * {acc}"
+
+
+def emit_sum(out, target, terms, fold=False):
+    """Flush one counter: add every source term in ``terms`` to
+    ``target``.  An integer counter takes one ``+=`` of the summed terms
+    (integer adds commute).  ``fold=True`` spells a float counter as the
+    left-associative chain ``target = target + t0 + t1 ...``, which adds
+    the terms one at a time in list order."""
+    for i in range(0, len(terms), FLUSH_TERMS):
+        chunk = " + ".join(terms[i:i + FLUSH_TERMS])
+        if fold:
+            out.emit(f"{target} = {target} + {chunk}")
+        else:
+            out.emit(f"{target} += {chunk}")
+
+
+class _Indent:
+    """The reusable context manager behind :meth:`Emitter.block` (one per
+    emitter; re-entrant because it only counts levels)."""
+
+    __slots__ = ("emitter",)
+
+    def __init__(self, emitter):
+        self.emitter = emitter
+
+    def __enter__(self):
+        self.emitter.indent += 1
+
+    def __exit__(self, *exc):
+        self.emitter.indent -= 1
+        return False
+
+
 class Emitter:
     """An indentation-tracking line buffer for generated source."""
 
     def __init__(self):
         self.lines = []
         self.indent = 0
+        self._block = _Indent(self)
 
     def emit(self, text):
         if text:
@@ -105,16 +149,7 @@ class Emitter:
 
     def block(self):
         """Context manager raising the indent by one level."""
-        emitter = self
-
-        class _Block:
-            def __enter__(self):
-                emitter.indent += 1
-
-            def __exit__(self, *exc):
-                emitter.indent -= 1
-                return False
-        return _Block()
+        return self._block
 
     def source(self):
         return "\n".join(self.lines) + "\n"
@@ -148,7 +183,7 @@ def unit_key(engine, parts):
 
     ``parts`` must pin everything the emitted source depends on: the
     prepared code (its repr), and every translation flag folded into the
-    source (budget mode, profiling, cost/factor constants).  The package
+    source (budget mode, profiling, JIT enablement).  The package
     code fingerprint invalidates on any translator edit; the interpreter
     ``cache_tag`` scopes the marshalled code object to the bytecode
     format that produced it.

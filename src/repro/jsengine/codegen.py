@@ -11,16 +11,26 @@ with inconsistent join depths makes the translator decline), locals to
 Exactness follows the threaded tier's rules (see its module docstring),
 restated as they apply to emitted source:
 
-* **Cycles self-charge per op** with the charge ``cost[op] * factor``
-  folded to one literal per op, in the reference ladder's left-fold
-  order; dynamic extras (boxed-element penalties, GC pauses, native-call
-  costs) are added at the same points.  Integer counters batch per
-  block; trap points get explicit guards whose rewind statements
-  subtract the integer suffix.
-* **Dual tier bodies.**  Each block arm re-checks ``fn.tier`` on entry
-  (tier changes only at terminators: ``JBACK`` OSR and call returns) and
-  selects a tier-0 or tier-1 body with that tier's cost table, factor,
-  and profile key bit baked in.
+* **Cycles self-charge per op** in the reference ladder's left-fold
+  order: each op adds ``c<op>``, a frame local holding the float
+  ``cost[op] * factor`` of the function's current tier; dynamic extras
+  (boxed-element penalties ``B16``/``B20``, GC pauses, native-call costs
+  priced with ``F``) are added at the same points.  Integer counters
+  batch per block and flush as one summed statement per counter; trap
+  points get explicit guards whose rewind statements subtract the
+  integer suffix.
+* **One tier-agnostic body per block.**  A function's tier picks its
+  cost table and factor, and can change only at terminators: ``JBACK``
+  OSR and the return of a call or constructor that re-entered the
+  interpreter.  The per-tier constants (and, when profiling, the tier
+  ``tk`` that picks a block's profile cell ``pf[2 * bi + tk]``) are
+  unpacked from a ``(tier 0, tier 1)`` pair of tuples bound through
+  ``ns``, at frame entry, after ``tier_up`` at ``JBACK`` and after every
+  ``JSFunction`` call and ``NEWCALL`` — the points where the threaded
+  tier's next block re-selects its tier variant, so every op is priced
+  with the float the threaded tier charges.  Natives never re-enter the
+  interpreter, so a native call leaves the tier alone.  Back-edge
+  counting at ``JBACK`` runs under ``if not fn.tier:``.
 * **GC checks at allocation points only**, inlined where the threaded
   tier calls its ``gc_check`` closure.
 * **Shadow locals.**  The frame keeps the same 14-slot shadow list the
@@ -33,9 +43,10 @@ restated as they apply to emitted source:
   otherwise keep its last value alive.
 
 The generated source depends only on the bytecode and translation flags
-(tier factors, JIT enablement, profiling) — instance state is bound by
-``make(ns)`` — so translation units are served from the persistent
-compile cache (:mod:`repro.engine.codegen`).
+(JIT enablement, profiling) — instance state and the tier constants are
+bound by ``make(ns)`` — so translation units are served from the
+persistent compile cache (:mod:`repro.engine.codegen`), one per function
+across every engine configuration.
 """
 
 from __future__ import annotations
@@ -43,7 +54,8 @@ from __future__ import annotations
 import math
 
 from repro.engine.codegen import (
-    DECLINED, Emitter, codegen_enabled, literal, load_factory, unit_key,
+    DECLINED, Emitter, codegen_enabled, emit_sum, literal, load_factory,
+    scaled, unit_key,
 )
 from repro.engine.threaded import class_deltas, split_blocks
 from repro.jsengine import threaded as _thr
@@ -175,6 +187,33 @@ def _analyse(code, ranges, block_index):
     return entry, max_d
 
 
+def _tier_names(code, profiling):
+    """The frame locals the per-tier tuple unpacks into, in tuple order:
+    the tier itself (profile cells, profiled units only), the native-call
+    factor ``F``, the boxed-element penalties ``B16``/``B20``, then one
+    ``c<op>`` charge per distinct opcode — each only if the code uses
+    it."""
+    ops = sorted({op for op, _arg in code})
+    names = ["tk"] if profiling else []
+    if 31 in ops or 32 in ops:
+        names.append("F")
+    if 37 in ops:
+        names.append("B16")
+    if 38 in ops:
+        names.append("B20")
+    return names + [f"c{op}" for op in ops]
+
+
+def _tier_values(names, tier, factor):
+    """One tier's values for ``names``: the very floats the reference
+    ladder computes (``cost[op] * factor``, ``1.6 * factor``, ...)."""
+    cost = JS_OP_COST_OPT if tier else JS_OP_COST
+    extras = {"tk": tier, "F": factor, "B16": 1.6 * factor,
+              "B20": 2.0 * factor}
+    return tuple(extras[n] if n in extras else cost[int(n[1:])] * factor
+                 for n in names)
+
+
 def _literalizable(value):
     if isinstance(value, tuple):
         return all(isinstance(v, str) for v in value)
@@ -189,7 +228,8 @@ class _FnEmitter:
     """Emits the ``run`` body for one JS function."""
 
     def __init__(self, fn, code, ranges, block_index, entry_depth,
-                 max_depth, jit_enabled, profiling, f0, f1, const_index):
+                 max_depth, jit_enabled, profiling, tier_names,
+                 const_index):
         self.fn = fn
         self.code = code
         self.ranges = ranges
@@ -198,13 +238,14 @@ class _FnEmitter:
         self.max_depth = max_depth
         self.jit_enabled = jit_enabled
         self.profiling = profiling
-        self.factors = (f0, f1)
+        self.tier_names = tier_names
         self.const_index = const_index
         self.names = set()                # ns names the source references
         #: Per-block integer-counter deltas, flushed lazily (see
         #: ``emit_flush``): ``{bi: (n_ops, [(class, delta), ...])}``.
         self.block_counts = {}
-        #: Per-(block, tier) profiler cells: ``{(bi, tier): [(key, d)]}``.
+        #: Per-(block, tier) profiler cells, counted in ``pf[2 * bi +
+        #: tier]``: ``{(bi, tier): [(key, d)]}``.
         self.block_profs = {}
         self.out = Emitter()
 
@@ -224,6 +265,14 @@ class _FnEmitter:
         return literal(value)
 
     # -- fragments ------------------------------------------------------
+
+    def emit_rebind(self):
+        """Reload the per-tier constants for ``fn``'s current tier."""
+        names = ", ".join(self.tier_names)
+        if len(self.tier_names) == 1:
+            names += ","
+        self.out.emit(f"{names} = {self.use('tiers')}"
+                      f"[{self.use('fn')}.tier]")
 
     def emit_jump(self, tbi, fall_bi=None):
         if tbi == -1:
@@ -261,25 +310,28 @@ class _FnEmitter:
     def emit_flush(self):
         """Apply the per-block integer counters the dispatch loop
         accumulated in locals.  Runs once, in the ``finally``, so it
-        covers returns and escaping exceptions alike."""
+        covers returns and escaping exceptions alike: one statement per
+        counter summing its per-block terms (integer adds commute);
+        profiler cells stay guarded per block and tier."""
         out = self.out
+        instructions, classes = [], {}
         for bi in sorted(self.block_counts):
             n_ops, deltas = self.block_counts[bi]
-            out.emit(f"if nb{bi}:")
-            with out.block():
-                mul = f"nb{bi}" if n_ops == 1 else f"{n_ops} * nb{bi}"
-                out.emit(f"{self.use('stats')}.instructions += {mul}")
-                for ci, dc in deltas:
-                    mul = f"nb{bi}" if dc == 1 else f"{dc} * nb{bi}"
-                    out.emit(f"{self.use('counts')}[{ci}] += {mul}")
+            instructions.append(scaled(n_ops, f"nb{bi}"))
+            for ci, dc in deltas:
+                classes.setdefault(ci, []).append(scaled(dc, f"nb{bi}"))
+        if instructions:
+            emit_sum(out, f"{self.use('stats')}.instructions",
+                     instructions)
+        for ci in sorted(classes):
+            emit_sum(out, f"{self.use('counts')}[{ci}]", classes[ci])
         for bi, tier in sorted(self.block_profs):
-            acc = f"pf{bi}_{tier}"
+            acc = f"pf[{2 * bi + tier}]"
             out.emit(f"if {acc}:")
             with out.block():
                 for key, dc in self.block_profs[(bi, tier)]:
-                    mul = acc if dc == 1 else f"{dc} * {acc}"
                     out.emit(f"{self.use('fprof')}[{key}] = "
-                             f"fprof.get({key}, 0) + {mul}")
+                             f"fprof.get({key}, 0) + {scaled(dc, acc)}")
 
     def guarded(self, body_lines, classes, idx):
         """Wrap raising statements in the integer-suffix rewind guard
@@ -370,10 +422,10 @@ class _FnEmitter:
         else:                                  # MOD / EQ / NE
             out.emit(f"{a} = {self.use(f'vf{op}')}({a}, {b})")
 
-    def emit_op(self, pc, instr, d, charges, classes, idx, factor):
+    def emit_op(self, pc, instr, d, classes, idx):
         op, arg = instr
         out = self.out
-        out.emit(f"cyc += {literal(charges[idx])}")
+        out.emit(f"cyc += c{op}")
         if op == 1:       # LOADL
             out.emit(f"s{d} = l{arg}")
             return d + 1
@@ -421,7 +473,7 @@ class _FnEmitter:
             out.emit(f"sh[1] = s{d - 2}")
             out.emit(f"if type(sh[1]) is {self.use('JSArray')}:")
             with out.block():
-                out.emit(f"cyc += {literal(1.6 * factor)}")
+                out.emit("cyc += B16")
                 # Inline of ``_element_get``'s array path.  ``t_`` briefly
                 # holds the raw items list; it is reset before any later
                 # GC point so the generated frame's live set stays equal
@@ -459,7 +511,7 @@ class _FnEmitter:
             out.emit(f"sh[1] = s{d - 3}")
             out.emit(f"if type(sh[1]) is {self.use('JSArray')}:")
             with out.block():
-                out.emit(f"cyc += {literal(2.0 * factor)}")
+                out.emit("cyc += B20")
             self.guarded([f"{self.use('setw')}({self.use('heap')}, sh[1], "
                           f"sh[3], sh[2], sh)"], classes, idx)
             out.emit(f"s{d - 3} = sh[2]")
@@ -590,10 +642,10 @@ class _FnEmitter:
 
     # -- terminators ----------------------------------------------------
 
-    def emit_term(self, instr, d, bi, fall_bi, charges, factor, tier0):
+    def emit_term(self, instr, d, bi, fall_bi):
         op, arg = instr
         out = self.out
-        out.emit(f"cyc += {literal(charges[-1])}")
+        out.emit(f"cyc += c{op}")
         if op == 27:      # JMP
             self.emit_jump(self.bi_of(arg), fall_bi)
             return
@@ -606,12 +658,15 @@ class _FnEmitter:
             self.emit_jump(fall_bi, fall_bi)
             return
         if op == 30:      # JBACK
-            if tier0 and self.jit_enabled:
-                out.emit(f"{self.use('fn')}.backedge_count += 1")
-                out.emit(f"if {self.use('hot')}(fn.backedge_count):")
+            if self.jit_enabled:
+                out.emit(f"if not {self.use('fn')}.tier:")
                 with out.block():
-                    out.emit(f"{self.use('tier_up')}(fn)"
-                             "  # on-stack replacement")
+                    out.emit("fn.backedge_count += 1")
+                    out.emit(f"if {self.use('hot')}(fn.backedge_count):")
+                    with out.block():
+                        out.emit(f"{self.use('tier_up')}(fn)"
+                                 "  # on-stack replacement")
+                        self.emit_rebind()
             self.emit_jump(self.bi_of(arg), fall_bi)
             return
         if op == 33:      # RET
@@ -633,6 +688,7 @@ class _FnEmitter:
             out.emit(f"sh[10] = s{nd}")
             self.emit_clears(nd)
             out.emit(f"s{nd} = {self.use('construct')}(sh[10], sh[7])")
+            self.emit_rebind()
             self.emit_gc_check()
             self.emit_jump(fall_bi, fall_bi)
             return
@@ -649,9 +705,10 @@ class _FnEmitter:
             out.emit("cyc = 0.0")
             out.emit(f"s{nd} = {self.use('call')}({self.use('engine')}, "
                      f"sh[8], sh[7], sh[9])")
+            self.emit_rebind()
         out.emit(f"elif isinstance(sh[8], {self.use('NativeFunction')}):")
         with out.block():
-            out.emit(f"cyc += sh[8].cycles * {literal(factor)}")
+            out.emit("cyc += sh[8].cycles * F")
             out.emit(f"s{nd} = sh[8].fn(engine, sh[9], sh[7])")
         out.emit("else:")
         with out.block():
@@ -666,29 +723,6 @@ class _FnEmitter:
 
     # -- whole blocks ---------------------------------------------------
 
-    def emit_tier(self, ops, start, entry_d, bi, fall_bi, tier):
-        cost = JS_OP_COST_OPT if tier else JS_OP_COST
-        factor = self.factors[tier]
-        charges = [cost[op] * factor for op, _a in ops]
-        classes = [int(JS_OP_CLASS[op]) for op, _a in ops]
-        if self.profiling and ops:
-            tbit = tier << 8
-            self.out.emit(f"pf{bi}_{tier} += 1")
-            self.block_profs[(bi, tier)] = [
-                (op + tbit, dc)
-                for op, dc in class_deltas(list(o for o, _a in ops))]
-        has_term = bool(ops) and ops[-1][0] in _thr._TERM_OPS
-        body = ops[:-1] if has_term else ops
-        d = entry_d
-        for idx, instr in enumerate(body):
-            d = self.emit_op(start + idx, instr, d, charges, classes,
-                             idx, factor)
-        if has_term:
-            self.emit_term(ops[-1], d, bi, fall_bi, charges, factor,
-                           tier == 0)
-        else:
-            self.emit_jump(fall_bi, fall_bi)
-
     def emit_block(self, bi):
         out = self.out
         start, end = self.ranges[bi]
@@ -700,6 +734,7 @@ class _FnEmitter:
                          f"('codegen: entered unreachable block {bi}')")
                 return
             ops = self.code[start:end]
+            classes = [int(JS_OP_CLASS[op]) for op, _a in ops]
             if ops:
                 # Integer counters accumulate in a per-block local and
                 # flush in the function's ``finally`` — integer adds
@@ -707,16 +742,24 @@ class _FnEmitter:
                 # trap paths, whose guards rewind the engine counters
                 # directly) matches the threaded tier's eager batching.
                 out.emit(f"nb{bi} += 1")
-                self.block_counts[bi] = (len(ops), list(class_deltas(
-                    [int(JS_OP_CLASS[op]) for op, _a in ops])))
-            entry_d = self.entry_depth[bi]
+                self.block_counts[bi] = (len(ops),
+                                         list(class_deltas(classes)))
+                if self.profiling:
+                    out.emit(f"pf[tk + {2 * bi}] += 1")
+                    for tier in (0, 1):
+                        self.block_profs[(bi, tier)] = [
+                            (op + (tier << 8), dc) for op, dc in
+                            class_deltas([o for o, _a in ops])]
             fall_bi = self.bi_of(end)
-            out.emit(f"if {self.use('fn')}.tier:")
-            with out.block():
-                self.emit_tier(ops, start, entry_d, bi, fall_bi, 1)
-            out.emit("else:")
-            with out.block():
-                self.emit_tier(ops, start, entry_d, bi, fall_bi, 0)
+            has_term = bool(ops) and ops[-1][0] in _thr._TERM_OPS
+            body = ops[:-1] if has_term else ops
+            d = self.entry_depth[bi]
+            for idx, instr in enumerate(body):
+                d = self.emit_op(start + idx, instr, d, classes, idx)
+            if has_term:
+                self.emit_term(ops[-1], d, bi, fall_bi)
+            else:
+                self.emit_jump(fall_bi, fall_bi)
 
     def build(self):
         out = self.out
@@ -740,11 +783,11 @@ class _FnEmitter:
                 body.emit("cyc = 0.0")
                 live = [bi for bi, (start, end) in enumerate(self.ranges)
                         if bi in self.entry_depth and end > start]
-                accs = [f"nb{bi}" for bi in live]
-                if self.profiling:
-                    accs += [f"pf{bi}_{t}" for bi in live for t in (0, 1)]
-                if accs:
-                    body.emit(" = ".join(accs) + " = 0")
+                if live:
+                    body.emit(" = ".join(f"nb{bi}" for bi in live) + " = 0")
+                    self.emit_rebind()
+                    if self.profiling:
+                        body.emit(f"pf = [0] * {2 * len(self.ranges)}")
                 body.emit("try:")
                 with body.block():
                     if not self.ranges:
@@ -800,8 +843,6 @@ def translate(fn, engine):
     entry_depth, max_depth = flow
 
     tiering = engine.tiering
-    f0 = tiering.exec_factor(0)
-    f1 = tiering.exec_factor(1)
     jit_enabled = engine.config.jit_enabled
     profiling = engine._profile is not None
 
@@ -819,13 +860,18 @@ def translate(fn, engine):
             const_index[pc] = len(consts)
             consts.append(tuple(arg))
 
+    # The per-tier constants ride in ``ns`` too, so the source (and its
+    # cache key) is shared by every engine configuration.
+    tier_names = _tier_names(code, profiling)
+    tiers = tuple(_tier_values(tier_names, tier, tiering.exec_factor(tier))
+                  for tier in (0, 1))
+
     key = unit_key("js", (
-        repr(code), len(fn.params), fn.num_locals, jit_enabled,
-        repr((f0, f1)), profiling))
+        repr(code), len(fn.params), fn.num_locals, jit_enabled, profiling))
 
     def build_source():
         emitter = _FnEmitter(fn, code, ranges, block_index, entry_depth,
-                             max_depth, jit_enabled, profiling, f0, f1,
+                             max_depth, jit_enabled, profiling, tier_names,
                              const_index)
         return emitter.build()
 
@@ -846,6 +892,7 @@ def translate(fn, engine):
         "JSObject": JSObject, "JSTypedArray": JSTypedArray,
         "JSFunction": JSFunction, "NativeFunction": NativeFunction,
         "hot": tiering.backedge_hot, "tier_up": engine._tier_up,
+        "tiers": tiers,
     }
     for op, f in _thr._BINVAL.items():
         ns[f"vf{op}"] = f

@@ -31,7 +31,8 @@ from __future__ import annotations
 import math as _math
 
 from repro.engine.codegen import (
-    DECLINED, Emitter, codegen_enabled, literal, load_factory, unit_key,
+    DECLINED, Emitter, codegen_enabled, emit_sum, literal, load_factory,
+    scaled, unit_key,
 )
 from repro.engine.threaded import class_deltas, split_blocks
 from repro.errors import TrapError
@@ -113,20 +114,24 @@ class _FnEmitter:
 
     def emit_flush(self):
         """Apply the per-block op-class counters accumulated by the
-        dispatch loop; runs once in the ``finally``."""
+        dispatch loop; runs once in the ``finally``.  Each class gets one
+        statement summing its per-block terms (integer adds commute);
+        profiler cells stay guarded per block."""
         out = self.out
+        classes = {}
         for bi in sorted(self.block_counts):
-            deltas, prof = self.block_counts[bi]
-            if not deltas and not prof:
-                continue
-            out.emit(f"if nb{bi}:")
-            with out.block():
-                for ci, dc in deltas:
-                    mul = f"nb{bi}" if dc == 1 else f"{dc} * nb{bi}"
-                    out.emit(f"{self.use('counts')}[{ci}] += {mul}")
-                for key, dc in prof:
-                    mul = f"nb{bi}" if dc == 1 else f"{dc} * nb{bi}"
-                    out.emit(f"fprof[{key}] = fprof.get({key}, 0) + {mul}")
+            for ci, dc in self.block_counts[bi][0]:
+                classes.setdefault(ci, []).append(scaled(dc, f"nb{bi}"))
+        for ci in sorted(classes):
+            emit_sum(out, f"{self.use('counts')}[{ci}]", classes[ci])
+        for bi in sorted(self.block_counts):
+            prof = self.block_counts[bi][1]
+            if prof:
+                out.emit(f"if nb{bi}:")
+                with out.block():
+                    for key, dc in prof:
+                        out.emit(f"fprof[{key}] = fprof.get({key}, 0) + "
+                                 f"{scaled(dc, f'nb{bi}')}")
 
     def guarded(self, body_lines, classes, idx):
         self.out.emit("try:")

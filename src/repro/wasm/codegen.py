@@ -39,7 +39,8 @@ from __future__ import annotations
 import math
 
 from repro.engine.codegen import (
-    DECLINED, Emitter, codegen_enabled, literal, load_factory, unit_key,
+    DECLINED, Emitter, codegen_enabled, emit_sum, literal, load_factory,
+    scaled, unit_key,
 )
 from repro.engine.threaded import class_deltas, split_blocks
 from repro.errors import TrapError, ValidationError
@@ -259,25 +260,35 @@ class _FnEmitter:
     def emit_flush(self):
         """Apply the per-block charges accumulated by the dispatch loop.
         Runs once, in the ``finally``, covering returns, deopt handoffs
-        and escaping traps alike."""
+        and escaping traps alike: one statement per counter (see the
+        exactness note in ``emit_block``); profiler cells stay guarded
+        per block."""
         out = self.out
         if not self.block_counts:
             out.emit("pass")
+            return
+        cycles, instructions, classes = [], [], {}
         for bi in sorted(self.block_counts):
-            blk_cycles, n_ops, deltas, prof = self.block_counts[bi]
-            out.emit(f"if nb{bi}:")
-            with out.block():
-                if blk_cycles:
-                    out.emit(f"{self.use('stats')}.cycles += "
-                             f"{literal(blk_cycles)} * nb{bi}")
-                mul = f"nb{bi}" if n_ops == 1 else f"{n_ops} * nb{bi}"
-                out.emit(f"{self.use('stats')}.instructions += {mul}")
-                for ci, dc in deltas:
-                    mul = f"nb{bi}" if dc == 1 else f"{dc} * nb{bi}"
-                    out.emit(f"{self.use('counts')}[{ci}] += {mul}")
-                for op, dc in prof:
-                    mul = f"nb{bi}" if dc == 1 else f"{dc} * nb{bi}"
-                    out.emit(f"fprof[{op}] = fprof.get({op}, 0) + {mul}")
+            blk_cycles, n_ops, deltas, _prof = self.block_counts[bi]
+            if blk_cycles:
+                cycles.append(f"{literal(blk_cycles)} * nb{bi}")
+            instructions.append(scaled(n_ops, f"nb{bi}"))
+            for ci, dc in deltas:
+                classes.setdefault(ci, []).append(scaled(dc, f"nb{bi}"))
+        stats = self.use("stats")
+        if cycles:
+            emit_sum(out, f"{stats}.cycles", cycles, fold=True)
+        emit_sum(out, f"{stats}.instructions", instructions)
+        for ci in sorted(classes):
+            emit_sum(out, f"{self.use('counts')}[{ci}]", classes[ci])
+        for bi in sorted(self.block_counts):
+            prof = self.block_counts[bi][3]
+            if prof:
+                out.emit(f"if nb{bi}:")
+                with out.block():
+                    for op, dc in prof:
+                        out.emit(f"fprof[{op}] = fprof.get({op}, 0) + "
+                                 f"{scaled(dc, f'nb{bi}')}")
 
     def guarded(self, body_lines, costs, classes, idx):
         self.out.emit("try:")
@@ -540,9 +551,15 @@ class _FnEmitter:
                 # flush in the ``finally``.  Every wasm op cost is a
                 # dyadic rational and totals stay far below 2**50, so
                 # ``blk_cycles * nb`` is the exact float the eager
-                # per-block adds would have produced; the integer
-                # counters commute outright (guards rewind the engine
-                # counters directly, which deferral does not disturb).
+                # per-block adds would have produced.  The flush sums
+                # each integer counter in one statement (integer adds
+                # commute; guards rewind the engine counters directly,
+                # which deferral does not disturb) and folds cycles as
+                # one left-associative chain in block order — the float
+                # adds of a per-block ``if nb: cycles += c * nb`` flush,
+                # in the same order.  A block that never ran adds
+                # ``+0.0``, which leaves any value but ``-0.0`` alone,
+                # and cycle totals only ever sum non-negative costs.
                 out.emit(f"nb{bi} += 1")
                 self.block_counts[bi] = (
                     math.fsum(costs), len(ops),

@@ -350,3 +350,309 @@ class TestColdWarmCache:
         assert warm_sched["interp.js.codegen_cache_hits"] > 0
         assert warm_out == cold_out
         assert warm_stats == cold_stats
+
+
+# ---------------------------------------------------------------------------
+# Source emission: the indentation buffer and the counter flush.
+
+class TestEmitter:
+    def test_nested_blocks_indent_one_level_each(self):
+        out = substrate.Emitter()
+        out.emit("a")
+        with out.block():
+            out.emit("b")
+            with out.block():
+                out.emit("c")
+                out.emit("")
+                with out.block():
+                    out.emit("d")
+            out.emit("e")
+        out.emit("f")
+        assert out.source() == ("a\n    b\n        c\n\n"
+                                "            d\n    e\nf\n")
+        assert out.indent == 0
+
+    def test_block_is_one_reusable_manager(self):
+        out = substrate.Emitter()
+        assert out.block() is out.block()
+        with pytest.raises(KeyError):
+            with out.block():
+                with out.block():
+                    raise KeyError("x")
+        assert out.indent == 0             # unwound on the way out
+
+    def test_emit_sum_chunks_long_chains(self):
+        out = substrate.Emitter()
+        n = substrate.FLUSH_TERMS + 3
+        terms = [substrate.scaled(k % 3 + 1, f"nb{k}") for k in range(n)]
+        substrate.emit_sum(out, "s.x", terms)
+        substrate.emit_sum(out, "s.y", terms, fold=True)
+        lines = out.lines
+        assert len(lines) == 4
+        assert lines[0].startswith("s.x += nb0 + 2 * nb1 + 3 * nb2 + nb3")
+        assert lines[2].startswith("s.y = s.y + nb0 + 2 * nb1")
+        env = {f"nb{k}": k for k in range(n)}
+
+        class S:
+            x = 0
+            y = 0.5
+        env["s"] = S
+        exec(out.source(), env)
+        assert S.x == sum((k % 3 + 1) * k for k in range(n))
+        want = 0.5
+        for k in range(n):
+            want = want + (k % 3 + 1) * k
+        assert S.y == want
+
+
+# ---------------------------------------------------------------------------
+# The JS translation unit carries no tier factors: one source per
+# function serves every engine configuration.
+
+UNIT_JS = r"""
+function f(n) {
+  var a = [0.5, 1.5, 2.5];
+  var s = 0.25;
+  for (var i = 0; i < n; i++) {
+    s = s + a[i % 3] * 1.1 + Math.sqrt(i);
+    a[i % 3] = s % 3.3;
+  }
+  return s;
+}
+var t = 0;
+for (var k = 0; k < 8; k++) { t = t + f(300); }
+console.log(t);
+"""
+
+
+class TestJsUnitSharing:
+    @pytest.fixture(autouse=True)
+    def _isolated(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        substrate.reset_cache()
+        yield
+        substrate.reset_cache()
+
+    def _run(self, monkeypatch, tier, config):
+        from repro.jsengine.engine import JsEngine
+
+        _set_tier(monkeypatch, tier)
+        engine = JsEngine(config=config)
+        engine.load_script(UNIT_JS)
+        return [str(x) for x in engine.console_output], \
+            _stats_dict(engine.stats)
+
+    def test_one_source_per_function_across_profiles(self, monkeypatch):
+        from repro.env import chrome_desktop, firefox_desktop
+        from repro.jsengine import codegen as jcg
+
+        builds = {}
+        build = jcg._FnEmitter.build
+
+        def counting_build(self):
+            builds[self.fn.name] = builds.get(self.fn.name, 0) + 1
+            return build(self)
+        monkeypatch.setattr(jcg._FnEmitter, "build", counting_build)
+
+        configs = {"chrome": chrome_desktop().js,
+                   "firefox": firefox_desktop().js}
+        assert (configs["chrome"].tier0_factor,
+                configs["chrome"].tier1_factor) == (20.0, 1.0)
+        assert (configs["firefox"].tier0_factor,
+                configs["firefox"].tier1_factor) == (4.5, 1.12)
+        runs = {}
+        for name, config in configs.items():
+            runs[name] = self._run(monkeypatch, "codegen", config)
+        assert "f" in builds
+        assert set(builds.values()) == {1}   # built once, served twice
+        assert runs["chrome"][1] != runs["firefox"][1]
+        for name, config in configs.items():
+            ref = self._run(monkeypatch, "ref", config)
+            assert int(ref[1]["tier_ups"]) > 0
+            assert runs[name] == ref
+
+
+# ---------------------------------------------------------------------------
+# The flush: one statement per counter, exact when blocks never ran,
+# when a trap escapes mid-frame and when the wasm frame deopts.
+
+FLUSH_C = r"""
+int g;
+int pick(int x) {
+  if (x > 1000) { g = g + x * 3; return g - 1; }
+  if (x < -1000) { g = g ^ x; return g + 7; }
+  return x + 1;
+}
+int divide(int n, int d) {
+  int s = 0;
+  for (int i = 0; i < n; i++) { s = s + pick(i); }
+  if (n == 99) { s = s * 2; }
+  return s / d;
+}
+int main() {
+  int s = 0;
+  for (int i = 0; i < 20; i++) s = s + pick(i);
+  printf("%d", s);
+  return divide(6, s - 210);
+}
+"""
+
+FLUSH_JS = r"""
+function pick(x) {
+  if (x > 1000) { return x * 3.3; }
+  if (x < -1000) { return x - 7.7; }
+  return x + 1.1;
+}
+function boom(n) {
+  var s = 0.5;
+  var o;
+  for (var i = 0; i < n; i++) { s = s + pick(i) * 1.1; }
+  if (n == 99) { s = s * 2; }
+  o.x = s;
+  return s;
+}
+var t = 0;
+for (var k = 0; k < 20; k++) { t = t + pick(k); }
+console.log(t);
+boom(5);
+"""
+
+
+class TestFlushExactness:
+    def _wasm(self, cheerp, monkeypatch, tier, budget):
+        from repro.engine.hostlib import wasm_host_imports
+        from repro.wasm import WasmVM
+
+        _set_tier(monkeypatch, tier)
+        artifact = cheerp.compile_wasm(FLUSH_C, name="cgflush")
+        output = []
+        inst = WasmVM(max_instructions=budget).instantiate(
+            artifact.module, wasm_host_imports(output, None))
+        with pytest.raises(TrapError) as info:
+            inst.invoke("main")
+        return str(info.value), output, _stats_dict(inst.stats)
+
+    @pytest.mark.parametrize("budget", [None, 700],
+                             ids=["trap", "budget-deopt"])
+    def test_wasm_dead_blocks_trap_and_deopt(self, cheerp, monkeypatch,
+                                             budget):
+        reset_registry()
+        runs = {tier: self._wasm(cheerp, monkeypatch, tier, budget)
+                for tier in TIERS}
+        exported = get_registry().export([SCHED])
+        reset_registry()
+        message, output, _stats = runs["ref"]
+        if budget is None:
+            assert message == "integer divide by zero"
+            assert output == [210]
+        else:
+            assert message == "instruction budget exhausted"
+            assert exported["interp.wasm.codegen_deopts"] > 0
+        assert runs["ref"] == runs["threaded"] == runs["codegen"]
+
+    def test_native_dead_blocks_and_trap(self, llvm_x86, monkeypatch):
+        from repro.native.machine import _Machine
+
+        artifact = llvm_x86.compile(FLUSH_C, name="cgflush")
+        runs = {}
+        for tier in TIERS:
+            _set_tier(monkeypatch, tier)
+            machine = _Machine(artifact.program)
+            with pytest.raises(TrapError) as info:
+                machine.call("main")
+            runs[tier] = (str(info.value), _stats_dict(machine.stats))
+        assert runs["ref"][0] == "integer divide by zero"
+        assert runs["ref"] == runs["threaded"] == runs["codegen"]
+
+    def test_js_dead_blocks_and_escaping_error(self, monkeypatch):
+        from repro.env import firefox_desktop
+        from repro.jsengine.engine import JsEngine
+        from repro.jsengine.interpreter import JsRuntimeError
+
+        runs = {}
+        for tier in TIERS:
+            _set_tier(monkeypatch, tier)
+            engine = JsEngine(config=firefox_desktop().js)
+            with pytest.raises(JsRuntimeError, match="cannot set x"):
+                engine.load_script(FLUSH_JS)
+            runs[tier] = ([str(x) for x in engine.console_output],
+                          _stats_dict(engine.stats))
+        assert [float(x) for x in runs["ref"][0]] == [pytest.approx(212.0)]
+        assert runs["ref"] == runs["threaded"] == runs["codegen"]
+
+    def test_wasm_and_native_flush_one_statement_per_counter(
+            self, cheerp, llvm_x86, monkeypatch):
+        from repro.native import codegen as ncg
+        from repro.native.machine import _Machine
+        from repro.wasm import codegen as wcg
+
+        sources = []
+        for mod in (wcg, ncg):
+            load = mod.load_factory
+
+            def spy(engine, key, build_source, _load=load):
+                factory = _load(engine, key, build_source)
+                sources.append((engine, factory.__repro_source__))
+                return factory
+            monkeypatch.setattr(mod, "load_factory", spy)
+        substrate.reset_cache()
+        self._wasm(cheerp, monkeypatch, "codegen", None)
+        _set_tier(monkeypatch, "codegen")
+        with pytest.raises(TrapError):
+            _Machine(llvm_x86.compile(FLUSH_C, name="cgflush").program
+                     ).call("main")
+        assert {engine for engine, _src in sources} == {"wasm", "native"}
+        for engine, src in sources:
+            flush = src.split("finally:\n", 1)[1]
+            counters = [line.split(" += ")[0].strip()
+                        for line in flush.splitlines() if " += " in line]
+            assert len(counters) == len(set(counters)), src
+            assert "if nb" not in flush          # no per-block guards
+            if engine == "wasm" and "stats.cycles" in flush:
+                assert flush.count("stats.cycles = stats.cycles + ") == 1
+
+
+class TestJsSourceShape:
+    def test_one_arm_per_block_and_no_tier_dispatch(self, monkeypatch):
+        from repro.engine.threaded import split_blocks
+        from repro.jsengine import codegen as jcg
+        from repro.jsengine import threaded as jt
+        from repro.jsengine.engine import JsEngine
+
+        _set_tier(monkeypatch, "codegen")
+        substrate.reset_cache()
+        engine = JsEngine()
+        engine.load_script(UNIT_JS)
+        sources = {}
+        load = jcg.load_factory
+
+        def spy(engine_name, key, build_source):
+            factory = load(engine_name, key, build_source)
+            sources["src"] = factory.__repro_source__
+            return factory
+        monkeypatch.setattr(jcg, "load_factory", spy)
+        fn = engine.globals["f"]
+        jcg.translate(fn, engine)
+        src = sources["src"]
+
+        code = fn.code
+        leaders = {0}
+        for pc, (op, arg) in enumerate(code):
+            if op in jt._TERM_OPS:
+                leaders.add(pc + 1)
+                if op in jt._JUMPS:
+                    leaders.add(arg)
+        n_blocks = len(split_blocks(len(code), leaders))
+        arms = [line.strip() for line in src.splitlines()
+                if line.strip().startswith("if bi == ")]
+        assert arms == [f"if bi == {k}:" for k in range(n_blocks)]
+        ops = [op for op, _arg in code]
+        n_backedges = ops.count(30)
+        n_calls = sum(ops.count(op) for op in (31, 32, 44))
+        assert n_backedges and n_calls
+        assert "if fn.tier" not in src
+        assert src.count("if not fn.tier:") == n_backedges
+        # Rebinds: frame entry, one per call site, one per OSR.
+        assert src.count("= tiers[fn.tier]") == 1 + n_calls + n_backedges
+        assert src.count("fn.tier") == 1 + n_calls + 2 * n_backedges
