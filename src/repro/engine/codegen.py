@@ -1,32 +1,58 @@
-"""Shared substrate of the compiled-Python (codegen) execution tier.
+"""Shared substrate of the generated-Python (codegen) execution tier.
 
-The threaded tier (:mod:`repro.engine.threaded`) replaced the reference
-ladders' per-instruction dispatch with per-block handler closures, but it
-still pays one Python call per source instruction.  The codegen tier is
-the rung above it on the same ladder: each engine's translator walks the
-*threaded-code basic blocks* it already knows how to build and emits them
-as straight-line Python source — operand stack lowered to local
-variables, batched accounting constants folded into literal statements,
-trap points compiled to explicit guards that rewind exactly like the
-threaded tier's pre-bound rewind closures.  The source is ``compile()``d
-once per translation unit and the resulting ``make(ns)`` factory is
-called per engine instance to pre-bind that instance's state.
+The three engines (``wasm/vm.py``, ``jsengine/interpreter.py``,
+``native/machine.py``) each ship a reference interpreter: a ``while`` loop
+that fetches one instruction, charges its cycle cost and operation class,
+and dispatches through a ~100-arm ``if/elif`` ladder.  That loop is the
+differential oracle — simple, obviously faithful, and slow.
 
-Tier ladder (each knob gates everything above it)::
+The codegen tier translates each prepared function body *once* into
+basic blocks and emits them as straight-line Python source: operand
+stack lowered to local variables, batched accounting constants folded
+into literal statements, trap points compiled to explicit guards that
+rewind the batched charges.  The source is ``compile()``d once per
+translation unit and the resulting ``make(ns)`` factory is called per
+engine instance to pre-bind that instance's state.
+
+Two tiers, one knob::
 
     REPRO_FAST_INTERP=0   reference ladders (differential oracle)
-    REPRO_CODEGEN=0       threaded closures (prepare-once handlers)
     default               generated Python (this tier)
 
-Exactness contract: the generated code must be observably bit-identical
-to the threaded tier (and hence to the reference ladders) — same stats,
-same traces, same GC pauses, same per-opclass×per-function profiles.
-The per-engine translators document how each of the substrate's
-exactness rules (see ``engine/threaded.py``) maps onto emitted source.
+Exactness rules (each engine's translator documents how it applies them):
+
+1. **Integer counters batch freely.**  ``op_counts``, ``instructions``
+   and the instruction budget are integers; charging a block's total per
+   block entry is exact.  A trap guard subtracts the suffix (the
+   instructions after the trapping one), restoring the reference
+   ladder's charge-then-execute prefix: at a trap on instruction *k* the
+   reference has charged instructions ``0..k`` inclusive.
+2. **Float cycle batching needs an exact grid.**  Summing per-op costs in
+   a different order than the reference is only bit-identical when every
+   addend is dyadic and the partial sums stay exactly representable.
+   Wasm's ``OP_COST`` table is entirely quarter-multiples (asserted by
+   tests), so its per-block sums are exact at any association.  The JS
+   and native charge streams include non-dyadic products
+   (``cost × tier_factor``, ``cost × VECTOR_COST_FACTOR``), so their
+   generated code adds one constant per source instruction — the same
+   left-fold the reference performs, hence the same bits.
+3. **Mid-run observers see flushed state only at the reference's flush
+   points.**  Frame-local accumulators are flushed exactly where the
+   ladder flushes (JS function-call boundaries, native CALL/RETV), so
+   ``performance.now()`` and friends read identical values mid-run.
+4. **Rare paths run on the oracle.**  When a block cannot be entered
+   under batched accounting (instruction budget smaller than the block),
+   the frame resumes in the reference loop at the block start; a JS
+   frame entered with the GC already over-trigger runs on the reference
+   loop from the start.  Both are exact by construction.
+5. **Unknown opcodes fail loudly.**  The reference ladders fall through
+   to a structured error at execution time; the translators refuse the
+   whole function at translation time instead of silently mistranslating.
+
 A translator may also *decline* a function (returning ``None``) when a
 static property it relies on does not hold — e.g. an inconsistent
-operand-stack depth at a join point — in which case the engine falls
-back to the threaded tier for that function, which is exact by
+operand-stack depth at a join point.  The engine caches :data:`DECLINED`
+for that function and runs it on the reference ladder, which is exact by
 construction.
 
 Persistent compile cache: generated source depends only on the prepared
@@ -44,9 +70,8 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import marshal
-import os
 
-from repro.engine.threaded import fast_interp_enabled
+from repro.obs.envflags import env_flag
 
 #: Bump when the shape of cached translation units changes.
 SCHEMA_VERSION = 1
@@ -58,12 +83,34 @@ _TAG = "codegen"
 DECLINED = object()
 
 
-def codegen_enabled():
-    """The ``REPRO_CODEGEN`` knob: default on, ``0`` drops back to the
-    threaded tier.  The codegen tier sits above the threaded tier on the
-    same ladder, so ``REPRO_FAST_INTERP=0`` disables both."""
-    return os.environ.get("REPRO_CODEGEN", "1") != "0" \
-        and fast_interp_enabled()
+def fast_interp_enabled():
+    """The ``REPRO_FAST_INTERP`` knob: on unless explicitly falsy
+    (``0``/``off``/``false``/``no``), which selects the reference ladders
+    (the differential oracle)."""
+    return env_flag("REPRO_FAST_INTERP", default=True)
+
+
+def split_blocks(n, leaders):
+    """Partition ``range(n)`` into half-open basic-block ranges.
+
+    ``leaders`` is the set of pcs that must start a block (function entry,
+    every jump target, every instruction after a block terminator).
+    Out-of-range leaders (e.g. a branch target equal to ``n``) are
+    ignored — they denote function exit, not a block.
+    """
+    starts = sorted(pc for pc in set(leaders) | {0} if 0 <= pc < n)
+    return [(start, starts[i + 1] if i + 1 < len(starts) else n)
+            for i, start in enumerate(starts)]
+
+
+def class_deltas(classes):
+    """Collapse a per-instruction op-class list into sparse, sorted
+    ``(class_index, count)`` pairs — one block's batched ``op_counts``
+    charge (or a rewind suffix)."""
+    by_class = {}
+    for cls in classes:
+        by_class[cls] = by_class.get(cls, 0) + 1
+    return tuple(sorted(by_class.items()))
 
 
 # ---------------------------------------------------------------------------

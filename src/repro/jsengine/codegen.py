@@ -1,24 +1,24 @@
-"""Codegen execution tier for the JS engine: threaded blocks → Python.
+"""Codegen execution tier for the JS engine: basic blocks → Python.
 
-Walks the same basic blocks the threaded tier builds
-(:mod:`repro.jsengine.threaded`) and emits one generated Python function
-per ``JSFunction``: the operand stack is lowered to slot variables
+Splits each ``JSFunction`` into basic blocks and emits one generated
+Python function: the operand stack is lowered to slot variables
 ``s0..sK`` (depths are static in compiler output; hand-built bytecode
 with inconsistent join depths makes the translator decline), locals to
 ``l0..lN``, and dispatch to a ``bi`` block index looping over
 ``if bi == k`` arms.
 
-Exactness follows the threaded tier's rules (see its module docstring),
-restated as they apply to emitted source:
+Exactness follows the rules of :mod:`repro.engine.codegen`, restated as
+they apply to emitted source:
 
 * **Cycles self-charge per op** in the reference ladder's left-fold
-  order: each op adds ``c<op>``, a frame local holding the float
-  ``cost[op] * factor`` of the function's current tier; dynamic extras
-  (boxed-element penalties ``B16``/``B20``, GC pauses, native-call costs
-  priced with ``F``) are added at the same points.  Integer counters
-  batch per block and flush as one summed statement per counter; trap
-  points get explicit guards whose rewind statements subtract the
-  integer suffix.
+  order.  The charge stream is ``JS_OP_COST[op] * tier_factor`` with
+  non-dyadic factors (1.12, 0.73, 3.2, ...), so each op adds ``c<op>``,
+  a frame local holding the float ``cost[op] * factor`` of the
+  function's current tier; dynamic extras (boxed-element penalties
+  ``B16``/``B20``, GC pauses, native-call costs priced with ``F``) are
+  added at the same points.  Integer counters batch per block and flush
+  as one summed statement per counter; trap points get explicit guards
+  whose rewind statements subtract the integer suffix.
 * **One tier-agnostic body per block.**  A function's tier picks its
   cost table and factor, and can change only at terminators: ``JBACK``
   OSR and the return of a call or constructor that re-entered the
@@ -26,19 +26,38 @@ restated as they apply to emitted source:
   ``tk`` that picks a block's profile cell ``pf[2 * bi + tk]``) are
   unpacked from a ``(tier 0, tier 1)`` pair of tuples bound through
   ``ns``, at frame entry, after ``tier_up`` at ``JBACK`` and after every
-  ``JSFunction`` call and ``NEWCALL`` — the points where the threaded
-  tier's next block re-selects its tier variant, so every op is priced
-  with the float the threaded tier charges.  Natives never re-enter the
-  interpreter, so a native call leaves the tier alone.  Back-edge
+  ``JSFunction`` call and ``NEWCALL`` — exactly where the reference
+  ladder refreshes its ``factor``/``cost``/``tbit``, so every op is
+  priced with the float the reference charges.  Natives never re-enter
+  the interpreter, so a native call leaves the tier alone.  Back-edge
   counting at ``JBACK`` runs under ``if not fn.tier:``.
-* **GC checks at allocation points only**, inlined where the threaded
-  tier calls its ``gc_check`` closure.
-* **Shadow locals.**  The frame keeps the same 14-slot shadow list the
-  threaded tier rides in ``acc[2]``, written at exactly the same sites —
-  and the emitted arms route popped values *through* the shadow slots
-  instead of Python temporaries, so the generated frame never pins a
-  heap object the reference frame would not.  Dead stack slots above the
-  current depth are cleared to ``None`` before every point that can
+* **GC checks only where the counter can rise.**  The reference checks
+  ``allocated_since_gc`` after *every* op, but the counter only moves on
+  allocation (``ADD`` string path, ``SETIDX`` extends, ``NEWARR``/
+  ``NEWOBJ``, calls into allocating callees), so the check is inlined at
+  exactly those points; frames entered already over-trigger run on the
+  reference ladder (the ``execute`` gate).  Every collection lands on
+  the same op with the same pause arithmetic.
+* **Flush discipline.**  ``cyc`` is flushed to ``stats.cycles`` only
+  where the reference flushes its local: before recursing into a
+  ``JSFunction`` callee, and in the frame's ``finally``.
+  ``performance.now()`` therefore reads identical values mid-run.
+  ``NEWCALL`` deliberately does *not* flush (neither does the
+  reference).
+* **Shadow locals mirror the reference frame's arm locals.**  GC
+  reachability is delegated to Python's object graph, so the reference
+  ladder's *stale* frame locals (``obj`` from the last GETIDX, ``a``/``b``
+  from the last binop, the last ``call_args`` list, ...) pin heap objects
+  until the next arm rebinds them — and that changes ``live_bytes()`` at
+  collection time, hence the pause cycles.  The generated frame keeps a
+  shadow slot per reference local name (``sh``), written exactly where
+  the reference rebinds that name, and routes popped values *through*
+  the shadow slots instead of Python temporaries, so it never pins a
+  heap object the reference frame would not.  Slots the reference only
+  ever rebinds to numbers on a given arm are written as ``0.0``: shadow
+  contents are observable *only* through the liveness of registered
+  objects, so any non-heap value is equivalent.  Dead stack slots above
+  the current depth are cleared to ``None`` before every point that can
   collect, because a lowered slot (unlike a popped list entry) would
   otherwise keep its last value alive.
 
@@ -53,12 +72,11 @@ from __future__ import annotations
 
 import math
 
+from repro.clibm import c_fmod
 from repro.engine.codegen import (
-    DECLINED, Emitter, codegen_enabled, emit_sum, literal, load_factory,
-    scaled, unit_key,
+    DECLINED, Emitter, class_deltas, emit_sum, literal, load_factory,
+    scaled, split_blocks, unit_key,
 )
-from repro.engine.threaded import class_deltas, split_blocks
-from repro.jsengine import threaded as _thr
 from repro.jsengine.bytecode import JS_OP_CLASS, JS_OP_COST, JS_OP_COST_OPT
 from repro.jsengine.values import (
     JSArray,
@@ -75,24 +93,93 @@ from repro.jsengine.values import (
 )
 from repro.obs import SCHED, get_registry
 
-__all__ = ["codegen_enabled", "translate", "DECLINED"]
+__all__ = ["translate", "DECLINED"]
 
-#: Emission kind per pure-binop shadow writer, derived from the threaded
-#: tier's table so the two stay in lockstep.
-_SHADOW_KIND = {}
-for _op, _w in _thr._SHADOW_BIN.items():
-    if _w is _thr._sh_ab:
-        _SHADOW_KIND[_op] = "ab"
-    elif _w is _thr._sh_ab_num:
-        _SHADOW_KIND[_op] = "ab_num"
-    elif _w is _thr._sh_b:
-        _SHADOW_KIND[_op] = "b"
-    elif _w is _thr._sh_b_num:
-        _SHADOW_KIND[_op] = "b_num"
-    elif _w is _thr._sh_shl:
-        _SHADOW_KIND[_op] = "shl"
-    else:                                 # pragma: no cover - new writer
-        raise AssertionError(f"unknown shadow writer for op {_op}")
+_TERM_OPS = frozenset((27, 28, 29, 30, 31, 32, 33, 34, 44))
+_JUMPS = frozenset((27, 28, 29, 30))
+
+#: Ops the translator handles.  ``COMMA`` (48) is absent by design: the
+#: compiler never emits it and the reference ladder has no arm for it
+#: either — both tiers reject it with a structured error.
+SUPPORTED_OPS = frozenset(range(48)) | {49}
+
+#: Shadow-local slots (see module docstring): one per reference arm local
+#: that can hold — and therefore pin — a registered heap object:
+#: 0 ``i``, 1 ``obj``, 2 ``value``, 3 ``index``, 4 ``a``, 5 ``b``, 6 ``v``,
+#: 7 ``call_args``, 8 ``callee``, 9 ``this_val``, 10 ``ctor``,
+#: 11 ``array``, 12 ``items``, 13 ``values``.
+_NSHADOW = 14
+
+#: Pure binop → the shadow slots its reference arm rebinds.  Most arms
+#: bind the popped originals ``a``/``b`` ("ab"); DIV rebinds both to
+#: coerced floats ("ab_num"), EQ/NE and the bitwise ops bind only ``b``
+#: ("b"), the shifts rebind ``b`` to a number ("b_num") and SHL also
+#: ``v`` ("shl").  ADD has its own arm (it also binds ``v`` on the
+#: non-float path).
+_SHADOW_KIND = {
+    6: "ab", 7: "ab", 9: "ab",
+    8: "ab_num",
+    13: "b", 14: "b", 15: "b",
+    16: "shl", 17: "b_num", 18: "b_num",
+    19: "ab", 20: "ab", 21: "ab", 22: "ab",
+    23: "b", 24: "b",
+    25: "ab", 26: "ab",
+    49: "ab",
+}
+
+
+def _cmp(compare):
+    """A relational operator: string order for two strings, numeric
+    order otherwise (the reference's LT/LE/GT/GE arms)."""
+    def value(a, b):
+        if isinstance(a, str) and isinstance(b, str):
+            return compare(a, b)
+        return compare(_to_number(a), _to_number(b))
+    return value
+
+
+#: Value functions for the binops the emitter does not inline (MOD,
+#: EQ/NE, and the non-number path of LT/LE/GT/GE), called as ``vf<op>``.
+_VALUE_FNS = {
+    9: lambda a, b: c_fmod(_to_number(a), _to_number(b)),
+    19: _cmp(lambda a, b: a < b), 20: _cmp(lambda a, b: a <= b),
+    21: _cmp(lambda a, b: a > b), 22: _cmp(lambda a, b: a >= b),
+    23: lambda a, b: _js_loose_eq(a, b),
+    24: lambda a, b: not _js_loose_eq(a, b),
+}
+
+
+def _setidx_work(heap, obj, index, value, sh):
+    """The reference SETIDX body (everything after the boxed-element
+    penalty), writing the ``i``/``items`` shadow slots where the
+    reference arm rebinds them."""
+    if isinstance(obj, JSArray):
+        i = int(index)
+        items = obj.items
+        sh[0] = 0.0
+        sh[12] = items
+        if i >= len(items):
+            heap.note_ephemeral(8 * (i + 1 - len(items)))
+            items.extend([UNDEFINED] * (i + 1 - len(items)))
+        items[i] = value
+    elif isinstance(obj, JSTypedArray):
+        i = int(index)
+        sh[0] = 0.0
+        if 0 <= i < len(obj.items):
+            if obj.width == 8:
+                obj.items[i] = _to_number(value)
+            elif obj.kind == "Uint8Array":
+                obj.items[i] = float(to_int32(value) & 0xFF)
+            elif obj.kind == "Uint16Array":
+                obj.items[i] = float(to_int32(value) & 0xFFFF)
+            elif obj.kind == "Uint32Array":
+                obj.items[i] = float(to_uint32(value))
+            else:
+                obj.items[i] = float(to_int32(value))
+    elif isinstance(obj, JSObject):
+        obj.props[js_to_str(index)] = value
+    else:
+        raise JsRuntimeError(f"cannot index-assign {type(obj).__name__}")
 
 
 def _flow(op, arg):
@@ -101,7 +188,7 @@ def _flow(op, arg):
         return 0, 1
     if op in (2, 4, 42):
         return 1, 0
-    if op == 5 or op in _thr._BINVAL:
+    if op == 5 or op in _SHADOW_KIND:
         return 2, 1
     if op in (10, 11, 12, 43, 39, 47):
         return 1, 1
@@ -125,8 +212,8 @@ def _analyse(code, ranges, block_index):
 
     Returns ``(entry_depth, max_depth)`` or ``None`` when a join is
     entered at two different depths or a depth would go negative (the
-    compiler never produces either; hand-built bytecode falls back to
-    the threaded tier)."""
+    compiler never produces either; hand-built bytecode runs on the
+    reference ladder)."""
     if not ranges:
         return {}, 0
     entry = {0: 0}
@@ -149,7 +236,7 @@ def _analyse(code, ranges, block_index):
         start, end = ranges[bi]
         d = entry[bi]
         ops = code[start:end]
-        has_term = bool(ops) and ops[-1][0] in _thr._TERM_OPS
+        has_term = bool(ops) and ops[-1][0] in _TERM_OPS
         body = ops[:-1] if has_term else ops
         for op, arg in body:
             pops, pushes = _flow(op, arg)
@@ -336,7 +423,7 @@ class _FnEmitter:
     def guarded(self, body_lines, classes, idx):
         """Wrap raising statements in the integer-suffix rewind guard
         (cycles self-charge, so only ``instructions``/``op_counts``
-        rewind — exactly the threaded tier's ``make_rewind``)."""
+        rewind)."""
         if idx + 1 >= len(classes):       # nothing after it to rewind
             for line in body_lines:
                 self.out.emit(line)
@@ -369,10 +456,9 @@ class _FnEmitter:
     def emit_binval(self, op, d):
         """The value computation of one pure binop, assigned to the result
         slot.  The hot operators are inlined as expressions over the slot
-        variables — observably identical to the threaded tier's
-        ``_BINVAL`` functions (same coercions in the same order), minus
-        one Python call per op.  The rest fall back to the bound value
-        function."""
+        variables — observably identical to the reference arms (same
+        coercions in the same order).  The rest call the bound value
+        function (``_VALUE_FNS``)."""
         out = self.out
         a, b = f"s{d - 2}", f"s{d - 1}"
 
@@ -451,7 +537,7 @@ class _FnEmitter:
                 self.emit_clears(d - 1)
                 self.emit_gc_check()
             return d - 1
-        if op in _thr._BINVAL:
+        if op in _SHADOW_KIND:
             kind = _SHADOW_KIND[op]
             if kind == "ab":
                 out.emit(f"sh[4] = s{d - 2}")
@@ -477,7 +563,7 @@ class _FnEmitter:
                 # Inline of ``_element_get``'s array path.  ``t_`` briefly
                 # holds the raw items list; it is reset before any later
                 # GC point so the generated frame's live set stays equal
-                # to the threaded tier's.
+                # to the reference frame's.
                 self.guarded(
                     ["i_ = int(sh[0])",
                      "t_ = sh[1].items",
@@ -636,7 +722,7 @@ class _FnEmitter:
             ], classes, idx)
             out.emit(f"s{d - 1} = {'t_' if is_post else 'n_'}")
             return d
-        raise _thr.JsRuntimeError(     # pragma: no cover - pre-checked
+        raise JsRuntimeError(  # pragma: no cover - pre-checked
             f"{self.fn.name}: unimplemented bytecode op {op} "
             f"(codegen tier)")
 
@@ -740,7 +826,7 @@ class _FnEmitter:
                 # flush in the function's ``finally`` — integer adds
                 # commute, so every externally observable value (incl.
                 # trap paths, whose guards rewind the engine counters
-                # directly) matches the threaded tier's eager batching.
+                # directly) matches the reference's per-op counting.
                 out.emit(f"nb{bi} += 1")
                 self.block_counts[bi] = (len(ops),
                                          list(class_deltas(classes)))
@@ -751,7 +837,7 @@ class _FnEmitter:
                             (op + (tier << 8), dc) for op, dc in
                             class_deltas([o for o, _a in ops])]
             fall_bi = self.bi_of(end)
-            has_term = bool(ops) and ops[-1][0] in _thr._TERM_OPS
+            has_term = bool(ops) and ops[-1][0] in _TERM_OPS
             body = ops[:-1] if has_term else ops
             d = self.entry_depth[bi]
             for idx, instr in enumerate(body):
@@ -779,7 +865,7 @@ class _FnEmitter:
                     chain = " = ".join(
                         f"s{i}" for i in range(self.max_depth))
                     body.emit(f"{chain} = None")
-                body.emit(f"sh = [None] * {_thr._NSHADOW}")
+                body.emit(f"sh = [None] * {_NSHADOW}")
                 body.emit("cyc = 0.0")
                 live = [bi for bi, (start, end) in enumerate(self.ranges)
                         if bi in self.entry_depth and end > start]
@@ -818,19 +904,19 @@ class _FnEmitter:
 def translate(fn, engine):
     """Build (or load warm) the generated runner for one JS function on
     one engine; ``None`` means the translator declined and the caller
-    should use the threaded tier."""
+    should run the function on the reference ladder."""
     code = fn.code
     for pc, (op, _arg) in enumerate(code):
-        if op not in _thr.SUPPORTED_OPS:
-            raise _thr.JsRuntimeError(
+        if op not in SUPPORTED_OPS:
+            raise JsRuntimeError(
                 f"{fn.name}: unimplemented bytecode op {op} at pc {pc} "
                 f"(codegen tier has no handler)")
 
     leaders = {0}
     for pc, (op, arg) in enumerate(code):
-        if op in _thr._TERM_OPS:
+        if op in _TERM_OPS:
             leaders.add(pc + 1)
-            if op in _thr._JUMPS:
+            if op in _JUMPS:
                 leaders.add(arg)
     ranges = split_blocks(len(code), leaders)
     block_index = {start: bi for bi, (start, _end) in enumerate(ranges)}
@@ -885,16 +971,16 @@ def translate(fn, engine):
         "mget": engine._member_get, "eget": _element_get,
         "jadd": _js_add, "tonum": _to_number, "truthy": js_truthy,
         "jstr": js_to_str, "ti32": to_int32, "tu32": to_uint32,
-        "copysign": math.copysign, "setw": _thr._setidx_work,
+        "copysign": math.copysign, "setw": _setidx_work,
         "note": engine.heap.note_ephemeral, "reg_": engine.heap.register,
-        "err": _thr.JsRuntimeError, "JSArray": JSArray,
+        "err": JsRuntimeError, "JSArray": JSArray,
         "Sparse": SparseItems,
         "JSObject": JSObject, "JSTypedArray": JSTypedArray,
         "JSFunction": JSFunction, "NativeFunction": NativeFunction,
         "hot": tiering.backedge_hot, "tier_up": engine._tier_up,
         "tiers": tiers,
     }
-    for op, f in _thr._BINVAL.items():
+    for op, f in _VALUE_FNS.items():
         ns[f"vf{op}"] = f
     if profiling:
         ns["fprof"] = engine._profile.frame(fn.name)
@@ -907,5 +993,6 @@ def translate(fn, engine):
 # Bound at the bottom to break the import cycle with the interpreter
 # (which imports this module at *its* bottom).
 from repro.jsengine.interpreter import (  # noqa: E402
-    _element_get, _js_add, _to_number, execute as _execute,
+    JsRuntimeError, _element_get, _js_add, _js_loose_eq, _to_number,
+    execute as _execute,
 )

@@ -11,9 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.engine.codegen import codegen_enabled
+from repro.engine.codegen import fast_interp_enabled
 from repro.engine.stats import EngineStats
-from repro.engine.threaded import fast_interp_enabled
 from repro.engine.tiering import TierController, TierPolicy
 from repro.errors import ReproError
 from repro.jsengine import host as host_module
@@ -78,7 +77,6 @@ class JsEngine:
         #: tier-up and GC events are emitted as they happen.
         self.trace = None
         self._fast = fast_interp_enabled()
-        self._codegen = codegen_enabled()
         self._profile = new_profile("js")
         self.heap = GcHeap(
             baseline_bytes=self.config.gc_baseline_bytes,

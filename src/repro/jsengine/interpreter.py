@@ -129,26 +129,20 @@ def execute(engine, fn, args, this=None):
 
     if engine._fast and engine.trace is None \
             and heap.allocated_since_gc < heap.trigger_bytes:
-        # Threaded tier.  Frames entered with the GC already over-trigger
+        # Codegen tier.  Frames entered with the GC already over-trigger
         # (an allocating construct/host call) stay on the reference
         # ladder, whose after-every-op check collects at the exact point;
         # traced runs also stay here so trace events keep their ordering.
-        if engine._codegen:
-            # Codegen tier: the threaded blocks compiled to generated
-            # Python.  ``translate`` may decline (non-compiler bytecode
-            # shapes); the sentinel pins the decision per engine.
-            cg = fn.codegen
-            if cg is None or cg[0] is not engine:
-                cg = (engine,
-                      _codegen.translate(fn, engine) or _codegen.DECLINED)
-                fn.codegen = cg
-            if cg[1] is not _codegen.DECLINED:
-                return cg[1](args)
-        cached = fn.threaded
-        if cached is None or cached[0] is not engine:
-            cached = (engine, _threaded.translate(fn, engine))
-            fn.threaded = cached
-        return _threaded.run(engine, fn, cached[1], args)
+        # ``translate`` may decline (non-compiler bytecode shapes): the
+        # sentinel pins the decision per engine and the frame falls
+        # through to the reference loop below.
+        cg = fn.codegen
+        if cg is None or cg[0] is not engine:
+            cg = (engine,
+                  _codegen.translate(fn, engine) or _codegen.DECLINED)
+            fn.codegen = cg
+        if cg[1] is not _codegen.DECLINED:
+            return cg[1](args)
 
     factor = tiering.exec_factor(fn.tier)
     cost = JS_OP_COST_OPT if fn.tier else JS_OP_COST
@@ -418,6 +412,11 @@ def execute(engine, fn, args, this=None):
                     del stack[len(stack) - nargs:]
                 ctor = pop()
                 push(engine._construct(ctor, call_args))
+                # A JS constructor may re-enter this function and tier
+                # it up under the live frame (call_hot).
+                factor = tiering.exec_factor(fn.tier)
+                cost = JS_OP_COST_OPT if fn.tier else JS_OP_COST
+                tbit = fn.tier << 8
             elif op == 41:    # DUP
                 push(stack[-1])
             elif op == 45:    # DUP2
@@ -481,7 +480,6 @@ def execute(engine, fn, args, this=None):
     return result
 
 
-# Bound at the bottom to break the cycle with the threaded tier, which
+# Bound at the bottom to break the cycle with the codegen tier, which
 # imports this module's helpers (the cycle resolves in either load order).
-from repro.jsengine import threaded as _threaded  # noqa: E402
 from repro.jsengine import codegen as _codegen  # noqa: E402

@@ -127,8 +127,8 @@ class JSFunction:
     """A compiled JS function (parameters + bytecode + tiering state)."""
 
     __slots__ = ("name", "params", "code", "consts", "num_locals",
-                 "call_count", "backedge_count", "tier", "threaded",
-                 "codegen", "__weakref__")
+                 "call_count", "backedge_count", "tier", "codegen",
+                 "__weakref__")
 
     def __init__(self, name, params, code, consts, num_locals):
         self.name = name
@@ -139,11 +139,9 @@ class JSFunction:
         self.call_count = 0
         self.backedge_count = 0
         self.tier = 0
-        #: Lazily built ``(engine, ThreadedFunction)`` pair — the threaded
-        #: translation pre-binds engine state, so it is keyed by engine.
-        self.threaded = None
         #: Lazily built ``(engine, run | DECLINED)`` pair for the codegen
-        #: tier; keyed by engine for the same reason.
+        #: tier — the generated runner pre-binds engine state, so it is
+        #: keyed by engine.
         self.codegen = None
 
     @property

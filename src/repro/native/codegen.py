@@ -1,48 +1,55 @@
 """Codegen execution tier for the native register machine.
 
-Emits each function's threaded-code basic blocks as generated Python:
-registers become locals ``r0..rN``, the frame accumulators become locals
-``cyc``/``ic``, and dispatch is the same resumable ``bi`` if-chain the
-Wasm translator uses.  The exactness rules of the threaded tier
-(:mod:`repro.native.threaded`) map onto emitted source directly:
+Emits each function's basic blocks as generated Python: registers become
+locals ``r0..rN``, the frame accumulators become locals ``cyc``/``ic``,
+and dispatch is the same resumable ``bi`` if-chain the Wasm translator
+uses.  The exactness rules of :mod:`repro.engine.codegen` map onto
+emitted source directly:
 
-* **Cycles self-charge per op** — every op emits its own ``cyc += c``
-  statement with the pre-scaled charge (``N_COST[op] *
-  VECTOR_COST_FACTOR`` for vector-marked instructions) as a literal, so
-  the float sum associates in the reference's left-fold order.  The
-  integer counters batch per block with literal rewind statements inside
-  each trap guard.
-* **The RETV double-flush is intentional** — the ``RETV`` arm flushes
-  ``cyc``/``ic`` without zeroing and returns through the ``finally``
-  flush, duplicating the float addition bit-for-bit like the reference
-  and threaded tiers.
-* **Budget deopt** — a block entered with fewer budget units than
-  instructions materialises the register locals back into a list and
-  resumes the reference ladder mid-frame with the pending unflushed
-  accumulators.
+* **Cycles self-charge per op** — vector-marked instructions are charged
+  ``N_COST[op] * VECTOR_COST_FACTOR`` (0.29 — not dyadic), so per-block
+  float batching would reorder the sum; every op emits its own
+  ``cyc += c`` statement with the pre-scaled charge as a literal, so the
+  float sum associates in the reference's left-fold order.  The integer
+  counters batch per block with literal rewind statements inside each
+  trap guard.
+* **The RETV double-flush is intentional** — the reference ``RETV`` arm
+  flushes the frame-local accumulators and returns *without zeroing
+  them*, so the ``finally`` flush runs a second time.  The generated
+  ``RETV`` arm flushes ``cyc``/``ic`` without zeroing and returns through
+  the ``finally`` flush, duplicating the float addition bit for bit.
+* **Budget deopt** — ``machine.budget`` is shared across frames and
+  decremented per instruction by the reference.  A block entered with
+  fewer budget units than instructions materialises the register locals
+  back into a list and resumes the reference ladder mid-frame with the
+  pending unflushed accumulators; it traps at the exact instruction with
+  the exact partial stats.
 
 Registers make this translator simpler than the Wasm one: there is no
-stack-depth analysis and therefore nothing to decline — every supported
-function translates.
+stack-depth analysis.  The one decline is a ``MOVI`` immediate the
+source emitter cannot spell as a literal; the machine then runs that
+function on the reference ladder.
 """
 
 from __future__ import annotations
 
 import math as _math
+import struct as _struct
 
 from repro.engine.codegen import (
-    DECLINED, Emitter, codegen_enabled, emit_sum, literal, load_factory,
-    scaled, unit_key,
+    DECLINED, Emitter, class_deltas, emit_sum, literal, load_factory,
+    scaled, split_blocks, unit_key,
 )
-from repro.engine.threaded import class_deltas, split_blocks
 from repro.errors import TrapError
 from repro.obs import SCHED, get_registry
-from repro.native import threaded as _thr
 from repro.native.machine import (
-    N_COST, N_OP_CLASS, VECTOR_COST_FACTOR,
+    N_COST, N_OP_CLASS, VECTOR_COST_FACTOR, _w32, _w64,
 )
 
-__all__ = ["codegen_enabled", "translate", "DECLINED"]
+__all__ = ["translate", "DECLINED"]
+
+_MASK32 = 0xFFFFFFFF
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 _M32 = "4294967295"
 _S32 = "2147483648"
@@ -50,6 +57,13 @@ _W32 = "4294967296"
 _M64 = "18446744073709551615"
 _S64 = "9223372036854775808"
 _W64 = "18446744073709551616"
+
+_UNPACK_D = _struct.Struct("<d").unpack_from
+_UNPACK_I = _struct.Struct("<i").unpack_from
+_UNPACK_Q = _struct.Struct("<q").unpack_from
+_PACK_D = _struct.Struct("<d").pack_into
+_PACK_I = _struct.Struct("<I").pack_into
+_PACK_Q = _struct.Struct("<Q").pack_into
 
 #: Comparison operator source per op (unsigned ones add masks below).
 _CMP_OPS = {34: "==", 35: "!=", 36: "<", 38: "<=", 40: ">", 42: ">=",
@@ -61,6 +75,94 @@ _CMP_U64 = {47: "<", 49: "<=", 51: ">", 53: ">="}
 _I32_WRAP = {2: "+", 3: "-", 4: "*", 9: "&", 10: "|", 11: "^"}
 _I64_WRAP = {18: "+", 19: "-", 20: "*", 25: "&", 26: "|", 27: "^"}
 _F_ARITH = {60: "+", 61: "-", 62: "*"}
+
+
+def _div_s(wrap):
+    def div(x, y):
+        if y == 0:
+            raise TrapError("integer divide by zero")
+        q = abs(x) // abs(y)
+        return wrap(q if (x < 0) == (y < 0) else -q)
+    return div
+
+
+def _div_u(wrap, mask):
+    def div(x, y):
+        y &= mask
+        if y == 0:
+            raise TrapError("integer divide by zero")
+        return wrap((x & mask) // y)
+    return div
+
+
+def _rem_s(x, y):
+    if y == 0:
+        raise TrapError("integer divide by zero")
+    r = abs(x) % abs(y)
+    return -r if x < 0 else r
+
+
+def _rem_u(wrap, mask):
+    def rem(x, y):
+        y &= mask
+        if y == 0:
+            raise TrapError("integer divide by zero")
+        return wrap((x & mask) % y)
+    return rem
+
+
+def _fdiv(x, y):
+    if y == 0.0:
+        if x == 0.0 or x != x:
+            return _math.nan
+        return _math.copysign(_math.inf, x) * _math.copysign(1.0, y)
+    return x / y
+
+
+def _f2i32(v):
+    if v != v or v >= 2147483648.0 or v <= -2147483649.0:
+        raise TrapError("invalid f64→i32 conversion")
+    return int(v)
+
+
+def _f2i64(v):
+    if v != v or v >= 9223372036854775808.0 or v < -9223372036854775808.0:
+        raise TrapError("invalid f64→i64 conversion")
+    return int(v)
+
+
+#: Trap-capable binary value functions (div/rem; emitted in a guard).
+_TRAP_BINVAL = {
+    5: _div_s(_w32), 6: _div_u(_w32, _MASK32), 7: _rem_s,
+    8: _rem_u(_w32, _MASK32),
+    21: _div_s(_w64), 22: _div_u(_w64, _MASK64), 23: _rem_s,
+    24: _rem_u(_w64, _MASK64),
+}
+
+#: Trap-capable unary value functions (floor/ceil raise through ``math``
+#: on inf/NaN exactly as the ladder; f64→int truncations trap on range).
+_TRAP_UNVAL = {
+    67: lambda v: float(_math.floor(v)),
+    68: lambda v: float(_math.ceil(v)),
+    72: _f2i32,
+    73: _f2i64,
+}
+
+_LOADS = frozenset(range(77, 83))
+_STORES = frozenset(range(83, 88))
+_TERM_OPS = frozenset((88, 89, 90, 91, 92, 93))   # JMP JZ JNZ CALL RET RETV
+_BRANCHES = frozenset((88, 89, 90))
+
+#: Every opcode the translator handles: the inlined operator tables, the
+#: shifts, FDIV, the unary ops, the trap-guarded value functions, memory,
+#: control flow, MOVI/MOV, HOSTCALL and SELECT.
+SUPPORTED_OPS = (set(_CMP_OPS) | set(_CMP_U32) | set(_CMP_U64)
+                 | set(_I32_WRAP) | set(_I64_WRAP) | set(_F_ARITH)
+                 | {12, 13, 14, 28, 29, 30, 63}
+                 | {15, 16, 17, 31, 32, 33, 64, 65, 66, 69, 70, 71, 74, 75,
+                    76}
+                 | set(_TRAP_BINVAL) | set(_TRAP_UNVAL) | _LOADS | _STORES
+                 | _TERM_OPS | {0, 1, 94, 95})
 
 
 class _FnEmitter:
@@ -201,7 +303,7 @@ class _FnEmitter:
             out.emit(f"{d} = 1 if ({ra} & {_M64}) {_CMP_U64[op]} "
                      f"({rb} & {_M64}) else 0")
             return
-        if op in _thr._TRAP_BINVAL:
+        if op in _TRAP_BINVAL:
             self.guarded([f"{d} = {self.use(f'vf{op}')}({ra}, {rb})"],
                          classes, idx)
             return
@@ -244,11 +346,11 @@ class _FnEmitter:
             out.emit(f"t_ = {ra} & {_M32}")
             out.emit(f"{d} = t_ - {_W32} if t_ & {_S32} else t_")
             return
-        if op in _thr._TRAP_UNVAL:
+        if op in _TRAP_UNVAL:
             self.guarded([f"{d} = {self.use(f'vf{op}')}({ra})"],
                          classes, idx)
             return
-        if op in _thr._LOADS:
+        if op in _LOADS:
             addr = f"{ra} + {b}" if b else ra
             if op == 82:
                 body = [f"{d} = {self.use('u_d')}({self.use('mem')}, "
@@ -270,7 +372,7 @@ class _FnEmitter:
                         f"({self.use('mem')}[a_ + 1] << 8)"]
             self.guarded(body, classes, idx)
             return
-        if op in _thr._STORES:
+        if op in _STORES:
             addr = f"{ra} + {b}" if b else ra
             if op == 87:
                 body = [f"{self.use('p_d')}({self.use('mem')}, {addr}, "
@@ -377,7 +479,7 @@ class _FnEmitter:
                 self.block_counts[bi] = (
                     list(class_deltas(classes)),
                     list(class_deltas(keys)) if self.profiling else [])
-            has_term = bool(ops) and int(ops[-1][0]) in _thr._TERM_OPS
+            has_term = bool(ops) and int(ops[-1][0]) in _TERM_OPS
             body = ops[:-1] if has_term else ops
             for idx, instr in enumerate(body):
                 out.emit(f"cyc += {literal(charges[idx])}")
@@ -442,11 +544,12 @@ class _FnEmitter:
 
 def translate(fn, machine):
     """Build (or load warm) the generated runner for one native function
-    on one machine.  Registers need no static analysis, so the native
-    translator never declines."""
+    on one machine; ``None`` means the translator declined (a ``MOVI``
+    immediate it cannot literalise) and the caller should run the
+    function on the reference ladder."""
     code = fn.code
     for pc, instr in enumerate(code):
-        if int(instr[0]) not in _thr.SUPPORTED_OPS:
+        if int(instr[0]) not in SUPPORTED_OPS:
             raise TrapError(
                 f"{fn.name}: unimplemented native op {instr[0]} at pc "
                 f"{pc} (codegen tier has no handler)")
@@ -455,7 +558,7 @@ def translate(fn, machine):
         if int(instr[0]) == 0 and not isinstance(
                 instr[2], (int, float, str, bytes, bool, type(None))):
             # A MOVI immediate the source emitter cannot literalise:
-            # decline to the threaded tier rather than fail mid-build.
+            # decline to the reference ladder rather than fail mid-build.
             get_registry().counter_add("interp.native.codegen_declined",
                                        1, SCHED)
             return None
@@ -463,9 +566,9 @@ def translate(fn, machine):
     leaders = {0}
     for pc, instr in enumerate(code):
         op = int(instr[0])
-        if op in _thr._TERM_OPS:
+        if op in _TERM_OPS:
             leaders.add(pc + 1)
-            if op in _thr._BRANCHES:
+            if op in _BRANCHES:
                 leaders.add(instr[1])
     ranges = split_blocks(len(code), leaders)
     block_index = {start: bi for bi, (start, _end) in enumerate(ranges)}
@@ -489,10 +592,10 @@ def translate(fn, machine):
         "fn": fn, "fn_name": fn.name, "run_from": machine._run_from,
         "run_": machine._run, "host": machine._host,
         "nan": float("nan"),
-        "u_d": _thr._UNPACK_D, "u_i": _thr._UNPACK_I,
-        "u_q": _thr._UNPACK_Q, "p_d": _thr._PACK_D,
-        "p_i": _thr._PACK_I, "p_q": _thr._PACK_Q,
-        "fdiv": _thr._fdiv,
+        "u_d": _UNPACK_D, "u_i": _UNPACK_I,
+        "u_q": _UNPACK_Q, "p_d": _PACK_D,
+        "p_i": _PACK_I, "p_q": _PACK_Q,
+        "fdiv": _fdiv,
         "deopt": lambda: get_registry().counter_add(
             "interp.native.codegen_deopts", 1, SCHED),
         "callees": {name: functions[name] for name in functions},
@@ -500,9 +603,9 @@ def translate(fn, machine):
     ns["sqrt"] = _math.sqrt
     if machine._profile is not None:
         ns["prof_frame"] = machine._profile.frame
-    for op, f in _thr._TRAP_BINVAL.items():
+    for op, f in _TRAP_BINVAL.items():
         ns[f"vf{op}"] = f
-    for op, f in _thr._TRAP_UNVAL.items():
+    for op, f in _TRAP_UNVAL.items():
         ns[f"vf{op}"] = f
 
     reg = get_registry()

@@ -21,6 +21,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 
+from repro.engine.codegen import fast_interp_enabled
 from repro.engine.hostlib import native_libm
 from repro.engine.opclass import OpClass
 from repro.engine.stats import EngineStats
@@ -235,15 +236,13 @@ class _Machine:
             self.stats.compile_cycles += \
                 compile_model.compile_cycles(program_code_unit(program))
         self.budget = max_instructions
-        self._fast = _threaded.fast_interp_enabled()
-        self._codegen_on = _codegen.codegen_enabled()
+        self._fast = fast_interp_enabled()
         self._profile = new_profile("native")
-        #: id(fn) → ThreadedFunction; translations pre-bind this machine's
-        #: stats/memory, so the cache is per machine.  Keyed by id because
-        #: NativeFunction is an (unhashable) dataclass; the program keeps
-        #: every function alive, so ids are stable for the machine's life.
-        #: ``_codegen`` caches the generated runners the same way.
-        self._threaded = {}
+        #: id(fn) → generated runner (or ``_codegen.DECLINED``); runners
+        #: pre-bind this machine's stats/memory, so the cache is per
+        #: machine.  Keyed by id because NativeFunction is an (unhashable)
+        #: dataclass; the program keeps every function alive, so ids are
+        #: stable for the machine's life.
         self._codegen = {}
 
     def call(self, name, *args):
@@ -256,27 +255,22 @@ class _Machine:
         if self._profile is not None:
             self._profile.call(fn.name)
         if self._fast:
-            if self._codegen_on:
-                cg = self._codegen.get(id(fn))
-                if cg is None:
-                    cg = _codegen.translate(fn, self) or _codegen.DECLINED
-                    self._codegen[id(fn)] = cg
-                if cg is not _codegen.DECLINED:
-                    return cg(args)
-            tf = self._threaded.get(id(fn))
-            if tf is None:
-                tf = _threaded.translate(fn, self)
-                self._threaded[id(fn)] = tf
-            return _threaded.run(self, tf, args)
+            cg = self._codegen.get(id(fn))
+            if cg is None:
+                cg = _codegen.translate(fn, self) or _codegen.DECLINED
+                self._codegen[id(fn)] = cg
+            if cg is not _codegen.DECLINED:
+                return cg(args)
         regs = [0] * fn.nregs
         regs[:len(args)] = args
         return self._run_from(fn, regs, 0)
 
     def _run_from(self, fn, regs, pc, cycles=0.0, instret=0):
         """Reference interpreter loop — the differential oracle for the
-        threaded tier.  Resumable mid-frame: the threaded tier deopts here
-        (with its pending unflushed accumulators) when the instruction
-        budget cannot cover a whole block."""
+        codegen tier, which runs declined functions here from pc 0.
+        Resumable mid-frame: generated code deopts here (with its pending
+        unflushed accumulators) when the instruction budget cannot cover
+        a whole block."""
         import struct as _s
         code = fn.code
         n = len(code)
@@ -565,7 +559,6 @@ def execute_program(program, entry="main", args=(), max_instructions=None,
     return result, machine.stats
 
 
-# Bound at the bottom to break the cycle: the threaded tier imports this
-# module's tables (N_COST, NOp, ...) at its top.
-from repro.native import threaded as _threaded  # noqa: E402
+# Bound at the bottom to break the cycle: the codegen tier imports this
+# module's tables (N_COST, _w32, ...) at its top.
 from repro.native import codegen as _codegen    # noqa: E402

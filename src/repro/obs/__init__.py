@@ -17,7 +17,7 @@ Three kinds of instrument:
   and the JSONL event sink (:mod:`repro.obs.events`, ``REPRO_EVENTS``).
 * :mod:`repro.obs.profile` — the per-function/per-op execution profiler
   the engines drive when ``REPRO_PROFILE=1``; pure integer counts so the
-  reference ladders and the threaded tier produce identical profiles.
+  reference ladders and the codegen tier produce identical profiles.
 * :mod:`repro.obs.tracing` — distributed trace/span context with
   deterministic ids (``REPRO_TRACE=1``), propagated across the worker
   Pipe protocol and exported to Chrome Trace / Perfetto JSON by

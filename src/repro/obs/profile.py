@@ -6,17 +6,19 @@ packs the vector flag into bit 8).  Both interpreter tiers execute the
 same abstract op stream, so counting ops — never cycles — makes the
 profile bit-identical under ``REPRO_FAST_INTERP=0`` and ``=1``: the
 reference ladders bump a per-op cell at the charge site, while the
-threaded tier applies precomputed per-block ``(op, count)`` deltas at
-its existing batch point.  Cycles per opclass are *derived* afterwards
-from the static cost tables (``repro.engine.profdecode``).
+generated code counts block entries and applies precomputed per-block
+``(op, count)`` deltas when the frame exits.  Cycles per opclass are
+*derived* afterwards from the static cost tables
+(``repro.engine.profdecode``).
 
 When profiling is off (the default) ``new_profile`` returns ``None`` and
-the engines' hot loops pay one pointer test per frame (reference) or per
-block (threaded) — nothing per op.
+the engines' hot loops pay one pointer test per frame (reference) or
+nothing at all (the codegen tier emits no profiling code) — nothing per
+op.
 
-Granularity caveat: the threaded tier attributes a whole block at its
-batch point, so a *trapping* block's ops up to the trap are not counted
-there (the reference ladder counts them exactly).  The measured
+Granularity caveat: the codegen tier attributes a whole block once the
+block is entered, so a *trapping* block's ops after the trap are counted
+too (the reference ladder counts exactly up to the trap).  The measured
 benchmarks never trap; the wasm budget deopt is exact on both tiers
 because the deopt check precedes the block charge.
 """

@@ -1,28 +1,27 @@
-"""Codegen execution tier for the Wasm VM: threaded blocks → Python.
+"""Codegen execution tier for the Wasm VM: basic blocks → Python.
 
-Walks the same basic blocks the threaded tier builds
-(:mod:`repro.wasm.threaded`) and emits them as one generated Python
-function per prepared function: the operand stack is lowered to local
+Splits each prepared function into basic blocks and emits them as one
+generated Python function: the operand stack is lowered to local
 variables ``s0..sK`` (depths are static — the validator only branches at
 empty-stack statement boundaries, so every join has one depth), locals
 to ``l0..lN``, and dispatch to a resumable ``bi`` block index looping
 over ``if bi == k`` arms with straight-line bodies.
 
-Exactness (rules of ``engine/threaded.py``, same as the threaded tier):
+Exactness (the rules of :mod:`repro.engine.codegen` as they apply here).
+Wasm is the one engine whose whole charge stream lives on an exact
+0.25-cycle grid, so cycles, instruction counts, op-class counts *and*
+the instruction budget are all batched per block:
 
 * block entry charges the batched cycle/instruction/op-class totals as
-  folded literals (Wasm costs live on the exact 0.25 grid, so the
-  ``math.fsum`` block total is exact at any association) and decrements
-  the budget by the block length;
+  folded literals (the ``math.fsum`` block total is exact at any
+  association) and decrements the budget by the block length;
 * every trap point (loads/stores, div/rem, trunc, floor/ceil,
   ``unreachable``) is wrapped in an explicit guard whose rewind
-  statements subtract the charge suffix — the same constants the
-  threaded tier's rewind closures pre-bind — before re-raising;
+  statements subtract the charge suffix before re-raising;
 * a block entered with fewer budget units than instructions deopts to
   the reference ladder (``_run_from``) at the block start, materialising
   the slot values back into real locals/stack lists;
-* unknown opcodes fail loudly at translation with the same structured
-  error the threaded translator raises.
+* unknown opcodes fail loudly at translation with a structured error.
 
 The generated source depends only on the prepared code and translation
 flags — instance state (memory, globals, stats, call targets) is bound
@@ -30,29 +29,31 @@ by ``make(ns)`` at instantiation — so translation units are served from
 the persistent compile cache (see :mod:`repro.engine.codegen`).
 
 ``translate`` returns ``None`` (*declines*) when the static stack-depth
-analysis finds an inconsistent join; the VM then falls back to the
-threaded tier for that function.
+analysis finds an inconsistent join; the VM then runs that function on
+the reference ladder.
 """
 
 from __future__ import annotations
 
 import math
+import struct as _struct
 
 from repro.engine.codegen import (
-    DECLINED, Emitter, codegen_enabled, emit_sum, literal, load_factory,
-    scaled, unit_key,
+    DECLINED, Emitter, class_deltas, emit_sum, literal, load_factory,
+    scaled, split_blocks, unit_key,
 )
-from repro.engine.threaded import class_deltas, split_blocks
 from repro.errors import TrapError, ValidationError
 from repro.obs import SCHED, get_registry
-from repro.wasm import threaded as _thr
 from repro.wasm.instructions import OP_CLASS, OP_COST
 from repro.wasm.memory import (
     PACK_F64, PACK_U32, PACK_U64, UNPACK_F64, UNPACK_I32, UNPACK_I64,
     _FRAME_BITS, _FRAME_MASK,
 )
 
-__all__ = ["codegen_enabled", "translate", "DECLINED"]
+__all__ = ["translate", "DECLINED"]
+
+_MASK32 = 0xFFFFFFFF
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 _M32 = "4294967295"
 _S32 = "2147483648"
@@ -71,20 +72,150 @@ _F64_ARITH = {84: "+", 85: "-", 86: "*"}
 _I32_WRAP_ARITH = {34: "+", 35: "-", 36: "*", 41: "&", 42: "|", 43: "^"}
 _I64_WRAP_ARITH = {62: "+", 63: "-", 64: "*", 69: "&", 70: "|", 71: "^"}
 
-_LOAD_WIDTH = _thr._LOADS
-_STORE_WIDTH = _thr._STORES
+_PACK_Q = _struct.Struct("<q")
+_PACK_D = _struct.Struct("<d")
+
+
+def _wrap32(v):
+    v &= _MASK32
+    return v - 0x100000000 if v & 0x80000000 else v
+
+
+def _wrap64(v):
+    v &= _MASK64
+    return v - 0x10000000000000000 if v & 0x8000000000000000 else v
+
+
+# ---------------------------------------------------------------------------
+# Value functions for the operators the emitter does not inline, matching
+# the reference ladder's arithmetic expression for expression.
+
+def _i32_rotl(a, b):
+    b &= 31
+    u = a & _MASK32
+    return _wrap32(((u << b) | (u >> (32 - b))) & _MASK32 if b else u)
+
+
+def _f64_div(a, b):
+    if b == 0.0:
+        if a == 0.0 or a != a:
+            return math.nan
+        return math.copysign(math.inf, a) * math.copysign(1.0, b)
+    return a / b
+
+
+def _div_s(wrap):
+    def div(a, b):
+        if b == 0:
+            raise TrapError("integer divide by zero")
+        q = abs(a) // abs(b)
+        return wrap(q if (a < 0) == (b < 0) else -q)
+    return div
+
+
+def _div_u(wrap, mask):
+    def div(a, b):
+        b &= mask
+        if b == 0:
+            raise TrapError("integer divide by zero")
+        return wrap((a & mask) // b)
+    return div
+
+
+def _rem_s(a, b):
+    if b == 0:
+        raise TrapError("integer divide by zero")
+    r = abs(a) % abs(b)
+    return -r if a < 0 else r
+
+
+def _rem_u(wrap, mask):
+    def rem(a, b):
+        b &= mask
+        if b == 0:
+            raise TrapError("integer divide by zero")
+        return wrap((a & mask) % b)
+    return rem
+
+
+def _trunc_f64_i32(v):
+    if v != v or v >= 2147483648.0 or v <= -2147483649.0:
+        raise TrapError("invalid conversion to integer")
+    return int(v)
+
+
+def _trunc_f64_i64(v):
+    if v != v or v >= 9223372036854775808.0 or v < -9223372036854775808.0:
+        raise TrapError("invalid conversion to integer")
+    return int(v)
+
+
+#: Trap-free binary operators (pop two, push one): every one the emitter
+#: inlines, plus rotl and f64.div, called through ``_VALUE_FNS``.
+_BINOPS = (frozenset(_CMP_SIGNED) | frozenset(_CMP_U32)
+           | frozenset(_CMP_U64) | frozenset(_F64_ARITH)
+           | frozenset(_I32_WRAP_ARITH) | frozenset(_I64_WRAP_ARITH)
+           | {44, 45, 46, 47, 72, 73, 74, 87, 91, 92})
+
+#: Trap-capable binary operators (div/rem; emitted inside a guard).
+_TRAP_BINOPS = {
+    37: _div_s(_wrap32), 38: _div_u(_wrap32, _MASK32),
+    39: _rem_s, 40: _rem_u(_wrap32, _MASK32),
+    65: _div_s(_wrap64), 66: _div_u(_wrap64, _MASK64),
+    67: _rem_s, 68: _rem_u(_wrap64, _MASK64),
+}
+
+#: Trap-free unary operators (pop one, push one).
+_UNOPS = frozenset((48, 49, 50, 51, 75, 88, 89, 90, 101, 102, 103, 104,
+                    105, 106, 109, 110))
+
+#: Trap-capable unary operators (f64→int truncations trap on range, and
+#: floor/ceil raise through ``math`` on inf/NaN exactly as the ladder).
+_TRAP_UNOPS = {
+    93: lambda v: float(math.floor(v)),
+    94: lambda v: float(math.ceil(v)),
+    107: _trunc_f64_i32,
+    108: _trunc_f64_i64,
+}
+
+#: Every operator the generated source calls as ``vf<op>``.
+_VALUE_FNS = {
+    47: _i32_rotl,
+    48: lambda v: 32 - (v & _MASK32).bit_length(),
+    49: lambda v: 32 if v & _MASK32 == 0
+    else ((v & _MASK32) & -(v & _MASK32)).bit_length() - 1,
+    50: lambda v: bin(v & _MASK32).count("1"),
+    87: _f64_div,
+    109: lambda v: _wrap64(_PACK_Q.unpack(_PACK_D.pack(v))[0]),
+    110: lambda v: _PACK_D.unpack(_PACK_Q.pack(v))[0],
+    **_TRAP_BINOPS, **_TRAP_UNOPS,
+}
+
+_LOAD_WIDTH = {18: 4, 19: 8, 20: 8, 21: 1, 22: 1, 23: 2}
+_STORE_WIDTH = {24: 4, 25: 8, 26: 8, 27: 1, 28: 2}
+_CONSTS = (31, 32, 33)
+_MARKERS = frozenset((1, 2, 3, 6))        # nop / block / loop / end
+_TERM_OPS = frozenset((4, 7, 8, 9, 10))   # if / br / br_if / return / call
+
+#: Every opcode the translator handles.  ``ELSE`` (5) is absent by
+#: design: ``_prepare_body`` rewrites it to a resolved ``BR`` before
+#: translation, and the reference ladder does not dispatch it either.
+SUPPORTED_OPS = (_BINOPS | set(_TRAP_BINOPS) | _UNOPS | set(_TRAP_UNOPS)
+                 | set(_LOAD_WIDTH) | set(_STORE_WIDTH) | set(_CONSTS)
+                 | _MARKERS | _TERM_OPS
+                 | {0, 11, 12, 13, 14, 15, 16, 17, 29, 30})
 
 
 def _flow(op, arg, call_sigs):
     """(pops, pushes) for one non-terminator opcode."""
-    if op in (13, 16, 29) or op in _thr._CONSTS:
+    if op in (13, 16, 29) or op in _CONSTS:
         return 0, 1
     if op in (14, 17, 11):
         return 1, 0
-    if op == 15 or op == 30 or op in _thr._UNOPS or op in _thr._TRAP_UNOPS \
+    if op == 15 or op == 30 or op in _UNOPS or op in _TRAP_UNOPS \
             or op in _LOAD_WIDTH:
         return 1, 1
-    if op in _thr._BINOPS or op in _thr._TRAP_BINOPS:
+    if op in _BINOPS or op in _TRAP_BINOPS:
         return 2, 1
     if op in _STORE_WIDTH:
         return 2, 0
@@ -98,8 +229,8 @@ def _analyse(code, ranges, block_index, call_sigs):
 
     Returns ``(entry_depth, max_depth)`` or ``None`` when a join is
     entered at two different depths or a depth would go negative (the
-    validator prevents both for generated code; hand-built modules fall
-    back to the threaded tier).
+    validator prevents both for generated code; hand-built modules run
+    on the reference ladder).
     """
     if not ranges:
         return {}, 0
@@ -123,7 +254,7 @@ def _analyse(code, ranges, block_index, call_sigs):
         start, end = ranges[bi]
         d = entry[bi]
         ops = code[start:end]
-        has_term = bool(ops) and ops[-1][0] in _thr._TERM_OPS
+        has_term = bool(ops) and ops[-1][0] in _TERM_OPS
         body = ops[:-1] if has_term else ops
         for op, arg, _extra in body:
             pops, pushes = _flow(op, arg, call_sigs)
@@ -227,8 +358,8 @@ class _FnEmitter:
             self.out.emit("continue")
 
     def emit_rewind(self, costs, classes, idx):
-        """The charge-suffix rewind the threaded tier pre-binds: restore
-        the reference's charge prefix 0..idx before the trap escapes."""
+        """The charge-suffix rewind: restore the reference's charge
+        prefix 0..idx before the trap escapes."""
         cyc_sfx = math.fsum(costs[idx + 1:])
         n_sfx = len(costs) - (idx + 1)
         if cyc_sfx:
@@ -305,7 +436,7 @@ class _FnEmitter:
     def emit_op(self, instr, d, costs, classes, idx):
         op, arg, _extra = instr
         out = self.out
-        if op in _thr._MARKERS:
+        if op in _MARKERS:
             return d
         if op == 13:
             out.emit(f"s{d} = l{arg}")
@@ -316,7 +447,7 @@ class _FnEmitter:
         if op == 15:
             out.emit(f"l{arg} = s{d - 1}")
             return d
-        if op in _thr._CONSTS:
+        if op in _CONSTS:
             out.emit(f"s{d} = {literal(arg)}")
             return d + 1
         if op == 16:
@@ -394,7 +525,7 @@ class _FnEmitter:
         if op in (47, 87):                # rotl / f64.div via value fn
             out.emit(f"{a} = {self.use(f'vf{op}')}({a}, {b})")
             return d - 1
-        if op in _thr._TRAP_BINOPS:
+        if op in _TRAP_BINOPS:
             self.guarded([f"{a} = {self.use(f'vf{op}')}({a}, {b})"],
                          costs, classes, idx)
             return d - 1
@@ -429,11 +560,11 @@ class _FnEmitter:
         if op in (109, 110):
             out.emit(f"{t} = {self.use(f'vf{op}')}({t})")
             return d
-        if op in _thr._TRAP_UNOPS:
+        if op in _TRAP_UNOPS:
             self.guarded([f"{t} = {self.use(f'vf{op}')}({t})"],
                          costs, classes, idx)
             return d
-        if op in _thr._UNOPS:             # clz/ctz/popcnt and friends
+        if op in _UNOPS:             # clz/ctz/popcnt and friends
             out.emit(f"{t} = {self.use(f'vf{op}')}({t})")
             return d
         if op in _LOAD_WIDTH:
@@ -566,7 +697,7 @@ class _FnEmitter:
                     list(class_deltas(classes)),
                     list(class_deltas([o for o, _a, _e in ops]))
                     if self.profiling else [])
-            has_term = bool(ops) and ops[-1][0] in _thr._TERM_OPS
+            has_term = bool(ops) and ops[-1][0] in _TERM_OPS
             body = ops[:-1] if has_term else ops
             for idx, instr in enumerate(body):
                 d = self.emit_op(instr, d, costs, classes, idx)
@@ -626,17 +757,17 @@ class _FnEmitter:
 def translate(fn, inst):
     """Build (or load warm) the generated runner for one prepared
     function on one instance; ``None`` means the translator declined and
-    the caller should use the threaded tier."""
+    the caller should run the function on the reference ladder."""
     code = fn.code
     for pc, (op, _arg, _extra) in enumerate(code):
-        if op not in _thr.SUPPORTED_OPS:
+        if op not in SUPPORTED_OPS:
             raise ValidationError(
                 f"{fn.name}: unknown opcode {op} at pc {pc} "
                 f"(codegen tier has no handler)")
 
     leaders = {0}
     for pc, (op, arg, _extra) in enumerate(code):
-        if op in _thr._TERM_OPS:
+        if op in _TERM_OPS:
             leaders.add(pc + 1)
             if op in (4, 7, 8):
                 leaders.add(arg)
@@ -685,13 +816,7 @@ def translate(fn, inst):
     }
     if inst._profile is not None:
         ns["prof_frame"] = inst._profile.frame
-    for op, f in _thr._BINOPS.items():
-        ns[f"vf{op}"] = f
-    for op, f in _thr._TRAP_BINOPS.items():
-        ns[f"vf{op}"] = f
-    for op, f in _thr._UNOPS.items():
-        ns[f"vf{op}"] = f
-    for op, f in _thr._TRAP_UNOPS.items():
+    for op, f in _VALUE_FNS.items():
         ns[f"vf{op}"] = f
     for arg, (kind, _nargs, _res) in call_sigs.items():
         target = inst._funcs[arg][1]

@@ -32,7 +32,7 @@ _PACK_F64 = struct.Struct("<d")
 
 # Pre-bound codec methods: one attribute lookup at import time instead of
 # two (`Struct.pack_into` / `Struct.unpack_from`) per memory access.  The
-# threaded tier's fused load/store handlers bind these directly.
+# codegen tier's generated loads and stores bind these directly.
 UNPACK_I32 = _PACK_I32.unpack_from
 UNPACK_I64 = _PACK_I64.unpack_from
 UNPACK_F64 = _PACK_F64.unpack_from

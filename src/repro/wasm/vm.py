@@ -23,9 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.engine.codegen import fast_interp_enabled
 from repro.engine.stats import EngineStats
 from repro.errors import TrapError, ValidationError
 from repro.obs import new_profile
+from repro.wasm import codegen as _codegen
 from repro.wasm.instructions import OP_CLASS, OP_COST, Op, OpClass
 from repro.wasm.memory import LinearMemory
 
@@ -60,7 +62,7 @@ class _PreparedFunction:
     """A function body with branches resolved to absolute targets."""
 
     __slots__ = ("name", "num_params", "num_locals", "local_types", "code",
-                 "results", "threaded", "codegen")
+                 "results", "codegen")
 
     def __init__(self, name, num_params, local_types, code, results):
         self.name = name
@@ -69,12 +71,10 @@ class _PreparedFunction:
         self.num_locals = num_params + len(local_types)
         self.code = code
         self.results = results
-        #: Lazily translated threaded-code body (prepared functions are
-        #: per-instance, so the translation's pre-bound instance state
-        #: can be cached right here).  ``codegen`` caches the generated
-        #: runner the same way (``_codegen.DECLINED`` when the codegen
-        #: translator declined the function).
-        self.threaded = None
+        #: Lazily built generated runner (prepared functions are
+        #: per-instance, so the runner's pre-bound instance state can be
+        #: cached right here); ``_codegen.DECLINED`` when the translator
+        #: declined the function.
         self.codegen = None
 
 
@@ -169,8 +169,7 @@ class WasmInstance:
         self.boundary_cost = boundary_cost
         self.max_instructions = max_instructions
         self._instr_budget = max_instructions
-        self._fast = _threaded.fast_interp_enabled()
-        self._codegen = _codegen.codegen_enabled()
+        self._fast = fast_interp_enabled()
         self._profile = new_profile("wasm")
 
         imports = imports or {}
@@ -232,27 +231,22 @@ class WasmInstance:
         if self._profile is not None:
             self._profile.call(fn.name)
         if self._fast:
-            if self._codegen:
-                cg = fn.codegen
-                if cg is None:
-                    cg = _codegen.translate(fn, self) or _codegen.DECLINED
-                    fn.codegen = cg
-                if cg is not _codegen.DECLINED:
-                    return cg(args)
-            tf = fn.threaded
-            if tf is None:
-                tf = _threaded.translate(fn, self)
-                fn.threaded = tf
-            return _threaded.run(self, tf, args)
+            cg = fn.codegen
+            if cg is None:
+                cg = _codegen.translate(fn, self) or _codegen.DECLINED
+                fn.codegen = cg
+            if cg is not _codegen.DECLINED:
+                return cg(args)
         locals_ = args + [0.0 if t == "f64" else 0 for t in fn.local_types]
         return self._run_from(fn, locals_, [], 0)
 
     def _run_from(self, fn, locals_, stack, pc):
         # Reference interpreter loop — the differential oracle for the
-        # threaded tier, which also deopts here (resuming mid-function at
+        # codegen tier, which also deopts here (resuming mid-function at
         # a block leader) when a block cannot be entered under batched
-        # budget accounting.  Locals are a flat list: params then locals
-        # (zero-initialised, typed by fn.local_types).
+        # budget accounting, and runs declined functions here from pc 0.
+        # Locals are a flat list: params then locals (zero-initialised,
+        # typed by fn.local_types).
         push = stack.append
         pop = stack.pop
         code = fn.code
@@ -623,9 +617,3 @@ class WasmVM:
                             boundary_cost=self.boundary_cost,
                             max_instructions=self.max_instructions,
                             tier_policy=self.tier_policy)
-
-
-# Bound at the bottom so the threaded tier can import names from this
-# module at its top (the circular import resolves in either load order).
-from repro.wasm import threaded as _threaded  # noqa: E402
-from repro.wasm import codegen as _codegen    # noqa: E402

@@ -146,7 +146,7 @@ def test_det_metrics_identical_cold_vs_memo_warm(tmp_path, monkeypatch):
 
 def test_det_metrics_identical_across_interpreter_tiers(monkeypatch):
     """Opclass-level DET parity between the reference ladder and the
-    threaded tier, through the full runner path."""
+    codegen tier, through the full runner path."""
     monkeypatch.setenv("REPRO_PROFILE", "1")
 
     exports = {}

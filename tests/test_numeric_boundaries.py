@@ -173,25 +173,24 @@ class TestShiftBoundaries:
 
 
 # ---------------------------------------------------------------------------
-# Three-tier probe: reference ladder vs threaded vs codegen
+# Two-tier probe: reference ladder vs codegen
 # ---------------------------------------------------------------------------
 
-#: (REPRO_FAST_INTERP, REPRO_CODEGEN) per execution tier.
-TIERS = (("0", "0"), ("1", "0"), ("1", "1"))
+#: REPRO_FAST_INTERP per execution tier: reference ladder, codegen.
+TIERS = ("0", "1")
 
 
-def _three_tier(outcome_fn, module, args, monkeypatch):
-    """Run one backend across all three execution tiers; every tier must
-    produce the same value (or the same trap)."""
+def _both_tiers(outcome_fn, module, args, monkeypatch):
+    """Run one backend on both execution tiers; the tiers must produce
+    the same value (or the same trap)."""
     results = []
-    for fast, cg in TIERS:
+    for fast in TIERS:
         monkeypatch.setenv("REPRO_FAST_INTERP", fast)
-        monkeypatch.setenv("REPRO_CODEGEN", cg)
         results.append(outcome_fn(module, args))
     normed = [repr(r) for r in results]
-    assert normed[0] == normed[1] == normed[2], (
+    assert normed[0] == normed[1], (
         f"tiers disagree for args {args!r}: ref={normed[0]} "
-        f"threaded={normed[1]} codegen={normed[2]}")
+        f"codegen={normed[1]}")
     return results[0]
 
 
@@ -226,16 +225,16 @@ class TestThreeTierRotates:
         # x | x — still rotl(x, 0).  Expected value mirrors the VM's
         # rotl masking exactly.
         expected = _py_rotl32(value, count)
-        wasm = _three_tier(_wasm_outcome, module, (value, count),
+        wasm = _both_tiers(_wasm_outcome, module, (value, count),
                            monkeypatch)
-        native = _three_tier(_native_outcome, module, (value, count),
+        native = _both_tiers(_native_outcome, module, (value, count),
                              monkeypatch)
         assert wasm == native == expected
 
 
 class TestThreeTierBitcounts:
     """clz/ctz/popcnt only exist as Wasm opcodes (no IR spelling), so
-    they run as direct modules across the VM's three tiers."""
+    they run as direct modules on both of the VM's tiers."""
 
     def _bitcount_module(self, opname):
         from repro.wasm import FuncType, Function as WFunction, WasmModule
@@ -263,7 +262,7 @@ class TestThreeTierBitcounts:
             instance = WasmVM().instantiate(mod, wasm_host_imports([], None))
             return instance.invoke("f", *args)
 
-        assert _three_tier(outcome, module, (value,),
+        assert _both_tiers(outcome, module, (value,),
                            monkeypatch) == expected
 
 
@@ -282,9 +281,9 @@ class TestThreeTierCanonicalization:
         module = _module(Function("f", [("x", "i32"), ("k", "i32")], "i32",
                                   body=[SReturn(cmp)], exported=True))
         expected = 1 if _wrap(value << (count & 31), 32) < 0 else 0
-        wasm = _three_tier(_wasm_outcome, module, (value, count),
+        wasm = _both_tiers(_wasm_outcome, module, (value, count),
                            monkeypatch)
-        native = _three_tier(_native_outcome, module, (value, count),
+        native = _both_tiers(_native_outcome, module, (value, count),
                              monkeypatch)
         assert wasm == native == expected
 
@@ -293,9 +292,9 @@ class TestThreeTierCanonicalization:
     def test_shr_s_stays_negative(self, value, count, monkeypatch):
         module = _shift_fn(">>", "i32")
         expected = value >> (count & 31)
-        wasm = _three_tier(_wasm_outcome, module, (value, count),
+        wasm = _both_tiers(_wasm_outcome, module, (value, count),
                            monkeypatch)
-        native = _three_tier(_native_outcome, module, (value, count),
+        native = _both_tiers(_native_outcome, module, (value, count),
                              monkeypatch)
         assert wasm == native == expected
 
@@ -307,8 +306,8 @@ class TestThreeTierCanonicalization:
         """Trap agreement: every tier of every engine traps (or not) on
         the same truncation input."""
         module = _cast_fn("f64", "i32")
-        wasm = _three_tier(_wasm_outcome, module, (value,), monkeypatch)
-        native = _three_tier(_native_outcome, module, (value,),
+        wasm = _both_tiers(_wasm_outcome, module, (value,), monkeypatch)
+        native = _both_tiers(_native_outcome, module, (value,),
                              monkeypatch)
         assert wasm == native == expected
 

@@ -1,6 +1,5 @@
 """Per-opclass profiler parity: the reference interpreter ladders
-(``REPRO_FAST_INTERP=0``), the prepare-once threaded tier
-(``REPRO_CODEGEN=0``) and the generated-Python codegen tier (the
+(``REPRO_FAST_INTERP=0``) and the generated-Python codegen tier (the
 default) must record *identical* profiles — same per-function op-count
 dicts, same call counts — for all three engines.  The profiles are
 integer counts at matching charge points, so equality is exact, not
@@ -47,12 +46,11 @@ def _profiled(monkeypatch):
     reset_registry()
 
 
-TIERS = ("ref", "threaded", "codegen")
+TIERS = ("ref", "codegen")
 
 
 def _set_tier(monkeypatch, tier):
     monkeypatch.setenv("REPRO_FAST_INTERP", "0" if tier == "ref" else "1")
-    monkeypatch.setenv("REPRO_CODEGEN", "1" if tier == "codegen" else "0")
 
 
 def _wasm_profile(cheerp):
@@ -97,12 +95,11 @@ def test_profiles_identical_across_interpreter_tiers(
                "native": lambda: _native_profile(llvm_x86)}[engine]
     _set_tier(monkeypatch, "ref")
     ref_profile, ref_stats, ref_out = collect()
-    for tier in ("threaded", "codegen"):
-        _set_tier(monkeypatch, tier)
-        profile, stats, out = collect()
-        assert ref_out == out
-        assert ref_stats.cycles == stats.cycles
-        assert ref_profile == profile          # exact dict equality
+    _set_tier(monkeypatch, "codegen")
+    profile, stats, out = collect()
+    assert ref_out == out
+    assert ref_stats.cycles == stats.cycles
+    assert ref_profile == profile              # exact dict equality
     assert ref_profile["calls"]                # call counting actually ran
     assert any(ref_profile["ops"].values())
 

@@ -1,11 +1,11 @@
-"""Tiering edge cases, differential across the three interpreter tiers.
+"""Tiering edge cases, differential across both interpreter tiers.
 
 The promotion machinery has sharp corners — contradictory enable flags,
 degenerate hotness thresholds, tier-up landing exactly on the threshold,
 OSR in the middle of a running loop.  Each case is pinned at the plan
 level and, where the engines execute it, asserted byte-identical across
-the reference ladder (``REPRO_FAST_INTERP=0``), the threaded tier and the
-codegen tier — a mispriced edge in one tier shows up as a stats diff.
+the reference ladder (``REPRO_FAST_INTERP=0``) and the codegen tier — a
+mispriced edge in one tier shows up as a stats diff.
 """
 
 from __future__ import annotations
@@ -19,16 +19,11 @@ from repro.engine.compilemodel import CodeUnit
 from repro.engine.tiering import TierController, TierPolicy
 from repro.env import chrome_desktop, firefox_desktop
 
-TIERS = ("ref", "threaded", "codegen")
-
-_TIER_ENV = {"ref": ("0", "0"), "threaded": ("1", "0"),
-             "codegen": ("1", "1")}
+TIERS = ("ref", "codegen")
 
 
 def _set_tier(monkeypatch, tier):
-    fast, codegen = _TIER_ENV[tier]
-    monkeypatch.setenv("REPRO_FAST_INTERP", fast)
-    monkeypatch.setenv("REPRO_CODEGEN", codegen)
+    monkeypatch.setenv("REPRO_FAST_INTERP", "0" if tier == "ref" else "1")
 
 
 def _snap(stats):
@@ -155,7 +150,7 @@ class TestEngineEdgesDifferential:
             assert result == 0
             assert stats.compile_cycles > 0
             snaps[tier] = _snap(stats)
-        assert snaps["ref"] == snaps["threaded"] == snaps["codegen"]
+        assert snaps["ref"] == snaps["codegen"]
 
     @pytest.mark.parametrize("threshold", [1, 50],
                              ids=["osr-first-backedge", "osr-mid-loop"])
@@ -174,7 +169,7 @@ class TestEngineEdgesDifferential:
             assert stats.tier_ups == 1
             assert stats.tier_up_compile_cycles > 0
             snaps[tier] = _snap(stats)
-        assert snaps["ref"] == snaps["threaded"] == snaps["codegen"]
+        assert snaps["ref"] == snaps["codegen"]
 
     def test_js_below_threshold_never_promotes(self, monkeypatch):
         for tier in TIERS:
@@ -305,17 +300,15 @@ class TestJsTierChangeMidFrame:
             assert int(stats["gc_runs"]) > 0
         # cycles, instructions, op_counts, gc_runs/gc_pause_cycles and
         # the per-function profiles, bit for bit.
-        assert runs["ref"] == runs["threaded"] == runs["codegen"]
+        assert runs["ref"] == runs["codegen"]
 
     def test_constructor_reentering_its_caller(self, monkeypatch):
         """``NEWCALL`` runs a JS constructor that calls back into its
         caller until the caller tiers up (call_hot) under the live
-        frame.  The threaded tier switches the caller's pricing at the
-        next block; the generated code must do the same.  (The reference
-        ladder keeps pricing that frame on its old tier until the next
-        ``JSFunction`` call returns — a divergence of both fast tiers
-        from the oracle, listed in ROADMAP.md; this test pins the
-        generated code to the threaded tier meanwhile.)"""
+        frame.  Both tiers switch the caller's pricing as soon as
+        ``NEWCALL`` returns: the reference ladder refreshes its
+        factor/cost table there, the generated code rebinds its tier
+        constants."""
         source = r"""
 var g = 0;
 function C(n) { if (n > 0) { g = g + outer(n - 1); } }
@@ -330,10 +323,10 @@ console.log(outer(10) + g);
 """
         monkeypatch.setenv("REPRO_PROFILE", "1")
         runs = {}
-        for tier in ("threaded", "codegen"):
+        for tier in TIERS:
             _set_tier(monkeypatch, tier)
             runs[tier] = _run_js_mid_frame(source, _firefox_js(True))
-        _output, stats, profile = runs["threaded"]
+        _output, stats, profile = runs["ref"]
         assert int(stats["tier_ups"]) == 2
         assert {int(k) >> 8 for k in profile["ops"]["outer"]} == {0, 1}
-        assert runs["threaded"] == runs["codegen"]
+        assert runs["ref"] == runs["codegen"]

@@ -22,24 +22,17 @@ Enforced here:
   anywhere, even inside functions.  Engines are below the harness; a
   back-edge would let an engine reach the sweep scheduler or the page
   runner and make worker-process execution order-dependent.
-* ``repro.engine.threaded`` — the shared threaded-tier substrate — must
-  stay dependency-free: no ``repro.*`` imports at all (stdlib only).
-  Every engine's translator pre-binds its own state; anything the
-  substrate pulled in would become an implicit dependency of all three.
-* Each engine's ``threaded.py`` may reach into the engine core only for
-  the substrate itself (``repro.engine.threaded``): the translators are
+* ``repro.engine.codegen`` — the codegen-tier substrate — may import
+  only the artifact cache that persists compiled units (``repro.cache``)
+  and the telemetry leaf (``repro.obs``).  It loads generated code by
+  unit key; a dependency on an engine or the pipeline would let compiled
+  artifacts observe what they are supposed to replay, and anything else
+  it pulled in would become an implicit dependency of all three
+  engines.
+* Each engine's ``codegen.py`` translator may reach the engine core only
+  through the substrate (``repro.engine.codegen``): the translators are
   leaves that pre-bind state handed to them by their host engine, so a
   tie to tiering/stats/hostlib internals would be a hidden layer edge.
-* ``repro.engine.codegen`` — the codegen-tier substrate — may import
-  only the threaded substrate it compiles from (``repro.engine.
-  threaded``), the artifact cache that persists compiled units
-  (``repro.cache``) and the telemetry leaf (``repro.obs``).  It loads
-  generated code by unit key; a dependency on an engine or the pipeline
-  would let compiled artifacts observe what they are supposed to replay.
-* Each engine's ``codegen.py`` translator may reach the engine core only
-  for the two substrates (``repro.engine.codegen`` and
-  ``repro.engine.threaded``) — like the threaded translators, they are
-  leaves whose state is pre-bound by the host engine.
 * ``repro.obs`` — the telemetry layer — is a leaf below everything:
   any layer may import it, but it must not import any other ``repro.*``
   module, anywhere, even inside functions.  Instrumentation that pulled
@@ -194,42 +187,23 @@ def check(src=SRC):
                             f"measurement apparatus never)")
             if rel.parts == ("engine", "codegen.py"):
                 for mod in _imported_modules(node):
-                    if mod != "repro.engine.threaded" and \
-                            not mod.startswith("repro.cache") and \
+                    if not mod.startswith("repro.cache") and \
                             not mod.startswith("repro.obs"):
                         violations.append(
                             f"src/repro/{rel}:{node.lineno}: the codegen "
                             f"substrate imports {mod} (repro.engine."
-                            f"codegen may only use the threaded substrate, "
-                            f"repro.cache and repro.obs)")
-            if rel.parts == ("engine", "threaded.py"):
-                for mod in _imported_modules(node):
-                    violations.append(
-                        f"src/repro/{rel}:{node.lineno}: the threaded-tier "
-                        f"substrate imports {mod} (repro.engine.threaded "
-                        f"must stay dependency-free — stdlib only)")
-            elif layer in ENGINE_LAYERS and rel.parts[-1] == "threaded.py":
-                for mod in _imported_modules(node):
-                    if mod.startswith("repro.engine") \
-                            and mod != "repro.engine.threaded":
-                        violations.append(
-                            f"src/repro/{rel}:{node.lineno}: engine "
-                            f"translator imports {mod} (threaded tiers may "
-                            f"only use the repro.engine.threaded substrate; "
-                            f"other engine-core state must be pre-bound by "
-                            f"the host engine)")
+                            f"codegen may only use repro.cache and "
+                            f"repro.obs)")
             elif layer in ENGINE_LAYERS and rel.parts[-1] == "codegen.py":
                 for mod in _imported_modules(node):
-                    if mod.startswith("repro.engine") and mod not in (
-                            "repro.engine.codegen",
-                            "repro.engine.threaded"):
+                    if mod.startswith("repro.engine") \
+                            and mod != "repro.engine.codegen":
                         violations.append(
                             f"src/repro/{rel}:{node.lineno}: engine "
                             f"translator imports {mod} (codegen tiers may "
-                            f"only use the repro.engine.codegen and "
-                            f"repro.engine.threaded substrates; other "
-                            f"engine-core state must be pre-bound by the "
-                            f"host engine)")
+                            f"only use the repro.engine.codegen substrate; "
+                            f"other engine-core state must be pre-bound by "
+                            f"the host engine)")
     return violations
 
 
