@@ -5,9 +5,9 @@ and prints it.  By default the representative QUICK_SET (15 of the 41
 benchmarks) is swept so `pytest benchmarks/ --benchmark-only` finishes in
 minutes; set ``REPRO_FULL=1`` to sweep all 41 (as ``results/run_all.py``
 does — its full-suite outputs are committed under ``results/``).
-``REPRO_QUICK=1`` wins over ``REPRO_FULL`` (the CI fast path), and the
-persistent compile cache (``REPRO_CACHE_DIR``) makes warm re-runs skip
-every compile.
+``REPRO_QUICK=1`` wins over ``REPRO_FULL`` (the CI fast path); both are
+flags, so ``0``/``off`` mean off.  The persistent compile cache
+(``REPRO_CACHE_DIR``) makes warm re-runs skip every compile.
 
 These suites assert *shape properties* of deterministic experiment
 results, so measurement memoization is sound here: result caching is
@@ -22,6 +22,7 @@ import os
 import pytest
 
 from repro.experiments import ExperimentContext
+from repro.obs import env_flag
 
 
 @pytest.fixture(autouse=True)
@@ -33,9 +34,9 @@ def _result_cache(monkeypatch):
 
 
 def _quick():
-    if os.environ.get("REPRO_QUICK"):
+    if env_flag("REPRO_QUICK"):
         return True
-    return not os.environ.get("REPRO_FULL")
+    return not env_flag("REPRO_FULL")
 
 
 @pytest.fixture(scope="session")

@@ -13,8 +13,7 @@ byte-identical either way).
 ``--report`` additionally enables the per-opclass profiler
 (``REPRO_PROFILE=1``) and renders ``tools/report.py`` — top compile
 passes by wall time, top opclasses by modeled cycles, cache/scheduler
-health — to stdout and ``results/report.txt``.  ``--trace`` dumps one
-benchmark's phase timeline to ``results/trace.json``.
+health — to stdout and ``results/report.txt``.
 
 ``--cells <request.json>`` is the sweep service's reference path: read
 one experiment-request payload (the same JSON ``POST /sweep`` accepts),
@@ -107,40 +106,6 @@ from repro.experiments import (
 from repro.env import chrome_desktop, firefox_desktop
 
 out_dir = "results"
-
-if "--trace" in sys.argv:
-    # Structured-trace mode: run one benchmark on both targets with the
-    # engine core's execution trace enabled and dump the phase timelines
-    # (decode/parse/compile/tier-up/execute/gc/host-call spans, in cycles)
-    # to results/trace.json.  Trace runs bypass result memoization.
-    from repro.env import DESKTOP
-    from repro.harness import PageRunner
-
-    ctx = ExperimentContext(repetitions=1, quick=True)
-    bench = next(b for b in ctx.benchmarks() if b.name == "gemm")
-    runner = PageRunner(chrome_desktop(), DESKTOP, repetitions=1,
-                        trace=True)
-    wasm_m = runner.run_wasm(ctx.wasm(bench))
-    js_m = runner.run_js(ctx.js(bench))
-    payload = {
-        "benchmark": bench.name,
-        "browser": wasm_m.browser,
-        "platform": wasm_m.platform,
-        "runs": {
-            "wasm": {"execution_time_ms": wasm_m.time_ms,
-                     "trace": wasm_m.detail["trace"]},
-            "js": {"execution_time_ms": js_m.time_ms,
-                   "trace": js_m.detail["trace"]},
-        },
-    }
-    with open(f"{out_dir}/trace.json", "w") as f:
-        json.dump(payload, f, indent=2)
-    print(f"wasm: {len(wasm_m.detail['trace']['events'])} events, "
-          f"{wasm_m.time_ms:.3f}ms")
-    print(f"js:   {len(js_m.detail['trace']['events'])} events, "
-          f"{js_m.time_ms:.3f}ms")
-    print(f"trace timelines written to {out_dir}/trace.json")
-    sys.exit(0)
 
 ctx = ExperimentContext(repetitions=2)
 summary = {}

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from repro.apps.workers import WebWorkerPool
 from repro.compilers import CheerpCompiler
+from repro.engine.hostlib import install_js_host, wasm_host_imports
 from repro.env import DESKTOP, chrome_desktop
-from repro.harness import install_c_host
-from repro.harness.runner import wasm_host_imports
 from repro.jsengine import JsEngine
 from repro.wasm import WasmVM
 
@@ -205,6 +204,7 @@ class FfmpegApp:
             _C_TRANSCODE, {"BLOCKS": FRAME_BLOCKS}, "O2", "ffmpeg-wasm")
         frame_cycles = []
         wasm_total = 0
+        opt_factor = self.profile.wasm.tiers.optimizing.exec_factor
         for frame in range(self.frames):
             output = []
             vm = WasmVM(boundary_cost=self.profile.wasm.boundary_cost)
@@ -213,14 +213,14 @@ class FfmpegApp:
             result = instance.invoke("transcode_frame", frame)
             wasm_total += int(result)
             frame_cycles.append(
-                instance.stats.cycles * self.profile.wasm.opt_exec_factor
+                instance.stats.cycles * opt_factor
                 + instance.stats.boundary_cycles)
         wasm_ms = self.platform.ms(self.pool.makespan_cycles(frame_cycles))
 
         # JS: single engine runs every frame serially.
         engine = JsEngine(self.profile.js,
                           cycles_per_ms=self.platform.cycles_per_ms)
-        install_c_host(engine, [])
+        install_js_host(engine, [])
         engine.load_script(
             f"var BLOCKS = {FRAME_BLOCKS};\n" + _JS_TRANSCODE)
         js_total = int(engine.call_global("main", float(self.frames)))

@@ -18,8 +18,8 @@ the implementations can be cross-checked.
 from __future__ import annotations
 
 from repro.compilers import CheerpCompiler
+from repro.engine.hostlib import install_js_host
 from repro.env import DESKTOP, chrome_desktop
-from repro.harness import install_c_host
 from repro.jsengine import JsEngine
 from repro.wasm import WasmVM
 
@@ -229,7 +229,7 @@ class HyphenopolyApp:
                                   wasm_host_imports(output, None))
         instance.invoke("main")
         wasm_cycles = (instance.stats.cycles *
-                       self.profile.wasm.opt_exec_factor +
+                       self.profile.wasm.tiers.optimizing.exec_factor +
                        instance.stats.boundary_cycles +
                        2 * len(text) * COPY_CYCLES_PER_BYTE)
         wasm_ms = self.platform.ms(wasm_cycles)
@@ -238,7 +238,7 @@ class HyphenopolyApp:
         # JS: parse + execute.
         engine = JsEngine(self.profile.js,
                           cycles_per_ms=self.platform.cycles_per_ms)
-        install_c_host(engine, [])
+        install_js_host(engine, [])
         engine.load_script(_js_source(text, patterns))
         js_points = engine.call_global("main")
         js_ms = self.platform.ms(engine.total_cycles())

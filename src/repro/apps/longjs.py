@@ -16,8 +16,8 @@ operations) is measured directly from the two engines' per-class counters.
 
 from __future__ import annotations
 
+from repro.engine.hostlib import install_js_host
 from repro.env import DESKTOP, chrome_desktop
-from repro.harness import install_c_host
 from repro.jsengine import JsEngine
 from repro.wasm import FuncType, Function, WasmModule, WasmVM
 from repro.wasm.instructions import Op, instr as I
@@ -259,7 +259,7 @@ class LongJsApp:
             # JavaScript implementation.
             engine = JsEngine(self.profile.js,
                               cycles_per_ms=self.platform.cycles_per_ms)
-            install_c_host(engine, [])
+            install_js_host(engine, [])
             engine.load_script(LONGJS_JS + _DRIVER)
             js_checksum = engine.call_global(
                 "run_ops", float(opcode), float(iterations),
@@ -284,7 +284,7 @@ class LongJsApp:
                 a = (a + 1) & mask
             wasm_checksum = _sign32((acc & 0xFFFFFFFF) ^ (acc >> 32))
             wasm_cycles = (instance.stats.cycles *
-                           self.profile.wasm.opt_exec_factor +
+                           self.profile.wasm.tiers.optimizing.exec_factor +
                            instance.stats.boundary_cycles)
             wasm_ms = self.platform.ms(wasm_cycles)
             results[label] = {

@@ -113,10 +113,9 @@ class ToolchainBase:
             pipeline_fingerprint=self.pipeline_fingerprint(opt_level),
             name=name,
         )
-        with span("compile", kind=kind, toolchain=self.name,
-                  opt_level=opt_level, name=name) as fields:
+        with span("compile", parts=(key,), kind=kind, toolchain=self.name,
+                  opt_level=opt_level, program=name):
             artifact = cache.get(key)
-            fields["cached"] = artifact is not None
             if artifact is None:
                 self._last_pass_telemetry = None
                 artifact = build(source, defines, opt_level, name)

@@ -39,7 +39,7 @@ from repro.engine.compilemodel import (
 )
 from repro.engine.opclass import NUM_OP_CLASSES, OpClass
 from repro.engine.stats import EngineStats, new_op_counts
-from repro.engine.tiering import TierController, TierPlan, TierPolicy
+from repro.engine.tiering import TierController, TierPolicy
 from repro.engine.trace import ExecutionTrace, TraceEvent
 
 __all__ = [
@@ -56,7 +56,6 @@ __all__ = [
     "PerInstrCompiler",
     "SinglePassCompiler",
     "TierController",
-    "TierPlan",
     "TierPolicy",
     "TraceEvent",
     "new_op_counts",

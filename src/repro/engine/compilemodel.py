@@ -1,8 +1,7 @@
 """Modeled startup compilation: cost models per compiler tier.
 
 Before this module existed, startup latency was an *input*: every profile
-carried fixed per-instruction compile constants
-(``basic_compile_cost``/``opt_compile_cost``) and the tier controller
+carried fixed per-instruction compile constants and the tier controller
 multiplied them by a size.  Titzer's baseline-compiler study frames the
 real tradeoff — compile speed vs code quality — as a frontier, and walking
 that frontier needs compile cost to be *computed* from what the compiler
@@ -214,13 +213,8 @@ class CompilePlan:
     #: Dynamic instruction count at which the tier switch completed
     #: (``None`` when no lazy switch happened).
     switch_instructions: int = None
-    #: The unit the plan was computed for (``None`` for size-only plans).
+    #: The unit the plan was computed for.
     unit: CodeUnit = None
-
-    @property
-    def compiles(self):
-        """Legacy view: ordered ``(phase, tier, cycles)`` tuples."""
-        return [(c.phase, c.tier, c.cycles) for c in self.charges]
 
     @property
     def compile_cycles(self):

@@ -27,10 +27,9 @@ engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.engine.compilemodel import (
-    CodeUnit,
     CompileCharge,
     CompilePlan,
     CompilerModel,
@@ -46,21 +45,6 @@ def _default_basic():
 def _default_optimizing():
     return PerInstrCompiler(name="opt", exec_factor=1.0,
                             cycles_per_instr=20.0)
-
-
-#: ``tweak()`` spellings for the model parameters, kept for the profile
-#: layer and older call sites: legacy name → (policy model field, model
-#: attribute).
-_MODEL_ALIASES = {
-    "basic_name": ("basic", "name"),
-    "optimizing_name": ("optimizing", "name"),
-    "basic_exec_factor": ("basic", "exec_factor"),
-    "opt_exec_factor": ("optimizing", "exec_factor"),
-    "basic_compile_cost": ("basic", "cycles_per_instr"),
-    "opt_compile_cost": ("optimizing", "cycles_per_instr"),
-    "basic_compile_cycles_per_instr": ("basic", "cycles_per_instr"),
-    "opt_compile_cycles_per_instr": ("optimizing", "cycles_per_instr"),
-}
 
 
 @dataclass(frozen=True)
@@ -85,51 +69,6 @@ class TierPolicy:
     call_threshold: int = 8
     backedge_threshold: int = 500
 
-    # -- legacy views (the scalar constants the models replaced) ----------
-
-    @property
-    def basic_name(self):
-        return self.basic.name
-
-    @property
-    def optimizing_name(self):
-        return self.optimizing.name
-
-    @property
-    def basic_exec_factor(self):
-        return self.basic.exec_factor
-
-    @property
-    def opt_exec_factor(self):
-        return self.optimizing.exec_factor
-
-    @property
-    def basic_compile_cost(self):
-        """Per-instruction basic-tier cost (``None`` for models whose
-        cost is not a single rate)."""
-        return getattr(self.basic, "cycles_per_instr", None)
-
-    @property
-    def opt_compile_cost(self):
-        return getattr(self.optimizing, "cycles_per_instr", None)
-
-    def tweak(self, **kwargs):
-        """``replace()`` that also accepts the legacy scalar spellings
-        (``basic_exec_factor=...``), rewriting them into the underlying
-        compiler models."""
-        basic, optimizing = self.basic, self.optimizing
-        policy_kwargs = {}
-        for key, value in kwargs.items():
-            alias = _MODEL_ALIASES.get(key)
-            if alias is None:
-                policy_kwargs[key] = value
-            elif alias[0] == "basic":
-                basic = replace(basic, **{alias[1]: value})
-            else:
-                optimizing = replace(optimizing, **{alias[1]: value})
-        return replace(self, basic=basic, optimizing=optimizing,
-                       **policy_kwargs)
-
     @classmethod
     def from_js_config(cls, cfg):
         """Policy for a JS pipeline (:class:`repro.jsengine.JsEngineConfig`):
@@ -146,11 +85,6 @@ class TierPolicy:
             call_threshold=cfg.call_threshold,
             backedge_threshold=cfg.backedge_threshold,
         )
-
-
-#: Back-compat alias: plans are built by the shared compile-model layer
-#: now; ``TierPlan`` remains importable for older call sites.
-TierPlan = CompilePlan
 
 
 class TierController:
@@ -173,6 +107,7 @@ class TierController:
         tier executed.
         """
         p = self.policy
+        basic, optimizing = p.basic, p.optimizing
         charges = []
         tiered_up = False
         switch = None
@@ -180,48 +115,42 @@ class TierController:
             # SpiderMonkey-style: baseline compile for fast startup plus a
             # full optimizing compile at instantiate; execution runs on
             # optimized code.
-            basic_cycles = p.basic.compile_cycles(unit)
-            opt_cycles = p.optimizing.compile_cycles(unit)
+            basic_cycles = basic.compile_cycles(unit)
+            opt_cycles = optimizing.compile_cycles(unit)
             charges.append(CompileCharge(
-                "compile", f"{p.basic_name}+{p.optimizing_name}",
+                "compile", f"{basic.name}+{optimizing.name}",
                 self._eager_cycles(p, unit, basic_cycles, opt_cycles),
                 at_startup=True,
-                parts=((p.basic_name, basic_cycles),
-                       (p.optimizing_name, opt_cycles))))
-            factor = p.opt_exec_factor
+                parts=((basic.name, basic_cycles),
+                       (optimizing.name, opt_cycles))))
+            factor = optimizing.exec_factor
         elif p.basic_enabled and p.optimizing_enabled:
             charges.append(CompileCharge(
-                "compile", p.basic_name, p.basic.compile_cycles(unit)))
+                "compile", basic.name, basic.compile_cycles(unit)))
             if dynamic_instrs > p.tier_up_instructions:
                 # Hot module: optimizing compile happened concurrently;
                 # early instructions ran on the basic tier.
                 charges.append(CompileCharge(
-                    "tier-up", p.optimizing_name,
-                    p.optimizing.compile_cycles(unit), at_startup=False))
+                    "tier-up", optimizing.name,
+                    optimizing.compile_cycles(unit), at_startup=False))
                 frac_basic = p.tier_up_instructions / max(dynamic_instrs, 1)
                 tiered_up = True
                 switch = p.tier_up_instructions
             else:
                 frac_basic = 1.0
-            factor = (p.basic_exec_factor * frac_basic +
-                      p.opt_exec_factor * (1.0 - frac_basic))
+            factor = (basic.exec_factor * frac_basic +
+                      optimizing.exec_factor * (1.0 - frac_basic))
         elif p.basic_enabled:
             charges.append(CompileCharge(
-                "compile", p.basic_name, p.basic.compile_cycles(unit)))
-            factor = p.basic_exec_factor
+                "compile", basic.name, basic.compile_cycles(unit)))
+            factor = basic.exec_factor
         else:
             charges.append(CompileCharge(
-                "compile", p.optimizing_name,
-                p.optimizing.compile_cycles(unit)))
-            factor = p.opt_exec_factor
+                "compile", optimizing.name,
+                optimizing.compile_cycles(unit)))
+            factor = optimizing.exec_factor
         return CompilePlan(charges, factor, tiered_up,
                            switch_instructions=switch, unit=unit)
-
-    def compile_plan(self, static_instrs, dynamic_instrs):
-        """Size-only plan (legacy entry point): prices a unit known only
-        by its static instruction count."""
-        return self.plan(CodeUnit(static_instrs=static_instrs),
-                         dynamic_instrs)
 
     @staticmethod
     def _eager_cycles(policy, unit, basic_cycles, opt_cycles):
@@ -252,5 +181,6 @@ class TierController:
 
     def exec_factor(self, tier):
         """Per-op cost multiplier for a function running in ``tier``."""
-        return (self.policy.opt_exec_factor if tier
-                else self.policy.basic_exec_factor)
+        policy = self.policy
+        return (policy.optimizing.exec_factor if tier
+                else policy.basic.exec_factor)

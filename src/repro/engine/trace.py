@@ -4,15 +4,16 @@ Every engine emits the same event vocabulary — ``decode``, ``parse``,
 ``compile``, ``tier-up``, ``execute``, ``gc``, ``host-call`` — as
 :class:`TraceEvent` records carrying a cycle span (``start_cycles`` +
 ``cycles``) on the engine's abstract clock.  The harness attaches the
-finished trace to ``Measurement.detail["trace"]`` and
-``results/run_all.py --trace`` exports it as JSON, so the per-phase cost
-structure the paper discusses (decode vs. compile vs. tier-up vs. raw
-execution, §4.4) is inspectable per run instead of only in aggregate.
+finished trace to ``Measurement.detail["trace"]``, and under an active
+trace context :meth:`ExecutionTrace.finalize` forwards each phase to the
+event sink, where ``run_all.py --cells <request> --trace-out`` exports it
+as a lane of the Chrome trace.  So the per-phase cost structure the paper
+discusses (decode vs. compile vs. tier-up vs. raw execution, §4.4) is
+inspectable per run instead of only in aggregate.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 #: Canonical phase names, in the order a well-formed run visits them.
@@ -105,14 +106,7 @@ class ExecutionTrace:
         return {"engine": self.engine,
                 "events": [e.to_dict() for e in self.events]}
 
-    def to_json(self, indent=None):
-        return json.dumps(self.to_dict(), indent=indent)
-
     @classmethod
     def from_dict(cls, d):
         return cls(engine=d["engine"],
                    events=[TraceEvent.from_dict(e) for e in d["events"]])
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))

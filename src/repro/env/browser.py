@@ -12,10 +12,10 @@ Since the compile-model refactor the tier parameters live in exactly one
 place: :class:`WasmEngineConfig.tiers` is a shared-engine-core
 :class:`~repro.engine.tiering.TierPolicy` whose two
 :class:`~repro.engine.compilemodel.PerInstrCompiler` models carry the
-calibrated per-instruction compile rates and code-quality factors.  The
-legacy scalar names (``basic_exec_factor``, ``opt_compile_cycles_per_instr``,
-...) remain readable as delegating properties so older call sites and the
-parity oracles keep working, but there is no second copy to drift.
+calibrated per-instruction compile rates and code-quality factors, so
+there is no second copy to drift.  Derived profiles (Edge from Chrome,
+mobile from desktop) swap a tier model as a whole value:
+``wasm.evolved(basic=replace(wasm.tiers.basic, exec_factor=1.5))``.
 
 Everything else in the reproduction — input-size scaling, JIT speedups,
 memory growth, compiler effects — is *emergent* from executing programs
@@ -31,8 +31,7 @@ from repro.engine.tiering import TierPolicy
 from repro.jsengine.config import JsEngineConfig
 
 #: Policy fields routable through ``WasmEngineConfig.evolved`` /
-#: ``BrowserProfile.with_wasm`` straight into the nested ``TierPolicy``
-#: (legacy scalar spellings are handled by ``TierPolicy.tweak``).
+#: ``BrowserProfile.with_wasm`` straight into the nested ``TierPolicy``.
 _TIER_FIELDS = frozenset(f.name for f in fields(TierPolicy))
 
 
@@ -68,68 +67,14 @@ class WasmEngineConfig:
         return self.tiers
 
     def evolved(self, **kwargs):
-        """A copy with config fields, policy fields, or legacy scalar
-        tier parameters changed — the one update path for profiles."""
-        config_kwargs = {}
-        tier_kwargs = {}
-        for key, value in kwargs.items():
-            if key in _CONFIG_FIELDS:
-                config_kwargs[key] = value
-            elif key in _TIER_FIELDS:
-                tier_kwargs[key] = value
-            else:
-                # Legacy scalar spellings (basic_exec_factor, ...) are
-                # rewritten into the compiler models by tweak().
-                tier_kwargs[key] = value
-        tiers = config_kwargs.pop("tiers", self.tiers)
+        """A copy with config fields or policy fields changed — the one
+        update path for profiles."""
+        tier_kwargs = {key: kwargs.pop(key) for key in list(kwargs)
+                       if key in _TIER_FIELDS}
+        tiers = kwargs.pop("tiers", self.tiers)
         if tier_kwargs:
-            tiers = tiers.tweak(**tier_kwargs)
-        return replace(self, tiers=tiers, **config_kwargs)
-
-    # -- legacy scalar views (delegate to the tier policy) ----------------
-
-    @property
-    def basic_name(self):
-        return self.tiers.basic_name
-
-    @property
-    def optimizing_name(self):
-        return self.tiers.optimizing_name
-
-    @property
-    def basic_enabled(self):
-        return self.tiers.basic_enabled
-
-    @property
-    def optimizing_enabled(self):
-        return self.tiers.optimizing_enabled
-
-    @property
-    def eager_opt_compile(self):
-        return self.tiers.eager_opt_compile
-
-    @property
-    def tier_up_instructions(self):
-        return self.tiers.tier_up_instructions
-
-    @property
-    def basic_compile_cycles_per_instr(self):
-        return self.tiers.basic_compile_cost
-
-    @property
-    def opt_compile_cycles_per_instr(self):
-        return self.tiers.opt_compile_cost
-
-    @property
-    def basic_exec_factor(self):
-        return self.tiers.basic_exec_factor
-
-    @property
-    def opt_exec_factor(self):
-        return self.tiers.opt_exec_factor
-
-
-_CONFIG_FIELDS = frozenset(f.name for f in fields(WasmEngineConfig))
+            tiers = replace(tiers, **tier_kwargs)
+        return replace(self, tiers=tiers, **kwargs)
 
 
 @dataclass
@@ -234,10 +179,12 @@ def edge_desktop():
                          tier0_factor=25.0, tier1_factor=1.40,
                          startup_cycles=80000.0,
                          gc_baseline_bytes=828 * 1024)
-    profile.wasm = profile.wasm.evolved(basic_exec_factor=1.5,
-                                        opt_exec_factor=1.28,
-                                        boundary_cost=210.0,
-                                        instance_overhead_bytes=520 * 1024)
+    tiers = profile.wasm.tiers
+    profile.wasm = profile.wasm.evolved(
+        basic=replace(tiers.basic, exec_factor=1.5),
+        optimizing=replace(tiers.optimizing, exec_factor=1.28),
+        boundary_cost=210.0,
+        instance_overhead_bytes=520 * 1024)
     profile.notes = "Chromium fork; Blink + V8."
     return profile
 
@@ -264,11 +211,12 @@ def firefox_mobile():
     profile.js = replace(profile.js, tier0_factor=3.2, tier1_factor=0.60,
                          startup_cycles=25000.0,
                          gc_baseline_bytes=650 * 1024)
+    tiers = profile.wasm.tiers
     profile.wasm = profile.wasm.evolved(
-        optimizing_name="Cranelift",
-        opt_exec_factor=1.35,          # Cranelift replaces Ion on ARM64
-        opt_compile_cycles_per_instr=18.0,   # ...but compiles quickly
-        basic_exec_factor=1.7,
+        # Cranelift replaces Ion on ARM64: slower code, quick compiles.
+        optimizing=replace(tiers.optimizing, name="Cranelift",
+                           exec_factor=1.35, cycles_per_instr=18.0),
+        basic=replace(tiers.basic, exec_factor=1.7),
         eager_opt_compile=False,
         instantiate_cycles=12000.0,
         boundary_cost=60.0,
@@ -286,9 +234,11 @@ def edge_mobile():
     profile.platform_kind = "mobile"
     profile.js = replace(profile.js, tier0_factor=9.0, tier1_factor=0.73,
                          gc_baseline_bytes=900 * 1024)
-    profile.wasm = profile.wasm.evolved(opt_exec_factor=0.82,
-                                        basic_exec_factor=1.0,
-                                        instance_overhead_bytes=610 * 1024)
+    tiers = profile.wasm.tiers
+    profile.wasm = profile.wasm.evolved(
+        optimizing=replace(tiers.optimizing, exec_factor=0.82),
+        basic=replace(tiers.basic, exec_factor=1.0),
+        instance_overhead_bytes=610 * 1024)
     profile.notes = "Chromium Blink fork (§4.5: similar to mobile Chrome)."
     return profile
 

@@ -9,7 +9,6 @@ layer makes repeat runs of the whole apparatus near-instant.
 
 from __future__ import annotations
 
-import os
 from functools import partial
 
 from repro.compilers import CheerpCompiler, EmscriptenCompiler, LlvmX86Compiler
@@ -19,11 +18,12 @@ from repro.harness import PageRunner
 from repro.harness.parallel import (
     default_cell_timeout, default_jobs, default_retries, run_sweep,
 )
-from repro.obs import TraceContext, trace_enabled
+from repro.obs import TraceContext, env_flag, trace_enabled
 from repro.suites import all_benchmarks
 
-#: Environment variable: set to run experiments on a representative subset
-#: (used for quick CI runs; the full suite is the default).
+#: Opt-in flag (``1``/``on``/``true``/``yes``): run experiments on a
+#: representative subset (quick CI runs).  Unset or ``0``/``off`` runs the
+#: full suite.
 QUICK_ENV = "REPRO_QUICK"
 
 #: Representative subset (one per kernel family) for quick runs.
@@ -102,7 +102,7 @@ class ExperimentContext:
                  heap_bytes=2 * 1024 * 1024, jobs=None, retries=None,
                  cell_timeout=None, fault_plan=None):
         if quick is None:
-            quick = bool(os.environ.get(QUICK_ENV))
+            quick = env_flag(QUICK_ENV)
         self.quick = quick
         self.repetitions = repetitions if repetitions is not None else \
             (2 if quick else 5)

@@ -4,8 +4,8 @@ JavaScript and WebAssembly, desktop Chrome, default (M) input."""
 from __future__ import annotations
 
 from repro.analysis import format_table
+from repro.engine.hostlib import install_js_host
 from repro.env import DESKTOP, chrome_desktop
-from repro.harness import install_c_host
 from repro.jsengine import JsEngine
 from repro.manualjs import manual_programs
 from repro.suites import get_benchmark
@@ -13,7 +13,7 @@ from repro.suites import get_benchmark
 
 def _run_manual(program, profile, platform):
     engine = JsEngine(profile.js, cycles_per_ms=platform.cycles_per_ms)
-    install_c_host(engine, [])
+    install_js_host(engine, [])
     engine.load_script(program.source)
     result = engine.call_global(program.entry)
     return {

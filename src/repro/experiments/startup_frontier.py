@@ -86,19 +86,20 @@ def modeled_tiers(policy):
     pass-pipeline model (per-IR-node, per-rewrite, backend lowering).
     The calibrated rate sets the *scale*; the module's actual shape and
     telemetry set the cost."""
-    basic_rate = policy.basic_compile_cost
-    opt_rate = policy.opt_compile_cost
+    basic, optimizing = policy.basic, policy.optimizing
+    basic_rate = basic.cycles_per_instr
+    opt_rate = optimizing.cycles_per_instr
     return replace(
         policy,
         basic=SinglePassCompiler(
-            name=policy.basic_name,
-            exec_factor=policy.basic_exec_factor,
+            name=basic.name,
+            exec_factor=basic.exec_factor,
             cycles_per_instr=0.8 * basic_rate,
             opclass_weights=SINGLE_PASS_WEIGHTS,
             function_overhead_cycles=12.0 * basic_rate),
         optimizing=PassPipelineCompiler(
-            name=policy.optimizing_name,
-            exec_factor=policy.opt_exec_factor,
+            name=optimizing.name,
+            exec_factor=optimizing.exec_factor,
             cycles_per_node=0.4 * opt_rate,
             cycles_per_rewrite=1.0 * opt_rate,
             backend_cycles_per_instr=0.5 * opt_rate))
@@ -182,8 +183,8 @@ def _evaluate_cell(host, policy_name, rewrite, unit, raw):
     on_opt = (policy.optimizing_enabled and
               (plan.tiered_up or policy.eager_opt_compile
                or not policy.basic_enabled))
-    steady_factor = (policy.opt_exec_factor if on_opt
-                     else policy.basic_exec_factor)
+    steady_factor = (policy.optimizing.exec_factor if on_opt
+                     else policy.basic.exec_factor)
     per_ms = host["cycles_per_ms"]
     return {
         "ttfr_ms": ttfr / per_ms,

@@ -19,10 +19,9 @@ from repro.harness.parallel import (
     parallel_map,
     run_sweep,
 )
-from repro.harness.runner import PageRunner, install_c_host
+from repro.harness.runner import PageRunner
 
 __all__ = ["CELL_TIMEOUT_ENV", "CellFailure", "FAULT_INJECT_ENV",
            "FaultPlan", "HtmlPage", "JOBS_ENV", "Measurement", "PageRunner",
            "RETRIES_ENV", "SweepResult", "default_cell_timeout",
-           "default_jobs", "default_retries", "install_c_host",
-           "parallel_map", "run_sweep"]
+           "default_jobs", "default_retries", "parallel_map", "run_sweep"]

@@ -57,8 +57,8 @@ from multiprocessing import connection as _mpc
 
 from repro.errors import SweepError
 from repro.obs import (
-    SCHED, TraceContext, emit, emit_span, events_enabled, get_registry,
-    trace_span,
+    SCHED, TraceContext, emit, emit_span, env_float, env_int,
+    events_enabled, get_registry, span,
 )
 
 #: Environment variable selecting the worker count.  Unset: one worker per
@@ -90,38 +90,22 @@ _HANG_TOTAL_S = 3600.0
 
 
 def default_jobs():
-    """Worker count from ``REPRO_JOBS``, else the CPU count."""
-    env = os.environ.get(JOBS_ENV, "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    """Worker count from ``REPRO_JOBS`` (at least 1), else the CPU
+    count."""
+    return env_int(JOBS_ENV, default=os.cpu_count() or 1, minimum=1)
 
 
 def default_retries():
-    """Retry budget per cell from ``REPRO_RETRIES``, else 1."""
-    env = os.environ.get(RETRIES_ENV, "").strip()
-    if env:
-        try:
-            return max(0, int(env))
-        except ValueError:
-            pass
-    return 1
+    """Retry budget per cell from ``REPRO_RETRIES`` (at least 0), else
+    1."""
+    return env_int(RETRIES_ENV, default=1, minimum=0)
 
 
 def default_cell_timeout():
     """Per-cell timeout in seconds from ``REPRO_CELL_TIMEOUT``, else
-    ``None`` (no timeout)."""
-    env = os.environ.get(CELL_TIMEOUT_ENV, "").strip()
-    if env:
-        try:
-            seconds = float(env)
-            return seconds if seconds > 0 else None
-        except ValueError:
-            pass
-    return None
+    ``None`` (no timeout; so does a value <= 0)."""
+    seconds = env_float(CELL_TIMEOUT_ENV)
+    return seconds if seconds > 0 else None
 
 
 def backoff_delay(attempt, base=BACKOFF_BASE_S, cap=BACKOFF_CAP_S):
@@ -331,8 +315,8 @@ def _worker_main(conn, fn, plan_spec):
         ctx = TraceContext.from_wire(trace)
         snap = reg.snapshot()
         try:
-            with trace_span("sched.attempt", ctx=ctx, parts=(attempt,),
-                            label=label, attempt=attempt):
+            with span("sched.attempt", ctx=ctx, parts=(attempt,),
+                      label=label, attempt=attempt):
                 if plan is not None:
                     plan.apply(label, attempt)
                 value = fn(item)
@@ -632,9 +616,8 @@ def _serial_sweep(fn, items, labels, retries, fault_plan, sleep,
             # rolls the registry back, so only completed attempts count.
             snap = reg.snapshot()
             try:
-                with trace_span("sched.attempt", ctx=cell_ctx,
-                                parts=(attempt,), label=labels[index],
-                                attempt=attempt):
+                with span("sched.attempt", ctx=cell_ctx, parts=(attempt,),
+                          label=labels[index], attempt=attempt):
                     if fault_plan is not None:
                         fault_plan.apply(labels[index], attempt)
                     values[index] = fn(item)

@@ -36,10 +36,6 @@ from repro.harness.page import HtmlPage
 from repro.jsengine import JsEngine
 from repro.wasm import WasmVM
 
-#: Back-compat alias: the host wiring lives in repro.engine.hostlib now.
-install_c_host = install_js_host
-
-
 class _JsPageAdapter(EngineAdapter):
     """Runs Cheerp-generated (or handwritten) JS through the JS engine."""
 
@@ -60,7 +56,7 @@ class _JsPageAdapter(EngineAdapter):
             engine.trace = trace
         # Resolved through the module global so tests can monkeypatch the
         # shim wiring.
-        timings = install_c_host(engine, output)
+        timings = install_js_host(engine, output)
         engine.load_script(page.script)
         metrics = runner.collector.js_metrics(engine)
         metrics.detail["timer_ms"] = timings[0] if timings else None
@@ -88,8 +84,8 @@ class _JsPageAdapter(EngineAdapter):
             "parse_cycles": stats.parse_cycles,
             "startup_compile_cycles": startup_compile,
             "tier_up_compile_cycles": stats.tier_up_compile_cycles,
-            "tier_cycles": {policy.basic_name: startup_compile,
-                            policy.optimizing_name:
+            "tier_cycles": {policy.basic.name: startup_compile,
+                            policy.optimizing.name:
                                 stats.tier_up_compile_cycles},
             "ttfr_cycles": (runner.profile.js.startup_cycles
                             + stats.parse_cycles + startup_compile),
@@ -110,7 +106,7 @@ class _JsPageAdapter(EngineAdapter):
                    tokens=stats.tokens_parsed)
         trace.emit("compile", stats.parse_cycles,
                    stats.compile_cycles - tier_up_cycles,
-                   tier=engine.tiering.policy.basic_name)
+                   tier=engine.tiering.policy.basic.name)
         trace.emit("execute", stats.parse_cycles + stats.compile_cycles,
                    stats.cycles - stats.gc_pause_cycles,
                    ops=stats.instructions)
@@ -317,8 +313,8 @@ class PageRunner:
 
         total = glue + cfg.instantiate_cycles
         total += decode
-        for _phase, _tier, compile_cycles in plan.compiles:
-            total += compile_cycles
+        for charge in plan.charges:
+            total += charge.cycles
         exec_cycles = raw_exec * plan.exec_factor
         total += exec_cycles
         total += stats.boundary_cycles
@@ -346,9 +342,9 @@ class PageRunner:
                                part="js-glue").end_cycles
             clock = trace.emit("instantiate", clock,
                                cfg.instantiate_cycles).end_cycles
-            for phase, tier, compile_cycles in plan.compiles:
-                clock = trace.emit(phase, clock, compile_cycles,
-                                   tier=tier).end_cycles
+            for charge in plan.charges:
+                clock = trace.emit(charge.phase, clock, charge.cycles,
+                                   tier=charge.tier).end_cycles
             clock = trace.emit("execute", clock, exec_cycles,
                                instructions=instret,
                                factor=plan.exec_factor).end_cycles

@@ -55,15 +55,6 @@ class JsExecutionStats(EngineStats):
     #: rest is the startup bytecode compile).
     tier_up_compile_cycles: float = 0.0
 
-    @property
-    def exec_ops(self):
-        """Legacy name for the shared ``instructions`` counter."""
-        return self.instructions
-
-    @exec_ops.setter
-    def exec_ops(self, value):
-        self.instructions = value
-
 
 class JsEngine:
     """A JavaScript realm with the paper's performance model attached."""
@@ -143,7 +134,7 @@ class JsEngine:
         self.stats.tier_up_compile_cycles += compile_cycles
         if self.trace is not None:
             self.trace.emit("tier-up", self.total_cycles(), compile_cycles,
-                            tier=self.tiering.policy.optimizing_name,
+                            tier=self.tiering.policy.optimizing.name,
                             function=fn.name)
 
     def _string_method(self, name):

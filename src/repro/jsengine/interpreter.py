@@ -370,7 +370,7 @@ def execute(engine, fn, args, this=None):
                     callee = engine._member_get(this_val, name)
                 if isinstance(callee, JSFunction):
                     stats.cycles += cycles
-                    stats.exec_ops += instret
+                    stats.instructions += instret
                     cycles = 0.0
                     instret = 0
                     push(execute(engine, callee, call_args, this_val))
@@ -475,7 +475,7 @@ def execute(engine, fn, args, this=None):
                 cycles += pause
     finally:
         stats.cycles += cycles
-        stats.exec_ops += instret
+        stats.instructions += instret
 
     return result
 

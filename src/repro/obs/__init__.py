@@ -6,22 +6,24 @@ results tooling all report through it.  To keep that fan-in safe the
 package is a *leaf*: it imports nothing from ``repro`` outside itself
 (stdlib only), enforced by ``tools/check_layering.py``.
 
-Three kinds of instrument:
+The instruments:
 
 * :mod:`repro.obs.metrics` — a process-local registry of counters,
   gauges and histograms that is deterministic by construction.  Every
   metric carries a stability tag (``det`` / ``sched`` / ``wall``) saying
   how reproducible its value is; ``det`` metrics are golden-comparable
   across schedules, cache warmth and interpreter tiers.
-* :mod:`repro.obs.spans` — wallclock spans that feed ``wall`` metrics
-  and the JSONL event sink (:mod:`repro.obs.events`, ``REPRO_EVENTS``).
+* :mod:`repro.obs.spans` — the one span primitive: every span feeds
+  ``wall``/``sched`` metrics, and under an active trace context it also
+  carries deterministic ids and emits a ``span`` event to the JSONL sink
+  (:mod:`repro.obs.events`, ``REPRO_EVENTS``).
 * :mod:`repro.obs.profile` — the per-function/per-op execution profiler
   the engines drive when ``REPRO_PROFILE=1``; pure integer counts so the
   reference ladders and the codegen tier produce identical profiles.
-* :mod:`repro.obs.tracing` — distributed trace/span context with
+* :mod:`repro.obs.tracing` — distributed trace context with
   deterministic ids (``REPRO_TRACE=1``), propagated across the worker
-  Pipe protocol and exported to Chrome Trace / Perfetto JSON by
-  ``tools/trace_export.py``.
+  Pipe protocol; its ``span`` events are the one trace format, exported
+  to Chrome Trace / Perfetto JSON by ``tools/trace_export.py``.
 """
 
 from repro.obs.envflags import (
@@ -40,7 +42,7 @@ from repro.obs.profile import (
 from repro.obs.spans import span
 from repro.obs.tracing import (
     TRACE_ENV, TraceContext, activate, current, derive_id, emit_span,
-    trace_enabled, trace_span,
+    trace_enabled,
 )
 
 __all__ = [
@@ -72,5 +74,4 @@ __all__ = [
     "reset_registry",
     "span",
     "trace_enabled",
-    "trace_span",
 ]

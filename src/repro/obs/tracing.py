@@ -3,7 +3,10 @@
 One *trace* is the causal timeline of one unit of top-level work — an
 HTTP sweep request, a ``run_all.py --cells`` invocation, one experiment
 sweep.  Within a trace, *spans* nest: request → cell → scheduler attempt
-(including retries and timeout-killed attempts) → engine phase.  The
+(including retries and timeout-killed attempts) → compile / engine
+phase.  ``with`` regions open spans through :func:`repro.obs.spans.span`;
+regions that are not a ``with`` block (a request, a dedupe, a killed
+attempt) close theirs through :func:`emit_span`.  The
 context (:class:`TraceContext`: ``trace_id``, ``span_id``,
 ``parent_id``) propagates across process boundaries over the existing
 worker Pipe protocol as a plain tuple (:meth:`TraceContext.to_wire`),
@@ -36,7 +39,6 @@ from __future__ import annotations
 
 import hashlib
 import threading
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -154,44 +156,16 @@ def activate(ctx):
 
 
 def emit_span(ctx, name, start_ts, duration_s, outcome="ok", **fields):
-    """Emit one finished span as a ``tspan`` event.
+    """Emit one finished span as a ``span`` event.
 
     ``start_ts`` is an epoch timestamp (``time.time()``), ``duration_s``
     wallclock seconds.  Ids come from ``ctx`` (deterministic); only the
     timestamps are wallclock, and they live outside the deterministic
-    surface like every other event field.  No-op when the event sink has
-    nowhere to deliver."""
+    surface like every other event field.  No-op without a context or
+    when the event sink has nowhere to deliver."""
     if ctx is None or not events_enabled():
         return
-    emit("tspan", name=name, ts_us=int(start_ts * 1e6),
+    emit("span", name=name, ts_us=int(start_ts * 1e6),
          dur_us=max(0, int(duration_s * 1e6)), outcome=outcome,
          **ctx.fields(), **fields)
 
-
-@contextmanager
-def trace_span(name, *, ctx=None, parts=(), **fields):
-    """Run a region as a child span of ``ctx`` (or the thread's current
-    context) and emit it on exit.
-
-    Yields the child context (activated for the body, so nested spans —
-    including engine phase forwarding — attach under it) or ``None``
-    when there is no enclosing context, in which case the body runs
-    untraced at zero cost.  ``parts`` disambiguates siblings; the span
-    records ``outcome`` ``ok``/``raised`` and re-raises unchanged."""
-    parent = ctx if ctx is not None else current()
-    if parent is None:
-        yield None
-        return
-    child = parent.child(name, *parts)
-    start_ts = time.time()
-    t0 = time.perf_counter()
-    outcome = "ok"
-    try:
-        with activate(child):
-            yield child
-    except BaseException:
-        outcome = "raised"
-        raise
-    finally:
-        emit_span(child, name, start_ts, time.perf_counter() - t0,
-                  outcome=outcome, **fields)

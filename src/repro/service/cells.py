@@ -162,15 +162,15 @@ def direct_lines(cells, trace=None):
     ``trace`` is an optional request-root :class:`~repro.obs.TraceContext`;
     each cell then runs under a ``("cell", key)`` child span (the same
     derivation the service uses) and its line carries the child's ids."""
-    from repro.obs import trace_span
+    from repro.obs import span
 
     lines = []
     for spec in cells:
         if trace is None:
             lines.append(result_line(spec, run_cell(spec)))
             continue
-        with trace_span("cell", ctx=trace, parts=(spec.cell_key(),),
-                        cell=spec.label()) as ctx:
+        with span("cell", ctx=trace, parts=(spec.cell_key(),),
+                  cell=spec.label()) as ctx:
             value = run_cell(spec)
         lines.append(result_line(spec, value, trace=ctx))
     return lines

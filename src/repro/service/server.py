@@ -61,7 +61,7 @@ import time
 
 from repro.cache import RESULT_CACHE_ENV, get_cache
 from repro.obs import (
-    add_listener, emit_span, get_registry, remove_listener,
+    add_listener, emit_span, env_int, get_registry, remove_listener,
     render_prometheus, trace_enabled,
 )
 from repro.service.cells import failure_line, result_line
@@ -108,12 +108,8 @@ class SweepServer:
                  allow_shutdown=True, **service_kwargs):
         self.host = host if host is not None else \
             os.environ.get(SERVICE_HOST_ENV, "127.0.0.1")
-        if port is None:
-            try:
-                port = int(os.environ.get(SERVICE_PORT_ENV, "0"))
-            except ValueError:
-                port = 0
-        self.port = port
+        self.port = port if port is not None else \
+            env_int(SERVICE_PORT_ENV, default=0)
         self.service = service or SweepService(**service_kwargs)
         self.allow_shutdown = allow_shutdown
         self._server = None

@@ -7,7 +7,7 @@ from repro.backends import (
 )
 from repro.backends.wasm_gen import peephole
 from repro.cfront import parse_c, preprocess
-from repro.harness import install_c_host
+from repro.engine.hostlib import install_js_host
 from repro.jsengine import JsEngine
 from repro.native import execute_program
 from repro.wasm import validate_module
@@ -23,7 +23,7 @@ def compile_ir(source, defines=None):
 def run_js_main(js_source):
     engine = JsEngine()
     output = []
-    install_c_host(engine, output)
+    install_js_host(engine, output)
     engine.load_script(js_source)
     engine.call_global("main")
     return output, engine

@@ -248,8 +248,8 @@ class TestEnginesChargeCompileCycles:
 
 # ---------------------------------------------------------------------------
 # Satellite: one source of truth for tier parameters.  WasmEngineConfig
-# holds a TierPolicy; the legacy scalar fields are views, so the two can
-# never drift apart again.
+# holds a TierPolicy and keeps no scalar copy or view of it, so the two
+# can never drift apart again.
 
 class TestNoDrift:
     def test_config_and_policy_share_no_fields(self):
@@ -258,31 +258,29 @@ class TestNoDrift:
         assert cfg_fields & tier_fields == set()
         assert "tiers" in cfg_fields
         # The old duplicated scalars are really gone from the config.
-        assert "basic_exec_factor" not in cfg_fields
         assert "tier_up_instructions" not in cfg_fields
 
     @pytest.mark.parametrize(
         "profile", ALL_DESKTOP() + ALL_MOBILE() + ALL_RUNTIMES(),
         ids=lambda p: f"{p.name}-{p.version}")
     def test_legacy_views_mirror_the_policy(self, profile):
+        """The one view of the tier parameters is the policy itself: the
+        legacy scalar views are deleted, so none can disagree with it."""
         cfg = profile.wasm
         policy = cfg.tier_policy()
         assert policy is cfg.tiers          # same object, not a copy
-        assert cfg.basic_enabled == policy.basic_enabled
-        assert cfg.optimizing_enabled == policy.optimizing_enabled
-        assert cfg.eager_opt_compile == policy.eager_opt_compile
-        assert cfg.tier_up_instructions == policy.tier_up_instructions
-        assert cfg.basic_name == policy.basic.name
-        assert cfg.optimizing_name == policy.optimizing.name
-        assert cfg.basic_exec_factor == policy.basic.exec_factor
-        assert cfg.opt_exec_factor == policy.optimizing.exec_factor
+        assert not [name for name, value in vars(type(cfg)).items()
+                    if isinstance(value, property)]
+        for f in dataclasses.fields(TierPolicy):
+            assert not hasattr(cfg, f.name)
 
     def test_evolved_routes_legacy_spellings_into_the_policy(self):
         from repro.env import chrome_desktop
 
         cfg = chrome_desktop().wasm
-        evolved = cfg.evolved(opt_exec_factor=2.5, tier_up_instructions=7,
-                              boundary_cost=99.0)
+        evolved = cfg.evolved(
+            optimizing=replace(cfg.tiers.optimizing, exec_factor=2.5),
+            tier_up_instructions=7, boundary_cost=99.0)
         assert evolved.tiers.optimizing.exec_factor == 2.5
         assert evolved.tiers.tier_up_instructions == 7
         assert evolved.boundary_cost == 99.0

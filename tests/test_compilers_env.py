@@ -106,11 +106,11 @@ class TestChromeFlags:
         basic = ChromeFlags.parse(
             'chrome.exe --js-flags="--liftoff --no-wasm-tier-up"'
         ).apply(chrome_desktop())
-        assert not basic.wasm.optimizing_enabled
+        assert not basic.wasm.tiers.optimizing_enabled
         opt = ChromeFlags.parse(
             'chrome.exe --js-flags="--no-liftoff --no-wasm-tier-up"'
         ).apply(chrome_desktop())
-        assert not opt.wasm.basic_enabled
+        assert not opt.wasm.tiers.basic_enabled
 
     def test_command_line_roundtrip(self):
         flags = ChromeFlags(incognito=True, js_flags=["--no-opt"])
@@ -131,14 +131,14 @@ class TestProfiles:
             0.2 * chrome_desktop().wasm.boundary_cost
 
     def test_firefox_wasm_code_quality_leads_desktop(self):
-        assert firefox_desktop().wasm.opt_exec_factor < \
-            chrome_desktop().wasm.opt_exec_factor
+        assert firefox_desktop().wasm.tiers.optimizing.exec_factor < \
+            chrome_desktop().wasm.tiers.optimizing.exec_factor
 
     def test_cranelift_on_mobile_firefox(self):
         profile = firefox_mobile()
-        assert profile.wasm.optimizing_name == "Cranelift"
-        assert profile.wasm.opt_exec_factor > \
-            chrome_mobile().wasm.opt_exec_factor
+        assert profile.wasm.tiers.optimizing.name == "Cranelift"
+        assert profile.wasm.tiers.optimizing.exec_factor > \
+            chrome_mobile().wasm.tiers.optimizing.exec_factor
 
     def test_platforms(self):
         assert DESKTOP.kind == "desktop" and MOBILE.kind == "mobile"
@@ -148,8 +148,8 @@ class TestProfiles:
     def test_with_wasm_does_not_mutate(self):
         profile = chrome_desktop()
         clone = profile.with_wasm(basic_enabled=False)
-        assert profile.wasm.basic_enabled
-        assert not clone.wasm.basic_enabled
+        assert profile.wasm.tiers.basic_enabled
+        assert not clone.wasm.tiers.basic_enabled
 
 
 class TestHarness:

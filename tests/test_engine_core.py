@@ -12,7 +12,8 @@ import pytest
 
 from repro.clibm import c_exp, c_fmod, c_log, c_pow, js_pow
 from repro.engine import (
-    EngineStats, OpClass, TierController, TierPolicy, new_op_counts,
+    CodeUnit, EngineStats, OpClass, TierController, TierPolicy,
+    new_op_counts,
 )
 from repro.engine.hostlib import (
     JS_MATH, LIBM, install_js_host, js_exp, native_libm, wasm_host_imports,
@@ -28,29 +29,37 @@ from repro.wasm.vm import ExecutionStats
 
 def _legacy_wasm_compile_and_factor(cfg, static_instrs, instret):
     """The pre-refactor ``PageRunner._wasm_total_cycles`` tier arithmetic,
-    kept verbatim as the parity oracle."""
+    kept verbatim as the parity oracle (``cfg`` is the profile's
+    :class:`TierPolicy`)."""
+    basic, opt = cfg.basic, cfg.optimizing
     total = 0.0
     if cfg.basic_enabled and cfg.optimizing_enabled \
             and cfg.eager_opt_compile:
-        total += static_instrs * (cfg.basic_compile_cycles_per_instr
-                                  + cfg.opt_compile_cycles_per_instr)
-        factor = cfg.opt_exec_factor
+        total += static_instrs * (basic.cycles_per_instr
+                                  + opt.cycles_per_instr)
+        factor = opt.exec_factor
     elif cfg.basic_enabled and cfg.optimizing_enabled:
-        total += static_instrs * cfg.basic_compile_cycles_per_instr
+        total += static_instrs * basic.cycles_per_instr
         if instret > cfg.tier_up_instructions:
-            total += static_instrs * cfg.opt_compile_cycles_per_instr
+            total += static_instrs * opt.cycles_per_instr
             frac_basic = cfg.tier_up_instructions / max(instret, 1)
         else:
             frac_basic = 1.0
-        factor = (cfg.basic_exec_factor * frac_basic +
-                  cfg.opt_exec_factor * (1.0 - frac_basic))
+        factor = (basic.exec_factor * frac_basic +
+                  opt.exec_factor * (1.0 - frac_basic))
     elif cfg.basic_enabled:
-        total += static_instrs * cfg.basic_compile_cycles_per_instr
-        factor = cfg.basic_exec_factor
+        total += static_instrs * basic.cycles_per_instr
+        factor = basic.exec_factor
     else:
-        total += static_instrs * cfg.opt_compile_cycles_per_instr
-        factor = cfg.opt_exec_factor
+        total += static_instrs * opt.cycles_per_instr
+        factor = opt.exec_factor
     return total, factor
+
+
+def _size_plan(controller, static_instrs, dynamic_instrs):
+    """The plan for a unit known only by its static instruction count."""
+    return controller.plan(CodeUnit(static_instrs=static_instrs),
+                           dynamic_instrs)
 
 
 class TestWasmTierParity:
@@ -62,45 +71,44 @@ class TestWasmTierParity:
     def test_profiles_reproduce_legacy_arithmetic(self, profile):
         controller = TierController(profile.wasm.tier_policy())
         for static_instrs, instret in self.WORKLOADS:
-            plan = controller.compile_plan(static_instrs, instret)
+            plan = _size_plan(controller, static_instrs, instret)
             compile_total = 0.0
-            for _phase, _tier, cycles in plan.compiles:
-                compile_total += cycles
+            for charge in plan.charges:
+                compile_total += charge.cycles
             legacy_total, legacy_factor = _legacy_wasm_compile_and_factor(
-                profile.wasm, static_instrs, instret)
+                profile.wasm.tiers, static_instrs, instret)
             assert compile_total == legacy_total
             assert plan.exec_factor == legacy_factor
 
     def test_tier_up_is_strict_threshold(self):
-        cfg = chrome_desktop().wasm
-        controller = TierController(cfg.tier_policy())
-        at = controller.compile_plan(100, cfg.tier_up_instructions)
-        above = controller.compile_plan(100, cfg.tier_up_instructions + 1)
-        assert not at.tiered_up and at.exec_factor == cfg.basic_exec_factor
+        cfg = chrome_desktop().wasm.tiers
+        controller = TierController(cfg)
+        at = _size_plan(controller, 100, cfg.tier_up_instructions)
+        above = _size_plan(controller, 100, cfg.tier_up_instructions + 1)
+        assert not at.tiered_up and at.exec_factor == cfg.basic.exec_factor
         assert above.tiered_up
-        assert [p for p, _t, _c in above.compiles] == ["compile", "tier-up"]
+        assert [c.phase for c in above.charges] == ["compile", "tier-up"]
 
     def test_disabled_tier_configs(self):
         base = chrome_desktop().wasm.tier_policy()
         basic_only = TierController(
             replace(base, optimizing_enabled=False))
-        plan = basic_only.compile_plan(50, 10 ** 9)
+        plan = _size_plan(basic_only, 50, 10 ** 9)
         assert not plan.tiered_up
-        assert plan.exec_factor == base.basic_exec_factor
+        assert plan.exec_factor == base.basic.exec_factor
         opt_only = TierController(replace(base, basic_enabled=False))
-        plan = opt_only.compile_plan(50, 0)
-        assert plan.exec_factor == base.opt_exec_factor
-        assert plan.compile_cycles == 50 * base.opt_compile_cost
+        plan = _size_plan(opt_only, 50, 0)
+        assert plan.exec_factor == base.optimizing.exec_factor
+        assert plan.compile_cycles == 50 * base.optimizing.cycles_per_instr
 
     def test_eager_compiles_both_tiers_in_one_charge(self):
-        cfg = firefox_desktop().wasm
+        cfg = firefox_desktop().wasm.tiers
         assert cfg.eager_opt_compile
-        plan = TierController(cfg.tier_policy()).compile_plan(200, 10 ** 9)
-        assert len(plan.compiles) == 1
-        assert plan.compiles[0][2] == 200 * (
-            cfg.basic_compile_cycles_per_instr
-            + cfg.opt_compile_cycles_per_instr)
-        assert plan.exec_factor == cfg.opt_exec_factor
+        plan = _size_plan(TierController(cfg), 200, 10 ** 9)
+        assert len(plan.charges) == 1
+        assert plan.charges[0].cycles == 200 * (
+            cfg.basic.cycles_per_instr + cfg.optimizing.cycles_per_instr)
+        assert plan.exec_factor == cfg.optimizing.exec_factor
 
 
 class TestJsTierParity:
@@ -109,9 +117,10 @@ class TestJsTierParity:
     def test_policy_mirrors_config(self, profile):
         cfg = profile.js
         policy = TierPolicy.from_js_config(cfg)
-        assert policy.basic_exec_factor == cfg.tier0_factor
-        assert policy.opt_exec_factor == cfg.tier1_factor
-        assert policy.opt_compile_cost == cfg.tier1_compile_cycles_per_op
+        assert policy.basic.exec_factor == cfg.tier0_factor
+        assert policy.optimizing.exec_factor == cfg.tier1_factor
+        assert policy.optimizing.cycles_per_instr == \
+            cfg.tier1_compile_cycles_per_op
         assert policy.call_threshold == cfg.call_threshold
         assert policy.backedge_threshold == cfg.backedge_threshold
         assert policy.optimizing_enabled == cfg.jit_enabled
@@ -150,12 +159,6 @@ class TestUnifiedStats:
             assert stats.count(OpClass.ADD) == 0
             assert set(stats.arithmetic_profile()) == \
                 {"ADD", "MUL", "DIV", "REM", "SHIFT", "AND", "OR"}
-
-    def test_js_exec_ops_alias(self):
-        stats = JsExecutionStats()
-        stats.exec_ops += 7
-        assert stats.instructions == 7
-        assert stats.exec_ops == 7
 
     def test_native_machine_attributes_op_classes(self):
         from repro.native.machine import (

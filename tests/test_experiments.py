@@ -5,7 +5,9 @@ quick subset with 1 repetition and reduced sizes, asserting the output
 structure plus the paper findings that are cheap to check.
 """
 
+import importlib.util
 import os
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,8 @@ from repro.experiments import (
 from repro.experiments.common import QUICK_SET
 from repro.experiments.input_sizes import input_size_tables
 from repro.suites import benchmark_names
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -47,6 +51,40 @@ def ctx():
 def test_quick_set_is_valid():
     names = set(benchmark_names())
     assert set(QUICK_SET) <= names
+
+
+def _benchmarks_quick():
+    """``benchmarks/conftest.py``'s quick/full selection."""
+    spec = importlib.util.spec_from_file_location(
+        "repro_bench_conftest", ROOT / "benchmarks" / "conftest.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module._quick()
+
+
+@pytest.mark.parametrize("raw, quick", [
+    (None, False), ("", False), ("0", False), ("off", False),
+    ("1", True), ("on", True), ("yes", True),
+])
+def test_quick_knob_is_a_flag(monkeypatch, raw, quick):
+    """``REPRO_QUICK`` parses like every boolean knob: ``0``/``off`` and
+    unset select the full suite (five repetitions), ``1``/``on`` the
+    quick subset (two)."""
+    monkeypatch.delenv("REPRO_FULL", raising=False)
+    if raw is None:
+        monkeypatch.delenv("REPRO_QUICK", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_QUICK", raw)
+    ctx = ExperimentContext(jobs=1)
+    assert ctx.quick is quick
+    assert ctx.repetitions == (2 if quick else 5)
+    # benchmarks/ defaults to quick; only an explicit REPRO_FULL=1 (and
+    # no REPRO_QUICK=1) sweeps the full suite.
+    assert _benchmarks_quick()
+    monkeypatch.setenv("REPRO_FULL", "1")
+    assert _benchmarks_quick() is quick
+    monkeypatch.setenv("REPRO_FULL", "0")
+    assert _benchmarks_quick()
 
 
 def test_context_switch_firefox_fastest():

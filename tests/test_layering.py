@@ -64,3 +64,36 @@ def test_engines_have_no_apparatus_imports_today():
     violations = [v for v in check_layering.check()
                   if "harness" in v or "experiments" in v]
     assert violations == [], "\n".join(violations)
+
+
+def test_typed_env_parses_must_use_envflags(tmp_path):
+    """``int``/``float``/``bool`` over an environment read — directly or
+    through a local bound to one — is flagged everywhere except the
+    shared parser itself; string reads and parses of non-env values are
+    not."""
+    knobs = tmp_path / "harness" / "knobs.py"
+    knobs.parent.mkdir()
+    knobs.write_text(
+        "import os\n"
+        "def jobs():\n"
+        "    env = os.environ.get('REPRO_JOBS', '').strip()\n"
+        "    return max(1, int(env)) if env else 1\n"
+        "def quick():\n"
+        "    return bool(os.environ.get('REPRO_QUICK'))\n"
+        "def timeout():\n"
+        "    return float(os.getenv('REPRO_CELL_TIMEOUT', '0'))\n"
+        "PORT = int(os.environ['REPRO_SERVICE_PORT'])\n"
+        "def host():\n"
+        "    return os.environ.get('REPRO_SERVICE_HOST', '127.0.0.1')\n"
+        "def count(spec):\n"
+        "    return int(spec)\n")
+    envflags = tmp_path / "obs" / "envflags.py"
+    envflags.parent.mkdir()
+    envflags.write_text(
+        "import os\n"
+        "def env_int(name):\n"
+        "    return int(os.environ.get(name, '0'))\n")
+    violations = check_layering.check(src=tmp_path)
+    assert [v.split(":")[:2] for v in violations] == [
+        ["src/repro/harness/knobs.py", str(line)] for line in (4, 6, 8, 9)]
+    assert all("envflags" in v for v in violations)

@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from repro.harness import install_c_host
+from repro.engine.hostlib import install_js_host
 from repro.jsengine import JsEngine
 from repro.manualjs import get_manual_program, manual_programs
 
@@ -12,7 +12,7 @@ from repro.manualjs import get_manual_program, manual_programs
 def run_manual(name):
     program = get_manual_program(name)
     engine = JsEngine()
-    install_c_host(engine, [])
+    install_js_host(engine, [])
     engine.load_script(program.source)
     return engine.call_global(program.entry), engine
 

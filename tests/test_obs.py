@@ -17,8 +17,9 @@ from hypothesis import given, settings, strategies as st
 from repro.jsengine.bytecode import JS_OP_COST, JS_OP_COST_OPT
 from repro.native.machine import N_COST, VECTOR_COST_FACTOR
 from repro.obs import (
-    DET, SCHED, WALL, EngineProfile, MetricsRegistry, emit, events_enabled,
-    get_registry, new_profile, profile_enabled, reset_registry, span,
+    DET, SCHED, WALL, EngineProfile, MetricsRegistry, TraceContext, emit,
+    events_enabled, get_registry, new_profile, profile_enabled,
+    reset_registry, span,
 )
 from repro.obs.metrics import Counter, DEFAULT_BOUNDS
 from repro.wasm.instructions import OP_COST
@@ -344,19 +345,27 @@ def test_emit_allows_kind_field(tmp_path, monkeypatch):
 
 
 def test_span_records_wall_and_count(tmp_path, monkeypatch):
+    """Every span books its metrics; only a traced span (a context given
+    or active) also emits an event, carrying ids and its fields."""
     path = tmp_path / "events.jsonl"
     monkeypatch.setenv("REPRO_EVENTS", str(path))
-    with span("unit.region", phase="test") as fields:
-        fields["extra"] = 42
+    with span("unit.region", phase="test") as ctx:
+        assert ctx is None
     exported = get_registry().export()
     assert exported["unit.region.count"] == 1
     assert exported["unit.region.wall_ms"] >= 0.0
     assert get_registry().stability("unit.region.wall_ms") == WALL
     assert get_registry().stability("unit.region.count") == SCHED
+    assert not path.exists()
+    root = TraceContext.root("unit", 1)
+    with span("unit.region", ctx=root, parts=(1,), phase="test") as ctx:
+        assert ctx.parent_id == root.span_id
+    assert get_registry().export()["unit.region.count"] == 2
     event = json.loads(path.read_text().strip())
     assert event["event"] == "span"
-    assert event["span"] == "unit.region"
-    assert event["extra"] == 42
+    assert event["name"] == "unit.region"
+    assert event["phase"] == "test"
+    assert event["span_id"] == ctx.span_id
 
 
 def test_failed_open_resets_sink_state(tmp_path, monkeypatch):
@@ -413,8 +422,9 @@ def test_fork_inherited_listeners_purged_once(monkeypatch):
 
 
 def test_raising_span_books_metrics_and_outcome(tmp_path, monkeypatch):
-    """A region that raises still lands its wall_ms/count metrics, and
-    its event records ``outcome: raised``."""
+    """A region that raises still lands its wall_ms/count metrics, with
+    or without a trace context, and its event records ``outcome:
+    raised``."""
     path = tmp_path / "events.jsonl"
     monkeypatch.setenv("REPRO_EVENTS", str(path))
     with pytest.raises(RuntimeError):
@@ -423,13 +433,17 @@ def test_raising_span_books_metrics_and_outcome(tmp_path, monkeypatch):
     exported = get_registry().export()
     assert exported["unit.fail.count"] == 1
     assert exported["unit.fail.wall_ms"] >= 0.0
+    root = TraceContext.root("unit", 1)
+    with pytest.raises(RuntimeError):
+        with span("unit.fail", ctx=root, phase="test"):
+            raise RuntimeError("boom")
     event = json.loads(path.read_text().strip())
     assert event["outcome"] == "raised"
-    with span("unit.fail", phase="test"):
+    with span("unit.fail", ctx=root, parts=(2,), phase="test"):
         pass
     last = json.loads(path.read_text().strip().splitlines()[-1])
     assert last["outcome"] == "ok"
-    assert get_registry().export()["unit.fail.count"] == 2
+    assert get_registry().export()["unit.fail.count"] == 3
 
 
 # -- prometheus export -----------------------------------------------------

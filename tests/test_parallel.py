@@ -63,7 +63,15 @@ class TestParallelMap:
         assert default_jobs() == 1
         monkeypatch.setenv(JOBS_ENV, "7")
         assert default_jobs() == 7
+        monkeypatch.setenv(JOBS_ENV, " 3 ")
+        assert default_jobs() == 3
+        monkeypatch.setenv(JOBS_ENV, "0")          # clamped to serial
+        assert default_jobs() == 1
+        monkeypatch.setenv(JOBS_ENV, "-2")
+        assert default_jobs() == 1
         monkeypatch.setenv(JOBS_ENV, "garbage")
+        assert default_jobs() == (os.cpu_count() or 1)
+        monkeypatch.delenv(JOBS_ENV)
         assert default_jobs() == (os.cpu_count() or 1)
 
 

@@ -66,13 +66,13 @@ def _wasm_profile(cheerp):
 
 
 def _js_profile(cheerp):
-    from repro.harness import install_c_host
+    from repro.engine.hostlib import install_js_host
     from repro.jsengine import JsEngine
 
     artifact = cheerp.compile_js(PROGRAM, opt_level="O2")
     output = []
     engine = JsEngine()
-    install_c_host(engine, output)
+    install_js_host(engine, output)
     engine.load_script(artifact.source)
     engine.call_global("main")
     return engine._profile.to_dict(), engine.stats, output

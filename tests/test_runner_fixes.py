@@ -237,11 +237,11 @@ class TestCopysignEndToEnd:
                 == expected
 
     def test_js(self, cheerp):
-        from repro.harness import install_c_host
+        from repro.engine.hostlib import install_js_host
         from repro.jsengine import JsEngine
         art = cheerp.compile_js(SIGNED_ZERO_C, name="signedzero")
         engine = JsEngine()
-        install_c_host(engine, [])
+        install_js_host(engine, [])
         engine.load_script(art.source)
         for fn, args, expected in self.CASES:
             assert repr(engine.call_global(fn, *args)) == expected

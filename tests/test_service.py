@@ -17,6 +17,7 @@ from repro.obs import (
     remove_listener, reset_registry, tracing,
 )
 from repro.service import (
+    SERVICE_PORT_ENV,
     AdmissionError,
     CellSpec,
     RequestError,
@@ -363,6 +364,20 @@ class TestHttpServer:
                 await server.stop()
 
         return asyncio.run(drive())
+
+    def test_port_env(self, monkeypatch):
+        """``REPRO_SERVICE_PORT`` is an integer knob (default 0, an
+        ephemeral port); an explicit ``port`` argument wins."""
+        def port():
+            return SweepServer(service=object()).port
+
+        monkeypatch.delenv(SERVICE_PORT_ENV, raising=False)
+        assert port() == 0
+        monkeypatch.setenv(SERVICE_PORT_ENV, " 8123 ")
+        assert port() == 8123
+        assert SweepServer(port=9, service=object()).port == 9
+        monkeypatch.setenv(SERVICE_PORT_ENV, "garbage")
+        assert port() == 0
 
     def test_healthz_stats_and_errors(self, service_env):
         async def scenario(server, loop):

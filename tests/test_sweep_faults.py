@@ -138,6 +138,10 @@ class TestRetries:
     def test_retries_env(self, monkeypatch):
         monkeypatch.setenv(RETRIES_ENV, "4")
         assert default_retries() == 4
+        monkeypatch.setenv(RETRIES_ENV, "0")
+        assert default_retries() == 0
+        monkeypatch.setenv(RETRIES_ENV, "-3")       # clamped to no retry
+        assert default_retries() == 0
         monkeypatch.setenv(RETRIES_ENV, "garbage")
         assert default_retries() == 1
         monkeypatch.delenv(RETRIES_ENV)
@@ -175,6 +179,8 @@ class TestTimeouts:
         monkeypatch.setenv(CELL_TIMEOUT_ENV, "2.5")
         assert default_cell_timeout() == 2.5
         monkeypatch.setenv(CELL_TIMEOUT_ENV, "0")
+        assert default_cell_timeout() is None
+        monkeypatch.setenv(CELL_TIMEOUT_ENV, "-1.5")
         assert default_cell_timeout() is None
         monkeypatch.setenv(CELL_TIMEOUT_ENV, "garbage")
         assert default_cell_timeout() is None

@@ -43,41 +43,41 @@ class TestPlanEdges:
         """eager_opt_compile only means 'compile both at startup' when
         both tiers exist; with the basic tier disabled it is an opt-only
         host, not an error and not a double charge."""
-        policy = chrome_desktop().wasm.tier_policy().tweak(
-            basic_enabled=False, eager_opt_compile=True)
+        policy = replace(chrome_desktop().wasm.tier_policy(),
+                         basic_enabled=False, eager_opt_compile=True)
         plan = TierController(policy).plan(UNIT, 10 ** 9)
-        assert [(p, t) for p, t, _c in plan.compiles] == \
-            [("compile", policy.optimizing_name)]
+        assert [(c.phase, c.tier) for c in plan.charges] == \
+            [("compile", policy.optimizing.name)]
         assert plan.compile_cycles == policy.optimizing.compile_cycles(UNIT)
-        assert plan.exec_factor == policy.opt_exec_factor
+        assert plan.exec_factor == policy.optimizing.exec_factor
         assert not plan.tiered_up           # never *promoted* — started there
 
     def test_zero_threshold_promotes_on_any_execution(self):
-        policy = chrome_desktop().wasm.tier_policy().tweak(
-            tier_up_instructions=0)
+        policy = replace(chrome_desktop().wasm.tier_policy(),
+                         tier_up_instructions=0)
         controller = TierController(policy)
         hot = controller.plan(UNIT, 1)
         assert hot.tiered_up and hot.switch_instructions == 0
         # frac_basic = 0/1: every retired instruction ran optimized.
-        assert hot.exec_factor == policy.opt_exec_factor
+        assert hot.exec_factor == policy.optimizing.exec_factor
         cold = controller.plan(UNIT, 0)     # never executed: strict >
         assert not cold.tiered_up
-        assert cold.exec_factor == policy.basic_exec_factor
+        assert cold.exec_factor == policy.basic.exec_factor
 
     def test_threshold_of_one_blends_at_the_second_instruction(self):
-        policy = chrome_desktop().wasm.tier_policy().tweak(
-            tier_up_instructions=1)
+        policy = replace(chrome_desktop().wasm.tier_policy(),
+                         tier_up_instructions=1)
         controller = TierController(policy)
         assert not controller.plan(UNIT, 1).tiered_up
         hot = controller.plan(UNIT, 2)
         assert hot.tiered_up
-        assert hot.exec_factor == (policy.basic_exec_factor * 0.5
-                                   + policy.opt_exec_factor * 0.5)
+        assert hot.exec_factor == (policy.basic.exec_factor * 0.5
+                                   + policy.optimizing.exec_factor * 0.5)
 
     @pytest.mark.parametrize("policy_fn", [
         lambda: chrome_desktop().wasm.tier_policy(),
-        lambda: firefox_desktop().wasm.tier_policy().tweak(
-            eager_opt_compile=False),
+        lambda: replace(firefox_desktop().wasm.tier_policy(),
+                        eager_opt_compile=False),
     ], ids=["chrome", "firefox-lazy"])
     def test_tier_up_exactly_on_threshold_stays_basic(self, policy_fn):
         policy = policy_fn()
@@ -142,7 +142,8 @@ class TestEngineEdgesDifferential:
     ], ids=["zero-threshold", "one-threshold", "eager-no-basic"])
     def test_wasm_stats_identical_across_tiers(self, monkeypatch,
                                                policy_kwargs):
-        policy = chrome_desktop().wasm.tier_policy().tweak(**policy_kwargs)
+        policy = replace(chrome_desktop().wasm.tier_policy(),
+                         **policy_kwargs)
         snaps = {}
         for tier in TIERS:
             _set_tier(monkeypatch, tier)
@@ -181,26 +182,17 @@ class TestEngineEdgesDifferential:
 
 
 # ---------------------------------------------------------------------------
-# tweak() keeps accepting the legacy spellings the satellites removed
-# from the config (regression guard for the alias table).
+# The tweak() alias table is gone: a tier parameter changes by replacing
+# its compiler model, and every update path rejects names that are not
+# fields instead of guessing at a spelling.
 
 class TestTweakAliases:
-    def test_legacy_scalar_spellings_rewrite_the_models(self):
-        policy = TierPolicy()
-        tweaked = policy.tweak(basic_compile_cycles_per_instr=3.25,
-                               opt_compile_cycles_per_instr=40.0,
-                               basic_exec_factor=1.5,
-                               tier_up_instructions=123)
-        assert tweaked.basic.cycles_per_instr == 3.25
-        assert tweaked.optimizing.cycles_per_instr == 40.0
-        assert tweaked.basic.exec_factor == 1.5
-        assert tweaked.tier_up_instructions == 123
-        # The original frozen policy is untouched.
-        assert policy.basic.cycles_per_instr == 2.0
-
     def test_unknown_kwarg_still_raises(self):
+        assert not hasattr(TierPolicy, "tweak")
         with pytest.raises(TypeError):
-            TierPolicy().tweak(not_a_field=1)
+            replace(TierPolicy(), not_a_field=1)
+        with pytest.raises(TypeError):
+            chrome_desktop().wasm.evolved(not_a_field=1)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ against the measured execution time, and JSON round-tripping.
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -42,7 +43,8 @@ class TestTraceStructure:
         trace = ExecutionTrace("js")
         trace.emit("parse", 0.0, 12.5, tokens=40)
         trace.emit("gc", 99.0, 8000.0)
-        restored = ExecutionTrace.from_json(trace.to_json())
+        restored = ExecutionTrace.from_dict(
+            json.loads(json.dumps(trace.to_dict())))
         assert restored.engine == "js"
         assert [e.to_dict() for e in restored.events] == \
             [e.to_dict() for e in trace.events]
@@ -67,7 +69,7 @@ class TestWasmTrace:
         events = ExecutionTrace.from_dict(wasm_m.detail["trace"]).events
         execute = next(e for e in events if e.phase == "execute")
         tier_ups = [e for e in events if e.phase == "tier-up"]
-        threshold = chrome_desktop().wasm.tier_up_instructions
+        threshold = chrome_desktop().wasm.tiers.tier_up_instructions
         assert execute.detail["instructions"] > threshold
         assert len(tier_ups) == 1
         assert tier_ups[0].detail["tier"] == "TurboFan"

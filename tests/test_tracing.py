@@ -12,9 +12,9 @@ import pytest
 
 from repro.harness.parallel import FaultPlan, run_sweep
 from repro.obs import (
-    DET, TraceContext, activate, add_listener, current, derive_id,
-    emit_span, get_registry, remove_listener, reset_registry,
-    trace_enabled, trace_span,
+    DET, SCHED, WALL, TraceContext, activate, add_listener, current,
+    derive_id, emit_span, get_registry, remove_listener, reset_registry,
+    span, trace_enabled, tracing,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -76,7 +76,7 @@ class TestIds:
         assert not trace_enabled()
 
 
-# -- activation stack / trace_span -----------------------------------------
+# -- activation stack / span -----------------------------------------------
 
 
 class TestActivation:
@@ -98,35 +98,57 @@ class TestActivation:
             assert ctx is None
             assert current() is None
 
-    def test_trace_span_without_context_is_inert(self):
+    def test_span_without_context_is_inert(self, monkeypatch):
+        """No context: the span still books its wall/count metrics, but
+        derives no id, activates nothing and emits no event."""
+        derived = []
+        real_derive = tracing.derive_id
+
+        def counting_derive(*parts):
+            derived.append(parts)
+            return real_derive(*parts)
+
+        monkeypatch.setattr(tracing, "derive_id", counting_derive)
         events = []
         token = add_listener(events.append)
         try:
-            with trace_span("region") as ctx:
+            with span("region", parts=(7,), label="x") as ctx:
                 assert ctx is None
+                assert current() is None
         finally:
             remove_listener(token)
         assert events == []
+        assert derived == []
+        reg = get_registry()
+        assert reg.export([SCHED])["region.count"] == 1
+        assert reg.export([WALL])["region.wall_ms"] >= 0.0
 
-    def test_trace_span_emits_and_records_raised_outcome(self):
+    def test_span_emits_and_records_raised_outcome(self):
         events = []
         token = add_listener(events.append)
         root = TraceContext.root("t", 1)
         try:
             with pytest.raises(ValueError):
-                with trace_span("region", ctx=root, parts=(7,),
-                                label="x") as ctx:
+                with span("region", ctx=root, parts=(7,),
+                          label="x") as ctx:
                     assert current() is ctx
                     raise ValueError("boom")
         finally:
             remove_listener(token)
-        (event,) = [e for e in events if e["event"] == "tspan"]
+        # Span ids are part of the trace contract: pinned to the
+        # ``root.child(name, *parts)`` derivation, literal included.
+        assert ctx == root.child("region", 7)
+        assert ctx.span_id == "3b609907fef6f625"
+        assert current() is None
+        (event,) = [e for e in events if e["event"] == "span"]
         assert event["name"] == "region"
         assert event["outcome"] == "raised"
         assert event["label"] == "x"
-        assert event["span_id"] == root.child("region", 7).span_id
+        assert event["span_id"] == ctx.span_id
         assert event["parent_span_id"] == root.span_id
         assert event["dur_us"] >= 0
+        # A raising body still books the span's metrics.
+        assert get_registry().export([SCHED])["region.count"] == 1
 
     def test_emit_span_is_noop_without_sink(self, monkeypatch):
         monkeypatch.delenv("REPRO_EVENTS", raising=False)
@@ -178,7 +200,7 @@ def test_sweep_ships_context_and_links_attempts(tmp_path, monkeypatch,
     root, traces, records, _events = _sweep_records(tmp_path, monkeypatch,
                                                     jobs)
     attempts = [r for r in records
-                if r["event"] == "tspan" and r["name"] == "sched.attempt"]
+                if r["event"] == "span" and r["name"] == "sched.attempt"]
     by_label = {}
     for span in attempts:
         by_label.setdefault(span["label"], []).append(span)
@@ -219,7 +241,7 @@ def test_untraced_sweep_emits_no_trace_fields(tmp_path, monkeypatch):
     records = [json.loads(line)
                for line in events.read_text().splitlines()]
     assert records                           # events flow regardless
-    assert not [r for r in records if r["event"] == "tspan"]
+    assert not [r for r in records if r["event"] == "span"]
     assert not [r for r in records if "trace_id" in r]
 
 
@@ -244,17 +266,55 @@ def test_det_metrics_identical_with_tracing_on(tmp_path, monkeypatch):
     assert get_registry().export([DET]) == untraced
 
 
+def test_compile_spans_nest_under_the_cell_in_chrome_trace(tmp_path,
+                                                          monkeypatch):
+    """A traced ``direct_lines`` run over one wasm cell exports a Chrome
+    trace in which the cell's compile is a span whose parent is the
+    cell span named on the result line."""
+    from repro.cache import configure
+    from repro.service import canonicalize_request, direct_lines
+
+    events = tmp_path / "events.jsonl"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setenv("REPRO_RESULT_CACHE", "0")
+    monkeypatch.setenv("REPRO_EVENTS", str(events))
+    monkeypatch.setenv("REPRO_TRACE", "1")
+    configure(root=str(tmp_path / "cache"), disk=True)
+    try:
+        (spec,) = canonicalize_request(
+            {"benchmarks": ["atax"], "targets": ["wasm"],
+             "opt_levels": ["O2"], "sizes": ["S"],
+             "repetitions": 1}).cells
+        (line,) = direct_lines([spec],
+                               trace=TraceContext.root("test", 1))
+    finally:
+        configure()
+    payload = _load_exporter().export_file(str(events),
+                                           str(tmp_path / "trace.json"))
+    spans = [e for e in payload["traceEvents"] if e.get("cat") == "span"]
+    cell_id = json.loads(line)["trace"]["span_id"]
+    (cell,) = [e for e in spans if e["args"]["span_id"] == cell_id]
+    assert cell["name"] == "cell"
+    compiles = [e for e in spans if e["name"] == "compile"]
+    assert compiles
+    for compile_span in compiles:
+        assert compile_span["args"]["parent_span_id"] == cell_id
+        assert compile_span["args"]["kind"] == "wasm"
+        assert compile_span["args"]["program"] == "atax"
+        assert cell["ts"] <= compile_span["ts"]
+
+
 # -- exporter --------------------------------------------------------------
 
 
 class TestExporter:
-    def test_tspan_and_phase_records_become_lanes(self):
+    def test_span_and_phase_records_become_lanes(self):
         export = _load_exporter()
         records = [
-            {"event": "tspan", "pid": 10, "name": "service.request",
+            {"event": "span", "pid": 10, "name": "service.request",
              "ts_us": 100, "dur_us": 50, "outcome": "ok",
              "trace_id": "t1", "span_id": "s1"},
-            {"event": "tspan", "pid": 10, "name": "sched.attempt",
+            {"event": "span", "pid": 10, "name": "sched.attempt",
              "ts_us": 110, "dur_us": 20, "outcome": "ok",
              "trace_id": "t1", "span_id": "s2", "parent_span_id": "s1"},
             {"event": "trace", "pid": 11, "engine": "wasm",

@@ -109,7 +109,7 @@ def _wasm_runner(reps):
 def _js_runner(reps):
     from repro.backends import generate_js
     from repro.cfront import parse_c, preprocess
-    from repro.harness import install_c_host
+    from repro.engine.hostlib import install_js_host
     from repro.jsengine import JsEngine
 
     source = generate_js(parse_c(preprocess(_micro_sources(reps))))
@@ -117,7 +117,7 @@ def _js_runner(reps):
     def run():
         output = []
         engine = JsEngine()
-        install_c_host(engine, output)
+        install_js_host(engine, output)
         engine.load_script(source)
         engine.call_global("main")
         return output, engine.stats.cycles, engine.stats.instructions, \

@@ -62,6 +62,13 @@ Enforced here:
   config plumbing via the browser module); engines may be reached only
   through lazy function-level imports, and the measurement apparatus
   never (profiles are inputs to the harness, not clients of it).
+* Typed environment knobs parse through ``repro.obs.envflags``
+  (``env_int``/``env_float``/``env_flag``): outside that module, no
+  ``int(…)``, ``float(…)`` or ``bool(…)`` may be applied to an
+  ``os.environ``/``os.getenv`` read, directly or through a local name
+  bound to one.  A hand-rolled parse drifts from the shared conventions
+  (``bool("0")`` is true).  String settings (paths, hosts, specs) stay
+  direct reads.
 
 Exits non-zero and prints one line per violation; silent when clean.
 """
@@ -100,12 +107,86 @@ def _imported_packages(node):
             if len(name.split(".")) > 1]
 
 
+#: Builtins that turn a raw environment string into a typed value.
+_TYPED_CASTS = ("int", "float", "bool")
+
+
+def _reads_env(node):
+    """``os.environ`` / ``os.getenv`` (subscripted, ``.get``-ed or
+    called — every read goes through one of the two attributes)."""
+    return (isinstance(node, ast.Attribute)
+            and node.attr in ("environ", "getenv")
+            and isinstance(node.value, ast.Name) and node.value.id == "os")
+
+
+def _scope_nodes(scope):
+    """The nodes of one function (or module) body, nested function
+    bodies excluded — each is a scope of its own."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _env_casts(tree):
+    """Line numbers where ``int``/``float``/``bool`` is applied to an
+    environment read, directly or through a local name bound to one."""
+    scopes = [tree] + [node for node in ast.walk(tree) if isinstance(
+        node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    lines = set()
+    for scope in scopes:
+        nodes = list(_scope_nodes(scope))
+        tainted = set()
+
+        def from_env(expr):
+            return any(_reads_env(sub) or (isinstance(sub, ast.Name)
+                                           and sub.id in tainted)
+                       for sub in ast.walk(expr))
+
+        changed = True
+        while changed:
+            changed = False
+            for node in nodes:
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, (ast.AnnAssign, ast.AugAssign,
+                                       ast.NamedExpr)):
+                    targets = [node.target]
+                else:
+                    continue
+                if node.value is None or not from_env(node.value):
+                    continue
+                for target in targets:
+                    names = target.elts if isinstance(
+                        target, (ast.Tuple, ast.List)) else [target]
+                    for name in names:
+                        if isinstance(name, ast.Name) and \
+                                name.id not in tainted:
+                            tainted.add(name.id)
+                            changed = True
+        for node in nodes:
+            if isinstance(node, ast.Call) and \
+                    isinstance(node.func, ast.Name) and \
+                    node.func.id in _TYPED_CASTS and \
+                    any(from_env(arg) for arg in node.args):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
 def check(src=SRC):
     violations = []
     for path in sorted(src.rglob("*.py")):
         rel = path.relative_to(src)
         layer = rel.parts[0] if len(rel.parts) > 1 else None
         tree = ast.parse(path.read_text(), filename=str(path))
+        if rel.parts != ("obs", "envflags.py"):
+            for lineno in _env_casts(tree):
+                violations.append(
+                    f"src/repro/{rel}:{lineno}: typed parse of an "
+                    f"environment read (use repro.obs.envflags "
+                    f"env_int/env_float/env_flag)")
         module_level_nodes = set()
         for stmt in tree.body:
             for node in ast.walk(stmt):

@@ -1,17 +1,18 @@
 """Convert a ``REPRO_EVENTS`` JSONL stream to Chrome Trace Event JSON.
 
-The obs event sink records distributed-trace spans (``tspan`` events
-from :mod:`repro.obs.tracing`) and engine phase timelines (``trace``
-events forwarded by ``ExecutionTrace.finalize``).  This tool folds them
+The obs event sink records distributed-trace spans (``span`` events
+from :func:`repro.obs.span` and :func:`repro.obs.emit_span`) and engine
+phase timelines (``trace`` events forwarded by
+``ExecutionTrace.finalize``).  This tool folds them
 into the Chrome Trace Event Format (the JSON array flavour with a
 ``traceEvents`` envelope) that https://ui.perfetto.dev and
 ``chrome://tracing`` load directly:
 
-* every ``tspan`` becomes a complete ("X") event with ``ts``/``dur`` in
+* every ``span`` becomes a complete ("X") event with ``ts``/``dur`` in
   microseconds, one lane (``tid``) per trace id, so a request's spans —
   ``service.request`` → ``service.batch`` / ``service.cache_probe`` →
-  ``sched.attempt`` (retries included) — nest visually on the wallclock
-  timeline;
+  ``sched.attempt`` (retries included) → ``cell`` → ``compile`` — nest
+  visually on the wallclock timeline;
 * every engine ``trace`` phase event becomes an "X" event on its own
   lane per attempt span, with the engine's abstract cycle clock mapped
   1 cycle → 1 µs (phase events have no wallclock by design — the engine
@@ -39,7 +40,7 @@ import argparse
 import json
 import sys
 
-#: Keys of a ``tspan`` record consumed by the envelope rather than
+#: Keys of a ``span`` record consumed by the envelope rather than
 #: forwarded as args.
 _SPAN_ENVELOPE = frozenset({"event", "pid", "name", "ts_us", "dur_us"})
 
@@ -81,7 +82,7 @@ def to_chrome_trace(records):
     events = []
     for record in records:
         kind = record.get("event")
-        if kind == "tspan":
+        if kind == "span":
             trace_id = record.get("trace_id", "?")
             tid = lane(("span", trace_id), f"trace {trace_id[:8]}")
             args = {k: v for k, v in record.items()
