@@ -20,8 +20,8 @@ one experiment-request payload (the same JSON ``POST /sweep`` accepts),
 canonicalize it with the service's own validator, run every cell
 serially in this process, and print one result line per cell to stdout.
 These lines are byte-identical to the ``result`` lines the service
-streams for the same request — the service's end-to-end tests and
-``tools/bench_service.py`` pin that equality.
+streams for the same request — the service's end-to-end tests pin
+that equality.
 
 ``--cells <request.json> --trace-out <trace.json>`` additionally arms
 distributed tracing (``REPRO_TRACE=1``) and the event sink for the run,

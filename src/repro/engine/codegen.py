@@ -55,6 +55,28 @@ operand-stack depth at a join point.  The engine caches :data:`DECLINED`
 for that function and runs it on the reference ladder, which is exact by
 construction.
 
+What is shared and what stays per engine.  This module holds the
+translator skeleton the three ``codegen.py`` files build on:
+
+* :func:`block_ranges` (leaders → :func:`split_blocks` → block index)
+  and :func:`stack_depths`, the worklist that propagates operand-stack
+  depths over the blocks and declines an inconsistent join;
+* :class:`FnEmitter`: the ``def make(ns): … def run(args): … return
+  run`` wrapper, the ``bi``/``while True`` dispatch loop with its
+  ``try``/``finally``, jumps, trap guards, the per-block charge flush
+  (one :func:`emit_sum` per counter) and the profiler cells;
+* the literal rules (:func:`literal`, :func:`literalizable`), the
+  two's-complement wrap (:func:`emit_wrap`) and the
+  ``interp.<engine>.codegen_*`` counters.
+
+Each engine keeps what is really its own, as :class:`FnEmitter`
+overrides and data: its operator tables and ``SUPPORTED_OPS``, the
+per-op flow of the depth analysis (with its own max-depth rule),
+``emit_op``/``emit_term``, the charge model (wasm batches cycles per
+block; native and JS add ``cyc +=`` per op), the guard's rewind, trap
+messages and unknown-op error types, the frame prologue, its ``ns``
+construction, and its own ``load_factory`` call.
+
 Persistent compile cache: generated source depends only on the prepared
 code and a handful of translation flags, never on instance state (state
 is handed to ``make`` through ``ns``), so translation units are
@@ -71,6 +93,7 @@ import hashlib
 import importlib.util
 import marshal
 
+from repro.obs import SCHED, get_registry
 from repro.obs.envflags import env_flag
 
 #: Bump when the shape of cached translation units changes.
@@ -101,6 +124,70 @@ def split_blocks(n, leaders):
     starts = sorted(pc for pc in set(leaders) | {0} if 0 <= pc < n)
     return [(start, starts[i + 1] if i + 1 < len(starts) else n)
             for i, start in enumerate(starts)]
+
+
+def block_ranges(code, term_ops, branch_ops):
+    """Split one function's code into basic blocks.
+
+    Every instruction is a tuple whose slot 0 is the opcode; a branch
+    (``branch_ops``, a subset of the block terminators ``term_ops``)
+    carries its target pc in slot 1.  Returns ``(ranges, block_index)``:
+    the half-open block ranges and the block number of each block start.
+    """
+    leaders = {0}
+    for pc, instr in enumerate(code):
+        if instr[0] in term_ops:
+            leaders.add(pc + 1)
+            if instr[0] in branch_ops:
+                leaders.add(instr[1])
+    ranges = split_blocks(len(code), leaders)
+    return ranges, {start: bi for bi, (start, _end) in enumerate(ranges)}
+
+
+def split_term(ops, term_ops):
+    """``(body, terminator)`` of one block: the terminator is its last op
+    when that op ends a block (``term_ops``), else ``None``."""
+    if ops and ops[-1][0] in term_ops:
+        return ops[:-1], ops[-1]
+    return ops, None
+
+
+def stack_depths(code, ranges, block_index, walk):
+    """Static operand-stack depths of a stack machine's blocks.
+
+    A worklist from block 0 (entered at depth 0).  ``walk(ops, end,
+    depth, join)`` is the engine's own per-op flow over one block entered
+    at ``depth``: it calls ``join(pc, depth)`` for every successor (a pc
+    past the end is the function exit) and returns the deepest depth the
+    block reaches, or ``None`` when a depth would go negative.  Returns
+    ``(entry_depth, max_depth)``, or ``None`` when a block is entered at
+    two different depths or a walk fails.
+    """
+    if not ranges:
+        return {}, 0
+    entry = {0: 0}
+    work = [0]
+    max_d = 0
+    n = len(code)
+
+    def join(pc, depth):
+        if pc >= n:
+            return True
+        tbi = block_index[pc]
+        if tbi in entry:
+            return entry[tbi] == depth
+        entry[tbi] = depth
+        work.append(tbi)
+        return True
+
+    while work:
+        bi = work.pop()
+        start, end = ranges[bi]
+        peak = walk(code[start:end], end, entry[bi], join)
+        if peak is None:
+            return None
+        max_d = max(max_d, peak)
+    return entry, max_d
 
 
 def class_deltas(classes):
@@ -135,6 +222,31 @@ def literal(value):
     if isinstance(value, (int, str, bytes, bool)) or value is None:
         return repr(value)
     raise ValueError(f"unsupported literal {value!r}")
+
+
+def literalizable(value):
+    """Whether :func:`literal` can spell ``value`` — the one rule a
+    translator's decline checks and its emitter share."""
+    try:
+        literal(value)
+    except ValueError:
+        return False
+    return True
+
+
+#: Source spellings of the two's-complement constants per width: the
+#: unsigned mask ``M``, the sign bit ``S`` and the modulus ``W``.
+M32, S32, W32 = "4294967295", "2147483648", "4294967296"
+M64, S64, W64 = ("18446744073709551615", "9223372036854775808",
+                 "18446744073709551616")
+_WRAP = {32: (M32, S32, W32), 64: (M64, S64, W64)}
+
+
+def emit_wrap(out, bits, target, expr):
+    """Assign ``expr`` wrapped to a signed ``bits``-bit integer."""
+    mask, sign, modulus = _WRAP[bits]
+    out.emit(f"t_ = ({expr}) & {mask}")
+    out.emit(f"{target} = t_ - {modulus} if t_ & {sign} else t_")
 
 
 #: Most terms one flush statement sums.  A ``+`` chain is a left-nested
@@ -202,6 +314,234 @@ class Emitter:
         return "\n".join(self.lines) + "\n"
 
 
+#: The statement that closes a dispatch loop no arm matched.
+LOST_DISPATCH = "raise AssertionError('codegen: lost dispatch')"
+
+
+class FnEmitter:
+    """Emits the generated source of one function: the translator
+    skeleton every engine shares.
+
+    The unit is ``make(ns)`` binding each ``ns`` name the body
+    :meth:`use`\\ s, around ``run(args)``: the engine's prologue, then —
+    inside ``try``/``finally`` — a ``while True`` loop over ``if bi == k``
+    arms, one per basic block.  A block counts its executions in a local
+    ``nb<k>``; the ``finally`` flushes the charges queued in
+    :attr:`block_counts` with one statement per counter, then the
+    profiler cells.
+
+    An engine subclass supplies ``emit_prologue`` (frame set-up),
+    ``emit_block`` (one reachable block's arm), ``emit_exit`` (leave the
+    function at a given operand depth) and ``emit_rewind`` (the charge
+    suffix a trap guard subtracts), and may extend ``emit_frame_entry``,
+    ``emit_finally`` and ``emit_bindings``.
+    """
+
+    #: ``ns`` name of the error an unreachable block's arm raises.
+    error_name = "TrapError"
+    #: Statement after the last arm, or ``""`` for none.
+    dispatch_tail = ""
+
+    def __init__(self, fn, code, ranges, block_index, profiling,
+                 entry_depth=None, max_depth=0):
+        self.fn = fn
+        self.code = code
+        self.ranges = ranges
+        self.block_index = block_index
+        self.profiling = profiling
+        #: Stack machines: the static operand depth each reachable block
+        #: is entered at (:func:`stack_depths`) and the deepest slot.
+        #: ``None`` means every block is reachable.
+        self.entry_depth = entry_depth
+        self.max_depth = max_depth
+        self.names = set()                # ns names the source references
+        #: Charges the ``finally`` flushes, per block executed ``nb<k>``
+        #: times: ``{k: (cycles, instructions, [(class, count)])}``.
+        self.block_counts = {}
+        #: Profiler cells the ``finally`` flushes, in block order:
+        #: ``[(counter source, [(profile key, count)])]``.
+        self.prof_cells = []
+        self.out = Emitter()
+
+    def use(self, name):
+        self.names.add(name)
+        return name
+
+    def bi_of(self, pc):
+        return -1 if pc >= len(self.code) else self.block_index[pc]
+
+    def reachable(self, bi):
+        return self.entry_depth is None or bi in self.entry_depth
+
+    # -- engine hooks -----------------------------------------------------
+
+    def emit_prologue(self):
+        raise NotImplementedError
+
+    def emit_block(self, bi):
+        raise NotImplementedError
+
+    def emit_exit(self, depth):
+        raise NotImplementedError
+
+    def emit_rewind(self, *rewind):
+        raise NotImplementedError
+
+    def emit_frame_entry(self):
+        """Statements between zeroing the block counters and dispatch."""
+
+    def emit_finally(self):
+        self.emit_flush()
+
+    def emit_bindings(self):
+        for name in sorted(self.names):
+            self.out.emit(f"{name} = ns[{name!r}]")
+
+    # -- shared fragments -------------------------------------------------
+
+    def emit_slots(self, init):
+        """Initialise the lowered operand-stack slots ``s0..``."""
+        if self.max_depth:
+            self.out.emit(" = ".join(f"s{i}" for i in range(self.max_depth))
+                          + f" = {init}")
+
+    def emit_profile_frame(self):
+        """Bind the function's profile frame to the local ``fprof``."""
+        if self.profiling:
+            self.out.emit(f"fprof = {self.use('prof_frame')}"
+                          f"({self.use('fn_name')})")
+
+    def emit_jump(self, tbi, fall_bi=None, depth=0):
+        """Transfer to block ``tbi`` (``-1``: leave the function with
+        ``depth`` operand slots live); falling into ``fall_bi``, the next
+        arm, needs no ``continue``."""
+        if tbi == -1:
+            self.emit_exit(depth)
+        else:
+            self.out.emit(f"bi = {tbi}")
+            if tbi != fall_bi:
+                self.out.emit("continue")
+
+    def guarded(self, body_lines, *rewind):
+        """Emit trap-capable statements inside a guard that runs the
+        engine's ``emit_rewind(*rewind)`` before the trap escapes."""
+        out = self.out
+        out.emit("try:")
+        with out.block():
+            for line in body_lines:
+                out.emit(line)
+        out.emit("except BaseException:")
+        with out.block():
+            self.emit_rewind(*rewind)
+            out.emit("raise")
+
+    def count_block(self, bi, classes, instructions=0, cycles=0.0):
+        """Count one entry of block ``bi`` and queue its batched charges
+        (op classes ``classes``, plus ``instructions``/``cycles`` when the
+        engine batches those per block) for the flush."""
+        self.out.emit(f"nb{bi} += 1")
+        self.block_counts[bi] = (cycles, instructions, class_deltas(classes))
+
+    def emit_flush(self):
+        """Apply the per-block charges the dispatch loop accumulated.
+        Runs once, in the ``finally``, covering returns, deopt handoffs
+        and escaping traps alike.  Each counter gets one statement
+        summing its per-block terms (integer adds commute); cycles, which
+        only an engine on an exact grid batches, fold left in block
+        order.  Profiler cells stay guarded per cell."""
+        out = self.out
+        cycles, instructions, classes = [], [], {}
+        for bi, (blk_cycles, n_ops, deltas) in self.block_counts.items():
+            acc = f"nb{bi}"
+            if blk_cycles:
+                cycles.append(f"{literal(blk_cycles)} * {acc}")
+            if n_ops:
+                instructions.append(scaled(n_ops, acc))
+            for ci, dc in deltas:
+                classes.setdefault(ci, []).append(scaled(dc, acc))
+        if cycles:
+            emit_sum(out, f"{self.use('stats')}.cycles", cycles, fold=True)
+        if instructions:
+            emit_sum(out, f"{self.use('stats')}.instructions", instructions)
+        for ci in sorted(classes):
+            emit_sum(out, f"{self.use('counts')}[{ci}]", classes[ci])
+        for acc, prof in self.prof_cells:
+            out.emit(f"if {acc}:")
+            with out.block():
+                for key, dc in prof:
+                    out.emit(f"fprof[{key}] = fprof.get({key}, 0) + "
+                             f"{scaled(dc, acc)}")
+
+    # -- the unit ---------------------------------------------------------
+
+    def emit_arm(self, bi):
+        out = self.out
+        out.emit(f"if bi == {bi}:")
+        with out.block():
+            if self.reachable(bi):
+                self.emit_block(bi)
+            else:                         # CFG-unreachable: never entered
+                out.emit(f"raise {self.use(self.error_name)}"
+                         f"('codegen: entered unreachable block {bi}')")
+
+    def build(self):
+        out = self.out
+        body = self.out = Emitter()
+        with body.block(), body.block():  # inside make(), inside run()
+            self.emit_prologue()
+            if not self.ranges:
+                self.emit_exit(0)
+            else:
+                body.emit(" = ".join(f"nb{bi}" for bi in range(len(
+                    self.ranges)) if self.reachable(bi)) + " = 0")
+                self.emit_frame_entry()
+                body.emit("try:")
+                with body.block():
+                    body.emit("bi = 0")
+                    body.emit("while True:")
+                    with body.block():
+                        for bi in range(len(self.ranges)):
+                            self.emit_arm(bi)
+                        if self.dispatch_tail:
+                            body.emit(self.dispatch_tail)
+                body.emit("finally:")
+                with body.block():
+                    self.emit_finally()
+        self.out = out
+        out.emit("def make(ns):")
+        with out.block():
+            self.emit_bindings()
+            out.emit("def run(args):")
+            out.lines.extend(body.lines)
+            out.emit("return run")
+        return out.source()
+
+
+# ---------------------------------------------------------------------------
+# Translation bookkeeping: ``interp.<engine>.codegen_*`` counters.
+
+def _count(engine, what, n=1):
+    get_registry().counter_add(f"interp.{engine}.codegen_{what}", n, SCHED)
+
+
+def declined(engine):
+    """Count a declined function; returns ``None`` (the decline)."""
+    _count(engine, "declined")
+    return None
+
+
+def translated(engine, n_blocks):
+    """Count one translated function of ``n_blocks`` blocks."""
+    _count(engine, "functions")
+    _count(engine, "blocks", n_blocks)
+
+
+def deopt_counter(engine):
+    """The ``deopt`` callable a budget-mode unit calls on handing a frame
+    to the reference ladder."""
+    return lambda: _count(engine, "deopts")
+
+
 # ---------------------------------------------------------------------------
 # The translation-unit cache: memory (compiled ``make`` factories) over
 # the persistent artifact store (source + marshalled code object).
@@ -253,7 +593,6 @@ def load_factory(engine, key, build_source):
     the module-level ``make`` function of the generated source; callers
     invoke it once per engine instance with the pre-bound namespace.
     """
-    from repro.obs import SCHED, get_registry
     reg = get_registry()
     factory = _FACTORIES.get(key)
     if factory is not None:

@@ -74,8 +74,9 @@ import math
 
 from repro.clibm import c_fmod
 from repro.engine.codegen import (
-    DECLINED, Emitter, class_deltas, emit_sum, literal, load_factory,
-    scaled, split_blocks, unit_key,
+    DECLINED, LOST_DISPATCH, FnEmitter, block_ranges, class_deltas,
+    declined, literal, literalizable, load_factory, split_term,
+    stack_depths, translated, unit_key,
 )
 from repro.jsengine.bytecode import JS_OP_CLASS, JS_OP_COST, JS_OP_COST_OPT
 from repro.jsengine.values import (
@@ -91,7 +92,6 @@ from repro.jsengine.values import (
     to_int32,
     to_uint32,
 )
-from repro.obs import SCHED, get_registry
 
 __all__ = ["translate", "DECLINED"]
 
@@ -213,43 +213,21 @@ def _analyse(code, ranges, block_index):
     Returns ``(entry_depth, max_depth)`` or ``None`` when a join is
     entered at two different depths or a depth would go negative (the
     compiler never produces either; hand-built bytecode runs on the
-    reference ladder)."""
-    if not ranges:
-        return {}, 0
-    entry = {0: 0}
-    work = [0]
-    max_d = 0
-    n = len(code)
-
-    def join(pc, depth):
-        if pc >= n:
-            return True
-        tbi = block_index[pc]
-        if tbi in entry:
-            return entry[tbi] == depth
-        entry[tbi] = depth
-        work.append(tbi)
-        return True
-
-    while work:
-        bi = work.pop()
-        start, end = ranges[bi]
-        d = entry[bi]
-        ops = code[start:end]
-        has_term = bool(ops) and ops[-1][0] in _TERM_OPS
-        body = ops[:-1] if has_term else ops
+    reference ladder).  The max adds each op's pushes before its pops,
+    an over-count the slot initialisation and the dead-slot clears are
+    emitted from."""
+    def walk(ops, end, d, join):
+        body, term = split_term(ops, _TERM_OPS)
+        peak = d
         for op, arg in body:
             pops, pushes = _flow(op, arg)
             if d < pops:
                 return None
-            if d + pushes > max_d:
-                max_d = d + pushes
+            peak = max(peak, d + pushes)
             d += pushes - pops
-        if not has_term:
-            if not join(end, d):
-                return None
-            continue
-        op, arg = ops[-1]
+        if term is None:
+            return peak if join(end, d) else None
+        op, arg = term
         if op in (28, 29):                # JF / JT
             if d < 1:
                 return None
@@ -262,16 +240,15 @@ def _analyse(code, ranges, block_index):
         elif op == 33:                    # RET
             if d < 1:
                 return None
-        elif op == 34:                    # RETU
-            pass
-        else:                             # CALL / METHOD / NEWCALL
+        elif op != 34:                    # CALL / METHOD / NEWCALL
             nargs = arg[1] if op == 32 else arg
             if d < nargs + 1:
                 return None
-            d -= nargs
-            if not join(end, d):
+            if not join(end, d - nargs):
                 return None
-    return entry, max_d
+        return peak
+
+    return stack_depths(code, ranges, block_index, walk)
 
 
 def _tier_names(code, profiling):
@@ -304,44 +281,23 @@ def _tier_values(names, tier, factor):
 def _literalizable(value):
     if isinstance(value, tuple):
         return all(isinstance(v, str) for v in value)
-    try:
-        literal(value)
-    except ValueError:
-        return False
-    return True
+    return literalizable(value)
 
 
-class _FnEmitter:
-    """Emits the ``run`` body for one JS function."""
+class _FnEmitter(FnEmitter):
+    """Emits the generated unit for one JS function."""
+
+    error_name = "err"
+    dispatch_tail = LOST_DISPATCH
 
     def __init__(self, fn, code, ranges, block_index, entry_depth,
                  max_depth, jit_enabled, profiling, tier_names,
                  const_index):
-        self.fn = fn
-        self.code = code
-        self.ranges = ranges
-        self.block_index = block_index
-        self.entry_depth = entry_depth
-        self.max_depth = max_depth
+        super().__init__(fn, code, ranges, block_index, profiling,
+                         entry_depth, max_depth)
         self.jit_enabled = jit_enabled
-        self.profiling = profiling
         self.tier_names = tier_names
         self.const_index = const_index
-        self.names = set()                # ns names the source references
-        #: Per-block integer-counter deltas, flushed lazily (see
-        #: ``emit_flush``): ``{bi: (n_ops, [(class, delta), ...])}``.
-        self.block_counts = {}
-        #: Per-(block, tier) profiler cells, counted in ``pf[2 * bi +
-        #: tier]``: ``{(bi, tier): [(key, d)]}``.
-        self.block_profs = {}
-        self.out = Emitter()
-
-    def use(self, name):
-        self.names.add(name)
-        return name
-
-    def bi_of(self, pc):
-        return -1 if pc >= len(self.code) else self.block_index[pc]
 
     def const_expr(self, pc, value):
         j = self.const_index.get(pc)
@@ -360,15 +316,6 @@ class _FnEmitter:
             names += ","
         self.out.emit(f"{names} = {self.use('tiers')}"
                       f"[{self.use('fn')}.tier]")
-
-    def emit_jump(self, tbi, fall_bi=None):
-        if tbi == -1:
-            self.out.emit(f"return {self.use('u_')}")
-        elif tbi == fall_bi:
-            self.out.emit(f"bi = {tbi}")
-        else:
-            self.out.emit(f"bi = {tbi}")
-            self.out.emit("continue")
 
     def emit_clears(self, depth):
         """Kill dead stack slots before a point that can collect: the
@@ -394,48 +341,15 @@ class _FnEmitter:
         for ci, d in class_deltas(classes[idx + 1:]):
             self.out.emit(f"{self.use('counts')}[{ci}] -= {d}")
 
-    def emit_flush(self):
-        """Apply the per-block integer counters the dispatch loop
-        accumulated in locals.  Runs once, in the ``finally``, so it
-        covers returns and escaping exceptions alike: one statement per
-        counter summing its per-block terms (integer adds commute);
-        profiler cells stay guarded per block and tier."""
-        out = self.out
-        instructions, classes = [], {}
-        for bi in sorted(self.block_counts):
-            n_ops, deltas = self.block_counts[bi]
-            instructions.append(scaled(n_ops, f"nb{bi}"))
-            for ci, dc in deltas:
-                classes.setdefault(ci, []).append(scaled(dc, f"nb{bi}"))
-        if instructions:
-            emit_sum(out, f"{self.use('stats')}.instructions",
-                     instructions)
-        for ci in sorted(classes):
-            emit_sum(out, f"{self.use('counts')}[{ci}]", classes[ci])
-        for bi, tier in sorted(self.block_profs):
-            acc = f"pf[{2 * bi + tier}]"
-            out.emit(f"if {acc}:")
-            with out.block():
-                for key, dc in self.block_profs[(bi, tier)]:
-                    out.emit(f"{self.use('fprof')}[{key}] = "
-                             f"fprof.get({key}, 0) + {scaled(dc, acc)}")
-
     def guarded(self, body_lines, classes, idx):
         """Wrap raising statements in the integer-suffix rewind guard
         (cycles self-charge, so only ``instructions``/``op_counts``
-        rewind)."""
-        if idx + 1 >= len(classes):       # nothing after it to rewind
+        rewind); a trap on the block's last op has nothing to rewind."""
+        if idx + 1 >= len(classes):
             for line in body_lines:
                 self.out.emit(line)
             return
-        self.out.emit("try:")
-        with self.out.block():
-            for line in body_lines:
-                self.out.emit(line)
-        self.out.emit("except BaseException:")
-        with self.out.block():
-            self.emit_rewind(classes, idx)
-            self.out.emit("raise")
+        super().guarded(body_lines, classes, idx)
 
     # -- one straight-line op at static depth d; returns the new depth --
 
@@ -759,7 +673,7 @@ class _FnEmitter:
             out.emit(f"return s{d - 1}")
             return
         if op == 34:      # RETU
-            out.emit(f"return {self.use('u_')}")
+            self.emit_exit(0)
             return
         # CALL / METHOD / NEWCALL
         is_method = op == 32
@@ -809,96 +723,55 @@ class _FnEmitter:
 
     # -- whole blocks ---------------------------------------------------
 
+    def emit_exit(self, depth):
+        self.out.emit(f"return {self.use('u_')}")
+
+    def emit_prologue(self):
+        out = self.out
+        nparams = len(self.fn.params)
+        if nparams:
+            out.emit("_na = len(args)")
+        for i in range(nparams):
+            out.emit(f"l{i} = args[{i}] if {i} < _na else {self.use('u_')}")
+        for j in range(nparams, self.fn.num_locals):
+            out.emit(f"l{j} = {self.use('u_')}")
+        self.emit_slots("None")
+        out.emit(f"sh = [None] * {_NSHADOW}")
+        out.emit("cyc = 0.0")
+
+    def emit_frame_entry(self):
+        self.emit_rebind()
+        if self.profiling:
+            self.out.emit(f"pf = [0] * {2 * len(self.ranges)}")
+
     def emit_block(self, bi):
         out = self.out
         start, end = self.ranges[bi]
-        out.emit(f"if bi == {bi}:")
-        with out.block():
-            if bi not in self.entry_depth:
-                # CFG-unreachable: never entered at runtime.
-                out.emit(f"raise {self.use('err')}"
-                         f"('codegen: entered unreachable block {bi}')")
-                return
-            ops = self.code[start:end]
-            classes = [int(JS_OP_CLASS[op]) for op, _a in ops]
-            if ops:
-                # Integer counters accumulate in a per-block local and
-                # flush in the function's ``finally`` — integer adds
-                # commute, so every externally observable value (incl.
-                # trap paths, whose guards rewind the engine counters
-                # directly) matches the reference's per-op counting.
-                out.emit(f"nb{bi} += 1")
-                self.block_counts[bi] = (len(ops),
-                                         list(class_deltas(classes)))
-                if self.profiling:
-                    out.emit(f"pf[tk + {2 * bi}] += 1")
-                    for tier in (0, 1):
-                        self.block_profs[(bi, tier)] = [
-                            (op + (tier << 8), dc) for op, dc in
-                            class_deltas([o for o, _a in ops])]
-            fall_bi = self.bi_of(end)
-            has_term = bool(ops) and ops[-1][0] in _TERM_OPS
-            body = ops[:-1] if has_term else ops
-            d = self.entry_depth[bi]
-            for idx, instr in enumerate(body):
-                d = self.emit_op(start + idx, instr, d, classes, idx)
-            if has_term:
-                self.emit_term(ops[-1], d, bi, fall_bi)
-            else:
-                self.emit_jump(fall_bi, fall_bi)
+        ops = self.code[start:end]
+        classes = [int(JS_OP_CLASS[op]) for op, _a in ops]
+        self.count_block(bi, classes, len(ops))
+        if self.profiling:
+            # Per-(block, tier) profiler cells, counted in
+            # ``pf[2 * bi + tier]``.
+            out.emit(f"pf[tk + {2 * bi}] += 1")
+            self.use("fprof")             # bound through ns, not a local
+            for tier in (0, 1):
+                self.prof_cells.append((f"pf[{2 * bi + tier}]", [
+                    (op + (tier << 8), dc)
+                    for op, dc in class_deltas([o for o, _a in ops])]))
+        d = self.entry_depth[bi]
+        body, term = split_term(ops, _TERM_OPS)
+        for idx, instr in enumerate(body):
+            d = self.emit_op(start + idx, instr, d, classes, idx)
+        fall_bi = self.bi_of(end)
+        if term is None:
+            self.emit_jump(fall_bi, fall_bi)
+        else:
+            self.emit_term(term, d, bi, fall_bi)
 
-    def build(self):
-        out = self.out
-        body = Emitter()
-        self.out = body
-        with body.block():                # inside `def run(args):`
-            with body.block():
-                nparams = len(self.fn.params)
-                if nparams:
-                    body.emit("_na = len(args)")
-                for i in range(nparams):
-                    body.emit(f"l{i} = args[{i}] if {i} < _na "
-                              f"else {self.use('u_')}")
-                for j in range(nparams, self.fn.num_locals):
-                    body.emit(f"l{j} = {self.use('u_')}")
-                if self.max_depth:
-                    chain = " = ".join(
-                        f"s{i}" for i in range(self.max_depth))
-                    body.emit(f"{chain} = None")
-                body.emit(f"sh = [None] * {_NSHADOW}")
-                body.emit("cyc = 0.0")
-                live = [bi for bi, (start, end) in enumerate(self.ranges)
-                        if bi in self.entry_depth and end > start]
-                if live:
-                    body.emit(" = ".join(f"nb{bi}" for bi in live) + " = 0")
-                    self.emit_rebind()
-                    if self.profiling:
-                        body.emit(f"pf = [0] * {2 * len(self.ranges)}")
-                body.emit("try:")
-                with body.block():
-                    if not self.ranges:
-                        body.emit(f"return {self.use('u_')}")
-                    else:
-                        body.emit("bi = 0")
-                        body.emit("while True:")
-                        with body.block():
-                            for bi in range(len(self.ranges)):
-                                self.emit_block(bi)
-                            body.emit("raise AssertionError"
-                                      "('codegen: lost dispatch')")
-                body.emit("finally:")
-                with body.block():
-                    body.emit(f"{self.use('stats')}.cycles += cyc")
-                    self.emit_flush()
-        self.out = out
-        out.emit("def make(ns):")
-        with out.block():
-            for name in sorted(self.names):
-                out.emit(f"{name} = ns[{name!r}]")
-            out.emit("def run(args):")
-            out.lines.extend(body.lines)
-            out.emit("return run")
-        return out.source()
+    def emit_finally(self):
+        self.out.emit(f"{self.use('stats')}.cycles += cyc")
+        self.emit_flush()
 
 
 def translate(fn, engine):
@@ -912,20 +785,11 @@ def translate(fn, engine):
                 f"{fn.name}: unimplemented bytecode op {op} at pc {pc} "
                 f"(codegen tier has no handler)")
 
-    leaders = {0}
-    for pc, (op, arg) in enumerate(code):
-        if op in _TERM_OPS:
-            leaders.add(pc + 1)
-            if op in _JUMPS:
-                leaders.add(arg)
-    ranges = split_blocks(len(code), leaders)
-    block_index = {start: bi for bi, (start, _end) in enumerate(ranges)}
+    ranges, block_index = block_ranges(code, _TERM_OPS, _JUMPS)
 
     flow = _analyse(code, ranges, block_index)
-    reg = get_registry()
     if flow is None:
-        reg.counter_add("interp.js.codegen_declined", 1, SCHED)
-        return None
+        return declined("js")
     entry_depth, max_depth = flow
 
     tiering = engine.tiering
@@ -985,8 +849,7 @@ def translate(fn, engine):
     if profiling:
         ns["fprof"] = engine._profile.frame(fn.name)
 
-    reg.counter_add("interp.js.codegen_functions", 1, SCHED)
-    reg.counter_add("interp.js.codegen_blocks", len(ranges), SCHED)
+    translated("js", len(ranges))
     return factory(ns)
 
 

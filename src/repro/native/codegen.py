@@ -2,9 +2,9 @@
 
 Emits each function's basic blocks as generated Python: registers become
 locals ``r0..rN``, the frame accumulators become locals ``cyc``/``ic``,
-and dispatch is the same resumable ``bi`` if-chain the Wasm translator
-uses.  The exactness rules of :mod:`repro.engine.codegen` map onto
-emitted source directly:
+and dispatch is the resumable ``bi`` if-chain of the shared skeleton
+(:class:`repro.engine.codegen.FnEmitter`).  The exactness rules of
+:mod:`repro.engine.codegen` map onto emitted source directly:
 
 * **Cycles self-charge per op** — vector-marked instructions are charged
   ``N_COST[op] * VECTOR_COST_FACTOR`` (0.29 — not dyadic), so per-block
@@ -37,26 +37,16 @@ import math as _math
 import struct as _struct
 
 from repro.engine.codegen import (
-    DECLINED, Emitter, class_deltas, emit_sum, literal, load_factory,
-    scaled, split_blocks, unit_key,
+    DECLINED, LOST_DISPATCH, M32, M64, S32, W32, FnEmitter, block_ranges,
+    class_deltas, declined, deopt_counter, emit_wrap, literal,
+    literalizable, load_factory, split_term, translated, unit_key,
 )
 from repro.errors import TrapError
-from repro.obs import SCHED, get_registry
 from repro.native.machine import (
-    N_COST, N_OP_CLASS, VECTOR_COST_FACTOR, _w32, _w64,
+    N_COST, N_OP_CLASS, VECTOR_COST_FACTOR, _MASK32, _MASK64, _w32, _w64,
 )
 
 __all__ = ["translate", "DECLINED"]
-
-_MASK32 = 0xFFFFFFFF
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-
-_M32 = "4294967295"
-_S32 = "2147483648"
-_W32 = "4294967296"
-_M64 = "18446744073709551615"
-_S64 = "9223372036854775808"
-_W64 = "18446744073709551616"
 
 _UNPACK_D = _struct.Struct("<d").unpack_from
 _UNPACK_I = _struct.Struct("<i").unpack_from
@@ -165,25 +155,14 @@ SUPPORTED_OPS = (set(_CMP_OPS) | set(_CMP_U32) | set(_CMP_U64)
                  | _TERM_OPS | {0, 1, 94, 95})
 
 
-class _FnEmitter:
+class _FnEmitter(FnEmitter):
+    dispatch_tail = LOST_DISPATCH
+
     def __init__(self, fn, code, ranges, block_index, budget_mode,
                  profiling):
-        self.fn = fn
-        self.code = code
-        self.ranges = ranges
-        self.block_index = block_index
+        super().__init__(fn, code, ranges, block_index, profiling)
         self.budget_mode = budget_mode
-        self.profiling = profiling
-        self.names = set()
         self.callees = {}        # call-target name -> cf_{i} local
-        #: Per-block op-class/profiler deltas, flushed lazily in the
-        #: ``finally`` (see ``emit_flush``): ``{bi: (classes, prof)}``.
-        self.block_counts = {}
-        self.out = Emitter()
-
-    def use(self, name):
-        self.names.add(name)
-        return name
 
     def callee(self, name):
         local = self.callees.get(name)
@@ -191,17 +170,8 @@ class _FnEmitter:
             local = self.callees[name] = f"cf_{len(self.callees)}"
         return local
 
-    def bi_of(self, pc):
-        return -1 if pc >= len(self.code) else self.block_index[pc]
-
-    def emit_jump(self, tbi, fall_bi=None):
-        if tbi == -1:
-            self.out.emit("return None")
-        elif tbi == fall_bi:
-            self.out.emit(f"bi = {tbi}")
-        else:
-            self.out.emit(f"bi = {tbi}")
-            self.out.emit("continue")
+    def emit_exit(self, depth):
+        self.out.emit("return None")
 
     def emit_rewind(self, classes, idx):
         """Integer rewind: cycles self-charge, so only the block-batched
@@ -213,37 +183,6 @@ class _FnEmitter:
             self.out.emit(f"{self.use('counts')}[{ci}] -= {d}")
         if self.budget_mode and n_sfx:
             self.out.emit(f"{self.use('machine')}.budget += {n_sfx}")
-
-    def emit_flush(self):
-        """Apply the per-block op-class counters accumulated by the
-        dispatch loop; runs once in the ``finally``.  Each class gets one
-        statement summing its per-block terms (integer adds commute);
-        profiler cells stay guarded per block."""
-        out = self.out
-        classes = {}
-        for bi in sorted(self.block_counts):
-            for ci, dc in self.block_counts[bi][0]:
-                classes.setdefault(ci, []).append(scaled(dc, f"nb{bi}"))
-        for ci in sorted(classes):
-            emit_sum(out, f"{self.use('counts')}[{ci}]", classes[ci])
-        for bi in sorted(self.block_counts):
-            prof = self.block_counts[bi][1]
-            if prof:
-                out.emit(f"if nb{bi}:")
-                with out.block():
-                    for key, dc in prof:
-                        out.emit(f"fprof[{key}] = fprof.get({key}, 0) + "
-                                 f"{scaled(dc, f'nb{bi}')}")
-
-    def guarded(self, body_lines, classes, idx):
-        self.out.emit("try:")
-        with self.out.block():
-            for line in body_lines:
-                self.out.emit(line)
-        self.out.emit("except BaseException:")
-        with self.out.block():
-            self.emit_rewind(classes, idx)
-            self.out.emit("raise")
 
     def emit_op(self, instr, classes, idx):
         op, dst, a, b, _vector = instr
@@ -257,12 +196,10 @@ class _FnEmitter:
             out.emit(f"{d} = {ra}")
             return
         if op in _I32_WRAP:
-            out.emit(f"t_ = ({ra} {_I32_WRAP[op]} {rb}) & {_M32}")
-            out.emit(f"{d} = t_ - {_W32} if t_ & {_S32} else t_")
+            emit_wrap(out, 32, d, f"{ra} {_I32_WRAP[op]} {rb}")
             return
         if op in _I64_WRAP:
-            out.emit(f"t_ = ({ra} {_I64_WRAP[op]} {rb}) & {_M64}")
-            out.emit(f"{d} = t_ - {_W64} if t_ & {_S64} else t_")
+            emit_wrap(out, 64, d, f"{ra} {_I64_WRAP[op]} {rb}")
             return
         if op in _F_ARITH:
             out.emit(f"{d} = {ra} {_F_ARITH[op]} {rb}")
@@ -271,37 +208,33 @@ class _FnEmitter:
             out.emit(f"{d} = {self.use('fdiv')}({ra}, {rb})")
             return
         if op == 12:                      # SHL32
-            out.emit(f"t_ = ({ra} << ({rb} & 31)) & {_M32}")
-            out.emit(f"{d} = t_ - {_W32} if t_ & {_S32} else t_")
+            emit_wrap(out, 32, d, f"{ra} << ({rb} & 31)")
             return
         if op == 13:                      # SHRS32
             out.emit(f"{d} = {ra} >> ({rb} & 31)")
             return
         if op == 14:                      # SHRU32
-            out.emit(f"t_ = (({ra} & {_M32}) >> ({rb} & 31)) & {_M32}")
-            out.emit(f"{d} = t_ - {_W32} if t_ & {_S32} else t_")
+            emit_wrap(out, 32, d, f"({ra} & {M32}) >> ({rb} & 31)")
             return
         if op == 28:                      # SHL64
-            out.emit(f"t_ = ({ra} << ({rb} & 63)) & {_M64}")
-            out.emit(f"{d} = t_ - {_W64} if t_ & {_S64} else t_")
+            emit_wrap(out, 64, d, f"{ra} << ({rb} & 63)")
             return
         if op == 29:                      # SHRS64
             out.emit(f"{d} = {ra} >> ({rb} & 63)")
             return
         if op == 30:                      # SHRU64
-            out.emit(f"t_ = (({ra} & {_M64}) >> ({rb} & 63)) & {_M64}")
-            out.emit(f"{d} = t_ - {_W64} if t_ & {_S64} else t_")
+            emit_wrap(out, 64, d, f"({ra} & {M64}) >> ({rb} & 63)")
             return
         if op in _CMP_OPS:
             out.emit(f"{d} = 1 if {ra} {_CMP_OPS[op]} {rb} else 0")
             return
         if op in _CMP_U32:
-            out.emit(f"{d} = 1 if ({ra} & {_M32}) {_CMP_U32[op]} "
-                     f"({rb} & {_M32}) else 0")
+            out.emit(f"{d} = 1 if ({ra} & {M32}) {_CMP_U32[op]} "
+                     f"({rb} & {M32}) else 0")
             return
         if op in _CMP_U64:
-            out.emit(f"{d} = 1 if ({ra} & {_M64}) {_CMP_U64[op]} "
-                     f"({rb} & {_M64}) else 0")
+            out.emit(f"{d} = 1 if ({ra} & {M64}) {_CMP_U64[op]} "
+                     f"({rb} & {M64}) else 0")
             return
         if op in _TRAP_BINVAL:
             self.guarded([f"{d} = {self.use(f'vf{op}')}({ra}, {rb})"],
@@ -309,13 +242,11 @@ class _FnEmitter:
             return
         if op in (15, 17):                # NEG32 / BNOT32
             expr = f"-{ra}" if op == 15 else f"~{ra}"
-            out.emit(f"t_ = ({expr}) & {_M32}")
-            out.emit(f"{d} = t_ - {_W32} if t_ & {_S32} else t_")
+            emit_wrap(out, 32, d, expr)
             return
         if op in (31, 32):                # NEG64 / BNOT64
             expr = f"-{ra}" if op == 31 else f"~{ra}"
-            out.emit(f"t_ = ({expr}) & {_M64}")
-            out.emit(f"{d} = t_ - {_W64} if t_ & {_S64} else t_")
+            emit_wrap(out, 64, d, expr)
             return
         if op in (16, 33):                # NOT32 / NOT64
             out.emit(f"{d} = 1 if {ra} == 0 else 0")
@@ -334,17 +265,17 @@ class _FnEmitter:
             out.emit(f"{d} = float({ra})")
             return
         if op == 70:                      # I2F_U32
-            out.emit(f"{d} = float({ra} & {_M32})")
+            out.emit(f"{d} = float({ra} & {M32})")
             return
         if op == 74:                      # SX32TO64
             out.emit(f"{d} = {ra}")
             return
         if op == 75:                      # ZX32TO64
-            out.emit(f"{d} = {ra} & {_M32}")
+            out.emit(f"{d} = {ra} & {M32}")
             return
         if op == 76:                      # TRUNC64TO32
-            out.emit(f"t_ = {ra} & {_M32}")
-            out.emit(f"{d} = t_ - {_W32} if t_ & {_S32} else t_")
+            out.emit(f"t_ = {ra} & {M32}")
+            out.emit(f"{d} = t_ - {W32} if t_ & {S32} else t_")
             return
         if op in _TRAP_UNVAL:
             self.guarded([f"{d} = {self.use(f'vf{op}')}({ra})"],
@@ -379,10 +310,10 @@ class _FnEmitter:
                         f"{d})"]
             elif op == 85:
                 body = [f"{self.use('p_i')}({self.use('mem')}, {addr}, "
-                        f"{d} & {_M32})"]
+                        f"{d} & {M32})"]
             elif op == 86:
                 body = [f"{self.use('p_q')}({self.use('mem')}, {addr}, "
-                        f"{d} & {_M64})"]
+                        f"{d} & {M64})"]
             elif op == 83:
                 body = [f"{self.use('mem')}[{addr}] = {d} & 255"]
             else:                         # 84: STORE16
@@ -413,13 +344,13 @@ class _FnEmitter:
         out = self.out
         out.emit(f"cyc += {literal(charge)}")
         if op == 88:                      # JMP
-            self.emit_jump(self.bi_of(dst), fall_bi=fall_bi)
+            self.emit_jump(self.bi_of(dst), fall_bi)
         elif op in (89, 90):              # JZ / JNZ
             cond = f"r{a}" if op == 90 else f"not r{a}"
             out.emit(f"if {cond}:")
             with out.block():
                 self.emit_jump(self.bi_of(dst))
-            self.emit_jump(fall_bi, fall_bi=bi + 1)
+            self.emit_jump(fall_bi, fall_bi)
         elif op == 91:                    # CALL: flush, zero, recurse
             name, arg_regs = a
             out.emit(f"{self.use('stats')}.cycles += cyc")
@@ -427,20 +358,28 @@ class _FnEmitter:
             out.emit("cyc = 0.0")
             out.emit("ic = 0")
             arg_list = ", ".join(f"r{r}" for r in arg_regs)
-            target = self.use(self.callee(name))
-            call = f"{self.use('run_')}({target}, [{arg_list}])"
+            call = f"{self.use('run_')}({self.callee(name)}, [{arg_list}])"
             if dst >= 0:
                 out.emit(f"r{dst} = {call}")
             else:
                 out.emit(call)
-            self.emit_jump(fall_bi, fall_bi=bi + 1)
+            self.emit_jump(fall_bi, fall_bi)
         elif op == 93:                    # RETV: flush WITHOUT zeroing —
             # the finally flush runs again (reference double-count).
             out.emit(f"{self.use('stats')}.cycles += cyc")
             out.emit("stats.instructions += ic")
             out.emit(f"return r{a}")
         else:                             # 92: RET
-            out.emit("return None")
+            self.emit_exit(0)
+
+    def emit_prologue(self):
+        out = self.out
+        out.emit("_n = len(args)")
+        for i in range(self.fn.nregs):
+            out.emit(f"r{i} = args[{i}] if {i} < _n else 0")
+        out.emit("cyc = 0.0")
+        out.emit("ic = 0")
+        self.emit_profile_frame()
 
     def emit_block(self, bi):
         out = self.out
@@ -449,97 +388,49 @@ class _FnEmitter:
         classes = [int(N_OP_CLASS[int(i[0])]) for i in ops]
         charges = [N_COST[int(i[0])] * (VECTOR_COST_FACTOR if i[4]
                                         else 1.0) for i in ops]
-        out.emit(f"if bi == {bi}:")
-        with out.block():
-            if self.budget_mode:
-                out.emit(f"r_ = {self.use('machine')}.budget")
-                out.emit(f"if r_ < {len(ops)}:")
-                with out.block():
-                    out.emit(f"{self.use('deopt')}()")
-                    out.emit("_pc = cyc")
-                    out.emit("_pi = ic")
-                    out.emit("cyc = 0.0")
-                    out.emit("ic = 0")
-                    regs = ", ".join(f"r{i}" for i in
-                                     range(self.fn.nregs))
-                    out.emit(f"return {self.use('run_from')}"
-                             f"({self.use('fn')}, [{regs}], {start}, "
-                             f"_pc, _pi)")
-                out.emit(f"machine.budget = r_ - {len(ops)}")
-            if ops:
-                # Op-class counters accumulate in a per-block local and
-                # flush in the ``finally`` — integer adds commute, so the
-                # totals match the eager per-block batching at every
-                # externally observable point (guards rewind the engine
-                # counters directly; ``ic`` stays eager because the CALL
-                # and RETV flushes hand it to the reference quirks).
-                out.emit(f"ic += {len(ops)}")
-                out.emit(f"nb{bi} += 1")
-                keys = [int(i[0]) + (256 if i[4] else 0) for i in ops]
-                self.block_counts[bi] = (
-                    list(class_deltas(classes)),
-                    list(class_deltas(keys)) if self.profiling else [])
-            has_term = bool(ops) and int(ops[-1][0]) in _TERM_OPS
-            body = ops[:-1] if has_term else ops
-            for idx, instr in enumerate(body):
-                out.emit(f"cyc += {literal(charges[idx])}")
-                self.emit_op(instr, classes, idx)
-            if has_term:
-                self.emit_term(ops[-1], charges[-1], bi, self.bi_of(end))
-            else:
-                self.emit_jump(self.bi_of(end), fall_bi=bi + 1)
+        if self.budget_mode:
+            out.emit(f"r_ = {self.use('machine')}.budget")
+            out.emit(f"if r_ < {len(ops)}:")
+            with out.block():
+                out.emit(f"{self.use('deopt')}()")
+                out.emit("_pc = cyc")
+                out.emit("_pi = ic")
+                out.emit("cyc = 0.0")
+                out.emit("ic = 0")
+                regs = ", ".join(f"r{i}" for i in range(self.fn.nregs))
+                out.emit(f"return {self.use('run_from')}"
+                         f"({self.use('fn')}, [{regs}], {start}, "
+                         f"_pc, _pi)")
+            out.emit(f"machine.budget = r_ - {len(ops)}")
+        # ``ic`` stays eager, because the CALL and RETV flushes hand it
+        # to the reference quirks; the op classes batch per block.
+        out.emit(f"ic += {len(ops)}")
+        self.count_block(bi, classes)
+        if self.profiling:
+            keys = [int(i[0]) + (256 if i[4] else 0) for i in ops]
+            self.prof_cells.append((f"nb{bi}", class_deltas(keys)))
+        body, term = split_term(ops, _TERM_OPS)
+        for idx, instr in enumerate(body):
+            out.emit(f"cyc += {literal(charges[idx])}")
+            self.emit_op(instr, classes, idx)
+        fall_bi = self.bi_of(end)
+        if term is None:
+            self.emit_jump(fall_bi, fall_bi)
+        else:
+            self.emit_term(term, charges[-1], bi, fall_bi)
 
-    def build(self):
+    def emit_finally(self):
         out = self.out
-        body = Emitter()
-        self.out = body
-        with body.block():
-            with body.block():
-                body.emit("_n = len(args)")
-                for i in range(self.fn.nregs):
-                    body.emit(f"r{i} = args[{i}] if {i} < _n else 0")
-                body.emit("cyc = 0.0")
-                body.emit("ic = 0")
-                if self.profiling:
-                    body.emit(f"fprof = {self.use('prof_frame')}"
-                              f"({self.use('fn_name')})")
-                if not self.ranges:
-                    body.emit("return None")
-                else:
-                    live = [bi for bi, (start, end)
-                            in enumerate(self.ranges) if end > start]
-                    if live:
-                        body.emit(" = ".join(
-                            f"nb{bi}" for bi in live) + " = 0")
-                    body.emit("try:")
-                    with body.block():
-                        body.emit("bi = 0")
-                        body.emit("while True:")
-                        with body.block():
-                            for bi in range(len(self.ranges)):
-                                self.emit_block(bi)
-                            body.emit("raise AssertionError"
-                                      "('codegen: lost dispatch')")
-                    body.emit("finally:")
-                    with body.block():
-                        body.emit("if ic:")
-                        with body.block():
-                            body.emit(f"{self.use('stats')}.cycles += cyc")
-                            body.emit("stats.instructions += ic")
-                        self.emit_flush()
-        self.out = out
-        out.emit("def make(ns):")
+        out.emit("if ic:")
         with out.block():
-            for name in sorted(self.names):
-                if name.startswith("cf_"):
-                    continue
-                out.emit(f"{name} = ns[{name!r}]")
-            for cname, local in sorted(self.callees.items()):
-                out.emit(f"{local} = ns['callees'][{cname!r}]")
-            out.emit("def run(args):")
-            out.lines.extend(body.lines)
-            out.emit("return run")
-        return out.source()
+            out.emit(f"{self.use('stats')}.cycles += cyc")
+            out.emit("stats.instructions += ic")
+        self.emit_flush()
+
+    def emit_bindings(self):
+        super().emit_bindings()
+        for cname, local in sorted(self.callees.items()):
+            self.out.emit(f"{local} = ns['callees'][{cname!r}]")
 
 
 def translate(fn, machine):
@@ -555,23 +446,11 @@ def translate(fn, machine):
                 f"{pc} (codegen tier has no handler)")
 
     for instr in code:
-        if int(instr[0]) == 0 and not isinstance(
-                instr[2], (int, float, str, bytes, bool, type(None))):
+        if int(instr[0]) == 0 and not literalizable(instr[2]):
             # A MOVI immediate the source emitter cannot literalise:
             # decline to the reference ladder rather than fail mid-build.
-            get_registry().counter_add("interp.native.codegen_declined",
-                                       1, SCHED)
-            return None
-
-    leaders = {0}
-    for pc, instr in enumerate(code):
-        op = int(instr[0])
-        if op in _TERM_OPS:
-            leaders.add(pc + 1)
-            if op in _BRANCHES:
-                leaders.add(instr[1])
-    ranges = split_blocks(len(code), leaders)
-    block_index = {start: bi for bi, (start, _end) in enumerate(ranges)}
+            return declined("native")
+    ranges, block_index = block_ranges(code, _TERM_OPS, _BRANCHES)
 
     budget_mode = machine.budget is not None
     profiling = machine._profile is not None
@@ -596,8 +475,7 @@ def translate(fn, machine):
         "u_q": _UNPACK_Q, "p_d": _PACK_D,
         "p_i": _PACK_I, "p_q": _PACK_Q,
         "fdiv": _fdiv,
-        "deopt": lambda: get_registry().counter_add(
-            "interp.native.codegen_deopts", 1, SCHED),
+        "deopt": deopt_counter("native"),
         "callees": {name: functions[name] for name in functions},
     }
     ns["sqrt"] = _math.sqrt
@@ -608,7 +486,5 @@ def translate(fn, machine):
     for op, f in _TRAP_UNVAL.items():
         ns[f"vf{op}"] = f
 
-    reg = get_registry()
-    reg.counter_add("interp.native.codegen_functions", 1, SCHED)
-    reg.counter_add("interp.native.codegen_blocks", len(ranges), SCHED)
+    translated("native", len(ranges))
     return factory(ns)

@@ -7,8 +7,8 @@ The service's workers and the direct command-line path both run cells
 through :func:`run_cell` and serialize them with :func:`result_line`, so
 a JSONL line streamed over HTTP is byte-identical to the line a direct
 invocation of the same cell prints — that equality is the service's
-correctness contract (and is pinned by the end-to-end tests and
-``tools/bench_service.py``).
+correctness contract (and is pinned by the end-to-end tests in
+``tests/test_service.py``).
 
 Results are memoized under the ``service-cell`` kind with
 ``replay_metrics=True``: a warm cell replays the DET metrics the cold

@@ -1,10 +1,10 @@
 """Minimal stdlib client for the sweep service.
 
-Thin wrappers over :mod:`http.client` used by the CLI smoke mode, the
-tests and ``tools/bench_service.py``.  :func:`request_lines` streams a
-sweep and yields raw JSONL lines (bytes, no trailing newline) so callers
-can compare them byte-for-byte against the direct path;
-:func:`request_sweep` parses them into dicts for convenience.
+Thin wrappers over :mod:`http.client` used by the CLI smoke mode and
+the tests.  :func:`request_lines` streams a sweep and yields raw JSONL
+lines (bytes, no trailing newline) so callers can compare them
+byte-for-byte against the direct path; :func:`request_sweep` parses
+them into dicts for convenience.
 """
 
 from __future__ import annotations

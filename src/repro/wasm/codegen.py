@@ -39,28 +39,19 @@ import math
 import struct as _struct
 
 from repro.engine.codegen import (
-    DECLINED, Emitter, class_deltas, emit_sum, literal, load_factory,
-    scaled, split_blocks, unit_key,
+    DECLINED, M32, M64, FnEmitter, block_ranges, class_deltas,
+    declined, deopt_counter, emit_wrap, literal, load_factory, split_term,
+    stack_depths, translated, unit_key,
 )
 from repro.errors import TrapError, ValidationError
-from repro.obs import SCHED, get_registry
 from repro.wasm.instructions import OP_CLASS, OP_COST
 from repro.wasm.memory import (
     PACK_F64, PACK_U32, PACK_U64, UNPACK_F64, UNPACK_I32, UNPACK_I64,
     _FRAME_BITS, _FRAME_MASK,
 )
+from repro.wasm.vm import _MASK32, _MASK64, _wrap32, _wrap64
 
 __all__ = ["translate", "DECLINED"]
-
-_MASK32 = 0xFFFFFFFF
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-
-_M32 = "4294967295"
-_S32 = "2147483648"
-_W32 = "4294967296"
-_M64 = "18446744073709551615"
-_S64 = "9223372036854775808"
-_W64 = "18446744073709551616"
 
 #: Signed comparison templates (a = top-1, b = top).
 _CMP_SIGNED = {52: "==", 53: "!=", 54: "<", 56: ">", 58: "<=", 60: ">=",
@@ -74,16 +65,6 @@ _I64_WRAP_ARITH = {62: "+", 63: "-", 64: "*", 69: "&", 70: "|", 71: "^"}
 
 _PACK_Q = _struct.Struct("<q")
 _PACK_D = _struct.Struct("<d")
-
-
-def _wrap32(v):
-    v &= _MASK32
-    return v - 0x100000000 if v & 0x80000000 else v
-
-
-def _wrap64(v):
-    v &= _MASK64
-    return v - 0x10000000000000000 if v & 0x8000000000000000 else v
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +177,7 @@ _STORE_WIDTH = {24: 4, 25: 8, 26: 8, 27: 1, 28: 2}
 _CONSTS = (31, 32, 33)
 _MARKERS = frozenset((1, 2, 3, 6))        # nop / block / loop / end
 _TERM_OPS = frozenset((4, 7, 8, 9, 10))   # if / br / br_if / return / call
+_BRANCHES = frozenset((4, 7, 8))          # if / br / br_if
 
 #: Every opcode the translator handles.  ``ELSE`` (5) is absent by
 #: design: ``_prepare_body`` rewrites it to a resolved ``BR`` before
@@ -230,44 +212,21 @@ def _analyse(code, ranges, block_index, call_sigs):
     Returns ``(entry_depth, max_depth)`` or ``None`` when a join is
     entered at two different depths or a depth would go negative (the
     validator prevents both for generated code; hand-built modules run
-    on the reference ladder).
+    on the reference ladder).  The max counts each op's depth after it
+    pops and pushes.
     """
-    if not ranges:
-        return {}, 0
-    entry = {0: 0}
-    work = [0]
-    max_d = 0
-    n = len(code)
-
-    def join(pc, depth):
-        if pc >= n:
-            return True
-        tbi = block_index[pc]
-        if tbi in entry:
-            return entry[tbi] == depth
-        entry[tbi] = depth
-        work.append(tbi)
-        return True
-
-    while work:
-        bi = work.pop()
-        start, end = ranges[bi]
-        d = entry[bi]
-        ops = code[start:end]
-        has_term = bool(ops) and ops[-1][0] in _TERM_OPS
-        body = ops[:-1] if has_term else ops
+    def walk(ops, end, d, join):
+        body, term = split_term(ops, _TERM_OPS)
+        peak = d
         for op, arg, _extra in body:
             pops, pushes = _flow(op, arg, call_sigs)
             if d < pops:
                 return None
             d += pushes - pops
-            if d > max_d:
-                max_d = d
-        if not has_term:
-            if not join(end, d):
-                return None
-            continue
-        op, arg, extra = ops[-1]
+            peak = max(peak, d)
+        if term is None:
+            return peak if join(end, d) else None
+        op, arg, extra = term
         if op == 8:                       # br_if
             if d < 1:
                 return None
@@ -282,80 +241,41 @@ def _analyse(code, ranges, block_index, call_sigs):
             if not (join(arg, d) and join(end, d)):
                 return None
         elif op == 7:                     # br
-            target_d = d if extra is None else min(d, extra)
-            if not join(arg, target_d):
+            if not join(arg, d if extra is None else min(d, extra)):
                 return None
-        elif op == 9:                     # return
-            pass
-        else:                             # call
+        elif op == 10:                    # call
             _kind, nargs, has_res = call_sigs[arg]
             if d < nargs:
                 return None
             d += (1 if has_res else 0) - nargs
-            if d > max_d:
-                max_d = d
             if not join(end, d):
                 return None
-    return entry, max_d
+            peak = max(peak, d)
+        return peak                       # (a return has no successor)
+
+    return stack_depths(code, ranges, block_index, walk)
 
 
-def _emit_i32_wrap(out, target, expr):
-    out.emit(f"t_ = ({expr}) & {_M32}")
-    out.emit(f"{target} = t_ - {_W32} if t_ & {_S32} else t_")
-
-
-def _emit_i64_wrap(out, target, expr):
-    out.emit(f"t_ = ({expr}) & {_M64}")
-    out.emit(f"{target} = t_ - {_W64} if t_ & {_S64} else t_")
-
-
-class _FnEmitter:
-    """Emits the ``run`` body for one prepared function."""
+class _FnEmitter(FnEmitter):
+    """Emits the generated unit for one prepared function."""
 
     def __init__(self, fn, code, ranges, block_index, entry_depth,
                  max_depth, budget_mode, profiling, call_sigs):
-        self.fn = fn
-        self.code = code
-        self.ranges = ranges
-        self.block_index = block_index
-        self.entry_depth = entry_depth
-        self.max_depth = max_depth
+        super().__init__(fn, code, ranges, block_index, profiling,
+                         entry_depth, max_depth)
         self.budget_mode = budget_mode
-        self.profiling = profiling
         self.call_sigs = call_sigs
         self.results = bool(fn.results)
-        self.names = set()                # ns names the source references
-        #: Per-block charge batch, flushed lazily (see ``emit_flush``):
-        #: ``{bi: (cycles, n_ops, [(class, d)], [(op, d)])}``.
-        self.block_counts = {}
-        self.out = Emitter()
-
-    def use(self, name):
-        self.names.add(name)
-        return name
-
-    def bi_of(self, pc):
-        return -1 if pc >= len(self.code) else self.block_index[pc]
 
     # -- fragments ------------------------------------------------------
 
-    def emit_return(self, depth):
+    def emit_exit(self, depth):
         if not self.results:
             self.out.emit("return None")
         elif depth > 0:
             self.out.emit(f"return s{depth - 1}")
         else:
             self.out.emit("return 0")
-
-    def emit_jump(self, tbi, depth, fall_bi=None):
-        """Transfer to block ``tbi`` arriving at ``depth`` slots."""
-        if tbi == -1:
-            self.emit_return(depth)
-        elif tbi == fall_bi:
-            self.out.emit(f"bi = {tbi}")
-        else:
-            self.out.emit(f"bi = {tbi}")
-            self.out.emit("continue")
 
     def emit_rewind(self, costs, classes, idx):
         """The charge-suffix rewind: restore the reference's charge
@@ -387,49 +307,6 @@ class _FnEmitter:
             "else:",
             f"    o_ = a_ & {_FRAME_MASK}",
         ]
-
-    def emit_flush(self):
-        """Apply the per-block charges accumulated by the dispatch loop.
-        Runs once, in the ``finally``, covering returns, deopt handoffs
-        and escaping traps alike: one statement per counter (see the
-        exactness note in ``emit_block``); profiler cells stay guarded
-        per block."""
-        out = self.out
-        if not self.block_counts:
-            out.emit("pass")
-            return
-        cycles, instructions, classes = [], [], {}
-        for bi in sorted(self.block_counts):
-            blk_cycles, n_ops, deltas, _prof = self.block_counts[bi]
-            if blk_cycles:
-                cycles.append(f"{literal(blk_cycles)} * nb{bi}")
-            instructions.append(scaled(n_ops, f"nb{bi}"))
-            for ci, dc in deltas:
-                classes.setdefault(ci, []).append(scaled(dc, f"nb{bi}"))
-        stats = self.use("stats")
-        if cycles:
-            emit_sum(out, f"{stats}.cycles", cycles, fold=True)
-        emit_sum(out, f"{stats}.instructions", instructions)
-        for ci in sorted(classes):
-            emit_sum(out, f"{self.use('counts')}[{ci}]", classes[ci])
-        for bi in sorted(self.block_counts):
-            prof = self.block_counts[bi][3]
-            if prof:
-                out.emit(f"if nb{bi}:")
-                with out.block():
-                    for op, dc in prof:
-                        out.emit(f"fprof[{op}] = fprof.get({op}, 0) + "
-                                 f"{scaled(dc, f'nb{bi}')}")
-
-    def guarded(self, body_lines, costs, classes, idx):
-        self.out.emit("try:")
-        with self.out.block():
-            for line in body_lines:
-                self.out.emit(line)
-        self.out.emit("except BaseException:")
-        with self.out.block():
-            self.emit_rewind(costs, classes, idx)
-            self.out.emit("raise")
 
     # -- one straight-line op at static depth d; returns the new depth --
 
@@ -479,42 +356,42 @@ class _FnEmitter:
             return d
         a, b = f"s{d - 2}", f"s{d - 1}"
         if op in _I32_WRAP_ARITH:
-            _emit_i32_wrap(out, a, f"{a} {_I32_WRAP_ARITH[op]} {b}")
+            emit_wrap(out, 32, a, f"{a} {_I32_WRAP_ARITH[op]} {b}")
             return d - 1
         if op in _I64_WRAP_ARITH:
-            _emit_i64_wrap(out, a, f"{a} {_I64_WRAP_ARITH[op]} {b}")
+            emit_wrap(out, 64, a, f"{a} {_I64_WRAP_ARITH[op]} {b}")
             return d - 1
         if op in _F64_ARITH:
             out.emit(f"{a} = {a} {_F64_ARITH[op]} {b}")
             return d - 1
         if op == 44:
-            _emit_i32_wrap(out, a, f"{a} << ({b} & 31)")
+            emit_wrap(out, 32, a, f"{a} << ({b} & 31)")
             return d - 1
         if op == 45:
             out.emit(f"{a} = {a} >> ({b} & 31)")
             return d - 1
         if op == 46:
-            _emit_i32_wrap(out, a, f"({a} & {_M32}) >> ({b} & 31)")
+            emit_wrap(out, 32, a, f"({a} & {M32}) >> ({b} & 31)")
             return d - 1
         if op == 72:
-            _emit_i64_wrap(out, a, f"{a} << ({b} & 63)")
+            emit_wrap(out, 64, a, f"{a} << ({b} & 63)")
             return d - 1
         if op == 73:
             out.emit(f"{a} = {a} >> ({b} & 63)")
             return d - 1
         if op == 74:
-            _emit_i64_wrap(out, a, f"({a} & {_M64}) >> ({b} & 63)")
+            emit_wrap(out, 64, a, f"({a} & {M64}) >> ({b} & 63)")
             return d - 1
         if op in _CMP_SIGNED:
             out.emit(f"{a} = 1 if {a} {_CMP_SIGNED[op]} {b} else 0")
             return d - 1
         if op in _CMP_U32:
-            out.emit(f"{a} = 1 if ({a} & {_M32}) {_CMP_U32[op]} "
-                     f"({b} & {_M32}) else 0")
+            out.emit(f"{a} = 1 if ({a} & {M32}) {_CMP_U32[op]} "
+                     f"({b} & {M32}) else 0")
             return d - 1
         if op in _CMP_U64:
-            out.emit(f"{a} = 1 if ({a} & {_M64}) {_CMP_U64[op]} "
-                     f"({b} & {_M64}) else 0")
+            out.emit(f"{a} = 1 if ({a} & {M64}) {_CMP_U64[op]} "
+                     f"({b} & {M64}) else 0")
             return d - 1
         if op == 91:
             out.emit(f"{a} = min({a}, {b})")
@@ -544,18 +421,18 @@ class _FnEmitter:
             out.emit(f"{t} = -{t}")
             return d
         if op == 101:
-            _emit_i32_wrap(out, t, t)
+            emit_wrap(out, 32, t, t)
             return d
         if op == 102:
             return d                      # i64.extend_i32_s: identity
         if op == 103:
-            out.emit(f"{t} = {t} & {_M32}")
+            out.emit(f"{t} = {t} & {M32}")
             return d
         if op in (104, 106):
             out.emit(f"{t} = float({t})")
             return d
         if op == 105:
-            out.emit(f"{t} = float({t} & {_M32})")
+            out.emit(f"{t} = float({t} & {M32})")
             return d
         if op in (109, 110):
             out.emit(f"{t} = {self.use(f'vf{op}')}({t})")
@@ -590,9 +467,9 @@ class _FnEmitter:
             v, addr = f"s{d - 1}", f"s{d - 2}"
             body = self._frame_lookup(addr, arg, width)
             if op == 24:
-                body.append(f"{self.use('p_u32')}(f_, o_, {v} & {_M32})")
+                body.append(f"{self.use('p_u32')}(f_, o_, {v} & {M32})")
             elif op == 25:
-                body.append(f"{self.use('p_u64')}(f_, o_, {v} & {_M64})")
+                body.append(f"{self.use('p_u64')}(f_, o_, {v} & {M64})")
             elif op == 26:
                 body.append(f"{self.use('p_f64')}(f_, o_, {v})")
             elif op == 27:
@@ -616,19 +493,19 @@ class _FnEmitter:
             tbi = self.bi_of(arg)
             out.emit(f"if s{d - 1}:")
             with out.block():
-                self.emit_jump(tbi, min(d - 1, h))
-            self.emit_jump(fall_bi, d - 1, fall_bi=bi + 1)
+                self.emit_jump(tbi, depth=min(d - 1, h))
+            self.emit_jump(fall_bi, fall_bi, d - 1)
         elif op == 4:                     # if: jump on false
             tbi = self.bi_of(arg)
             out.emit(f"if not s{d - 1}:")
             with out.block():
-                self.emit_jump(tbi, d - 1)
-            self.emit_jump(fall_bi, d - 1, fall_bi=bi + 1)
+                self.emit_jump(tbi, depth=d - 1)
+            self.emit_jump(fall_bi, fall_bi, d - 1)
         elif op == 7:                     # br
             target_d = d if extra is None else min(d, extra)
-            self.emit_jump(self.bi_of(arg), target_d)
+            self.emit_jump(self.bi_of(arg), depth=target_d)
         elif op == 9:                     # return
-            self.emit_return(d)
+            self.emit_exit(d)
         else:                             # call
             kind, nargs, has_res = self.call_sigs[arg]
             base = d - nargs
@@ -646,112 +523,56 @@ class _FnEmitter:
                 target = self.use(f"fn_{arg}")
                 out.emit(f"{dst}{self.use('call')}({target}, "
                          f"[{arg_list}])")
-            self.emit_jump(fall_bi, base + (1 if has_res else 0),
-                           fall_bi=bi + 1)
+            self.emit_jump(fall_bi, fall_bi, base + (1 if has_res else 0))
 
     # -- whole blocks ---------------------------------------------------
+
+    def emit_prologue(self):
+        out = self.out
+        for i in range(self.fn.num_params):
+            out.emit(f"l{i} = args[{i}]")
+        for j, t in enumerate(self.fn.local_types):
+            init = "0.0" if t == "f64" else "0"
+            out.emit(f"l{self.fn.num_params + j} = {init}")
+        self.emit_slots("0")
+        self.emit_profile_frame()
 
     def emit_block(self, bi):
         out = self.out
         start, end = self.ranges[bi]
-        out.emit(f"if bi == {bi}:")
-        with out.block():
-            if bi not in self.entry_depth:
-                # CFG-unreachable: never entered at runtime.
-                out.emit(f"raise {self.use('TrapError')}"
-                         f"('codegen: entered unreachable block {bi}')")
-                return
-            ops = self.code[start:end]
-            costs = [OP_COST[op] for op, _a, _e in ops]
-            classes = [int(OP_CLASS[op]) for op, _a, _e in ops]
-            d = self.entry_depth[bi]
-            if self.budget_mode:
-                out.emit(f"r_ = {self.use('inst')}._instr_budget")
-                out.emit(f"if r_ < {len(ops)}:")
-                with out.block():
-                    out.emit(f"{self.use('deopt')}()")
-                    lo = ", ".join(
-                        f"l{i}" for i in range(self.fn.num_locals))
-                    st = ", ".join(f"s{i}" for i in range(d))
-                    out.emit(f"return {self.use('run_from')}"
-                             f"({self.use('fn')}, [{lo}], [{st}], "
-                             f"{start})")
-                out.emit(f"inst._instr_budget = r_ - {len(ops)}")
-            if ops:
-                # Charges accumulate in a per-block execution counter and
-                # flush in the ``finally``.  Every wasm op cost is a
-                # dyadic rational and totals stay far below 2**50, so
-                # ``blk_cycles * nb`` is the exact float the eager
-                # per-block adds would have produced.  The flush sums
-                # each integer counter in one statement (integer adds
-                # commute; guards rewind the engine counters directly,
-                # which deferral does not disturb) and folds cycles as
-                # one left-associative chain in block order — the float
-                # adds of a per-block ``if nb: cycles += c * nb`` flush,
-                # in the same order.  A block that never ran adds
-                # ``+0.0``, which leaves any value but ``-0.0`` alone,
-                # and cycle totals only ever sum non-negative costs.
-                out.emit(f"nb{bi} += 1")
-                self.block_counts[bi] = (
-                    math.fsum(costs), len(ops),
-                    list(class_deltas(classes)),
-                    list(class_deltas([o for o, _a, _e in ops]))
-                    if self.profiling else [])
-            has_term = bool(ops) and ops[-1][0] in _TERM_OPS
-            body = ops[:-1] if has_term else ops
-            for idx, instr in enumerate(body):
-                d = self.emit_op(instr, d, costs, classes, idx)
-            if has_term:
-                self.emit_term(ops[-1], d, bi, self.bi_of(end))
-            else:
-                self.emit_jump(self.bi_of(end), d, fall_bi=bi + 1)
-
-    def build(self):
-        out = self.out
-        body = Emitter()
-        self.out = body
-        with body.block():                # inside `def run(args):`
-            with body.block():
-                for i in range(self.fn.num_params):
-                    body.emit(f"l{i} = args[{i}]")
-                for j, t in enumerate(self.fn.local_types):
-                    init = "0.0" if t == "f64" else "0"
-                    body.emit(f"l{self.fn.num_params + j} = {init}")
-                if self.max_depth:
-                    chain = " = ".join(
-                        f"s{i}" for i in range(self.max_depth))
-                    body.emit(f"{chain} = 0")
-                if self.profiling:
-                    body.emit(f"fprof = {self.use('prof_frame')}"
-                              f"({self.use('fn_name')})")
-                if not self.ranges:
-                    self.emit_return(0)
-                else:
-                    live = [bi for bi, (start, end)
-                            in enumerate(self.ranges)
-                            if bi in self.entry_depth and end > start]
-                    if live:
-                        body.emit(" = ".join(
-                            f"nb{bi}" for bi in live) + " = 0")
-                    body.emit("try:")
-                    with body.block():
-                        body.emit("bi = 0")
-                        body.emit("while True:")
-                        with body.block():
-                            for bi in range(len(self.ranges)):
-                                self.emit_block(bi)
-                    body.emit("finally:")
-                    with body.block():
-                        self.emit_flush()
-        self.out = out
-        out.emit("def make(ns):")
-        with out.block():
-            for name in sorted(self.names):
-                out.emit(f"{name} = ns[{name!r}]")
-            out.emit("def run(args):")
-            out.lines.extend(body.lines)
-            out.emit("return run")
-        return out.source()
+        ops = self.code[start:end]
+        costs = [OP_COST[op] for op, _a, _e in ops]
+        classes = [int(OP_CLASS[op]) for op, _a, _e in ops]
+        d = self.entry_depth[bi]
+        if self.budget_mode:
+            out.emit(f"r_ = {self.use('inst')}._instr_budget")
+            out.emit(f"if r_ < {len(ops)}:")
+            with out.block():
+                out.emit(f"{self.use('deopt')}()")
+                lo = ", ".join(f"l{i}" for i in range(self.fn.num_locals))
+                st = ", ".join(f"s{i}" for i in range(d))
+                out.emit(f"return {self.use('run_from')}"
+                         f"({self.use('fn')}, [{lo}], [{st}], {start})")
+            out.emit(f"inst._instr_budget = r_ - {len(ops)}")
+        # Every wasm op cost is a dyadic rational and totals stay far
+        # below 2**50, so the flush's ``blk_cycles * nb`` is the exact
+        # float the eager per-block adds would have produced, and its
+        # left fold in block order adds them in the same order.  A block
+        # that never ran adds ``+0.0``, which leaves any value but
+        # ``-0.0`` alone, and cycle totals only ever sum non-negative
+        # costs.
+        self.count_block(bi, classes, len(ops), math.fsum(costs))
+        if self.profiling:
+            self.prof_cells.append(
+                (f"nb{bi}", class_deltas([o for o, _a, _e in ops])))
+        body, term = split_term(ops, _TERM_OPS)
+        for idx, instr in enumerate(body):
+            d = self.emit_op(instr, d, costs, classes, idx)
+        fall_bi = self.bi_of(end)
+        if term is None:
+            self.emit_jump(fall_bi, fall_bi, d)
+        else:
+            self.emit_term(term, d, bi, fall_bi)
 
 
 def translate(fn, inst):
@@ -764,15 +585,7 @@ def translate(fn, inst):
             raise ValidationError(
                 f"{fn.name}: unknown opcode {op} at pc {pc} "
                 f"(codegen tier has no handler)")
-
-    leaders = {0}
-    for pc, (op, arg, _extra) in enumerate(code):
-        if op in _TERM_OPS:
-            leaders.add(pc + 1)
-            if op in (4, 7, 8):
-                leaders.add(arg)
-    ranges = split_blocks(len(code), leaders)
-    block_index = {start: bi for bi, (start, _end) in enumerate(ranges)}
+    ranges, block_index = block_ranges(code, _TERM_OPS, _BRANCHES)
 
     call_sigs = {}
     for pc, (op, arg, _extra) in enumerate(code):
@@ -781,10 +594,8 @@ def translate(fn, inst):
             call_sigs[arg] = (kind, len(ftype.params), bool(ftype.results))
 
     flow = _analyse(code, ranges, block_index, call_sigs)
-    reg = get_registry()
     if flow is None:
-        reg.counter_add("interp.wasm.codegen_declined", 1, SCHED)
-        return None
+        return declined("wasm")
     entry_depth, max_depth = flow
 
     budget_mode = inst.max_instructions is not None
@@ -811,8 +622,7 @@ def translate(fn, inst):
         "nan": math.nan, "sqrt": math.sqrt,
         "u_i32": UNPACK_I32, "u_i64": UNPACK_I64, "u_f64": UNPACK_F64,
         "p_u32": PACK_U32, "p_u64": PACK_U64, "p_f64": PACK_F64,
-        "deopt": lambda: get_registry().counter_add(
-            "interp.wasm.codegen_deopts", 1, SCHED),
+        "deopt": deopt_counter("wasm"),
     }
     if inst._profile is not None:
         ns["prof_frame"] = inst._profile.frame
@@ -822,6 +632,5 @@ def translate(fn, inst):
         target = inst._funcs[arg][1]
         ns[f"host_{arg}" if kind == "host" else f"fn_{arg}"] = target
 
-    reg.counter_add("interp.wasm.codegen_functions", 1, SCHED)
-    reg.counter_add("interp.wasm.codegen_blocks", len(ranges), SCHED)
+    translated("wasm", len(ranges))
     return factory(ns)

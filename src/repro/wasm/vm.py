@@ -27,7 +27,6 @@ from repro.engine.codegen import fast_interp_enabled
 from repro.engine.stats import EngineStats
 from repro.errors import TrapError, ValidationError
 from repro.obs import new_profile
-from repro.wasm import codegen as _codegen
 from repro.wasm.instructions import OP_CLASS, OP_COST, Op, OpClass
 from repro.wasm.memory import LinearMemory
 
@@ -617,3 +616,8 @@ class WasmVM:
                             boundary_cost=self.boundary_cost,
                             max_instructions=self.max_instructions,
                             tier_policy=self.tier_policy)
+
+
+# Bound at the bottom to break the cycle: the codegen tier imports this
+# module's wrap helpers (_wrap32, _wrap64, ...) at its top.
+from repro.wasm import codegen as _codegen    # noqa: E402

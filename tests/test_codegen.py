@@ -14,10 +14,12 @@ The two tiers under test (see ``engine/codegen.py``)::
 
 from __future__ import annotations
 
+import builtins
 import dataclasses
 import os
 import re
 import subprocess
+import symtable
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -768,7 +770,8 @@ class TestColdWarmCache:
 
 
 # ---------------------------------------------------------------------------
-# Source emission: the indentation buffer and the counter flush.
+# Source emission: the indentation buffer, the counter flush, the block
+# split and the stack-depth worklist.
 
 class TestEmitter:
     def test_nested_blocks_indent_one_level_each(self):
@@ -818,6 +821,64 @@ class TestEmitter:
         for k in range(n):
             want = want + (k % 3 + 1) * k
         assert S.y == want
+
+    def test_block_ranges_ignore_out_of_range_targets(self):
+        # pc 1 branches to pc 4, one past the end (the function exit);
+        # pc 3 branches back to pc 1.
+        code = [("op",), ("br", 4), ("op",), ("br", 1)]
+        ranges, index = substrate.block_ranges(code, {"br"}, {"br"})
+        assert ranges == [(0, 1), (1, 2), (2, 4)]
+        assert index == {0: 0, 1: 1, 2: 2}
+        assert substrate.split_blocks(4, {4, 2, -1}) == [(0, 2), (2, 4)]
+
+    def test_empty_body_has_no_blocks(self):
+        def walk(*_args):
+            raise AssertionError("no block to walk")
+        assert substrate.block_ranges([], {"br"}, {"br"}) == ([], {})
+        assert substrate.split_blocks(0, {0}) == []
+        assert substrate.stack_depths([], [], {}, walk) == ({}, 0)
+
+    @staticmethod
+    def _depths(code):
+        """Toy stack machine: ``("push", n)`` adds ``n`` slots (negative
+        pops), ``("br", pc)`` ends a block with a jump that also falls
+        through."""
+        ranges, index = substrate.block_ranges(code, {"br"}, {"br"})
+
+        def walk(ops, end, d, join):
+            peak = d
+            for op, arg in ops:
+                if op == "push":
+                    if d + arg < 0:
+                        return None
+                    d += arg
+                    peak = max(peak, d)
+                elif not join(arg, d):
+                    return None
+            return peak if join(end, d) else None
+        return substrate.stack_depths(code, ranges, index, walk)
+
+    def test_depth_worklist_propagates_entry_depths(self):
+        code = [("push", 2), ("br", 4), ("push", -1), ("push", 1),
+                ("push", -2)]
+        assert self._depths(code) == ({0: 0, 1: 2, 2: 2}, 2)
+        assert self._depths([("push", -1)]) is None
+
+    def test_join_entered_at_two_depths_declines(self):
+        # Block 0 reaches pc 3 at depth 0 (branch) and, through block 1,
+        # at depth 1.
+        assert self._depths([("br", 3), ("push", 1), ("push", 0),
+                             ("push", 0)]) is None
+        # The same shape in JS bytecode: JT jumps to pc 4 at depth 0,
+        # the fall-through path arrives there holding one value.
+        from repro.engine.codegen import block_ranges
+        from repro.jsengine import codegen as jcg
+        code = [(0, 1.0), (29, 4), (0, 2.0), (27, 4), (34, None)]
+        ranges, index = block_ranges(code, jcg._TERM_OPS, jcg._JUMPS)
+        assert jcg._analyse(code, ranges, index) is None
+        code[3] = (42, None)                   # POP instead of the JMP
+        ranges, index = block_ranges(code, jcg._TERM_OPS, jcg._JUMPS)
+        assert jcg._analyse(code, ranges, index) == ({0: 0, 1: 0, 2: 0}, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -1070,6 +1131,79 @@ class TestJsSourceShape:
         # Rebinds: frame entry, one per call site, one per OSR.
         assert src.count("= tiers[fn.tier]") == 1 + n_calls + n_backedges
         assert src.count("fn.tier") == 1 + n_calls + 2 * n_backedges
+
+
+class TestUnitNames:
+    """Every name a generated unit reads is bound: a builtin, or a name
+    ``make`` binds from ``ns``.  A fragment that spells an ``ns`` name
+    without ``use()`` leaves it unbound in ``make``, so ``run`` would read
+    it as a module global and fail only when that line executes."""
+
+    @staticmethod
+    def _unbound(source):
+        top = symtable.symtable(source, "<unit>", "exec")
+        (make,) = top.get_children()
+        bound = {sym.get_name() for sym in make.get_symbols()
+                 if sym.is_local()}
+        missing = set()
+
+        def walk(table):
+            for sym in table.get_symbols():
+                name = sym.get_name()
+                if sym.is_global() and not hasattr(builtins, name):
+                    missing.add(name)
+                if sym.is_free() and name not in bound:
+                    missing.add(name)
+            for child in table.get_children():
+                walk(child)
+        walk(make)
+        return missing
+
+    @pytest.mark.parametrize("variant", ["plain", "profile", "budget"])
+    def test_run_reads_no_unbound_global(self, cheerp, llvm_x86,
+                                         monkeypatch, tmp_path, variant):
+        from repro.engine.hostlib import wasm_host_imports
+        from repro.jsengine import codegen as jcg
+        from repro.jsengine.engine import JsEngine
+        from repro.native import codegen as ncg
+        from repro.native.machine import _Machine
+        from repro.wasm import WasmVM
+        from repro.wasm import codegen as wcg
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        if variant == "profile":
+            monkeypatch.setenv("REPRO_PROFILE", "1")
+        else:
+            monkeypatch.delenv("REPRO_PROFILE", raising=False)
+        budget = 10 ** 6 if variant == "budget" else None
+        _set_tier(monkeypatch, "codegen")
+        sources = []
+        for mod in (wcg, ncg, jcg):
+            load = mod.load_factory
+
+            def spy(engine, key, build_source, _load=load):
+                factory = _load(engine, key, build_source)
+                sources.append((engine, factory.__repro_source__))
+                return factory
+            monkeypatch.setattr(mod, "load_factory", spy)
+        substrate.reset_cache()
+        try:
+            module = cheerp.compile_wasm(BUDGET_C, name="cgnames").module
+            WasmVM(max_instructions=budget).instantiate(
+                module, wasm_host_imports([], None)).invoke("main")
+            program = llvm_x86.compile(BUDGET_C, name="cgnames").program
+            _Machine(program, max_instructions=budget).call("main")
+            JsEngine().load_script(UNIT_JS)
+        finally:
+            substrate.reset_cache()
+        assert {engine for engine, _src in sources} == \
+            {"wasm", "native", "js"}
+        marker = {"plain": None, "profile": "fprof",
+                  "budget": "deopt"}[variant]
+        for engine, src in sources:
+            assert self._unbound(src) == set(), (engine, src)
+            if marker and engine != "js":
+                assert marker in src, (engine, src)
 
 
 # ---------------------------------------------------------------------------

@@ -577,6 +577,13 @@ class TestTracing:
         for record in progress:
             assert record["trace_id"] == root["trace_id"]
             assert record["parent_span_id"] == root["span_id"]
+        # Minus its ids, the traced stream is the untraced direct path
+        # byte for byte.
+        for record in results:
+            del record["trace"]
+        cells = canonicalize_request(payload).cells
+        assert [json.dumps(record, sort_keys=True) for record in results] \
+            == direct_lines(cells)
 
     def test_metrics_endpoint_scrapes_counters(self, service_env):
         async def scenario(server, loop):

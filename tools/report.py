@@ -24,7 +24,7 @@ Sections (each skipped gracefully when its metrics are absent):
 * **Sweep service** — request/cell admission, dedupe and memo-warm
   serves, scheduler batches and shard sweeps (``service.*`` counters in
   the ``metrics_unstable`` section, recorded when the summary came from
-  a serving process or ``tools/bench_service.py``).
+  a serving process).
 
 Stdlib-only and import-free of the package, so it can be pointed at a
 ``summary.json`` from any checkout: ``python tools/report.py
