@@ -31,18 +31,3 @@ def format_table(headers, rows, title=None):
     for row in table:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def format_series(title, series):
-    """Render a Fig.-5/9-style per-benchmark series as text: ``series`` is
-    ``{label: {benchmark: value}}``."""
-    benchmarks = []
-    for values in series.values():
-        for name in values:
-            if name not in benchmarks:
-                benchmarks.append(name)
-    headers = ["benchmark"] + list(series)
-    rows = []
-    for name in benchmarks:
-        rows.append([name] + [series[label].get(name) for label in series])
-    return format_table(headers, rows, title=title)

@@ -298,8 +298,3 @@ class LongJsApp:
                 "wasm_ops": instance.stats.arithmetic_profile(),
             }
         return results
-
-
-def _canonical_checksum(value):
-    value = int(value) & 0xFFFFFFFF
-    return value - 0x100000000 if value & 0x80000000 else value

@@ -20,24 +20,8 @@ from __future__ import annotations
 
 import re
 
-from repro.errors import CompileError
-
 _THROW = re.compile(r"throw\s+[^;]+;")
 _CATCH = re.compile(r"catch\s*\([^)]*\)")
-
-
-def _find_block(source, open_index):
-    """Return the index one past the matching '}' for the '{' at
-    ``open_index``."""
-    depth = 0
-    for i in range(open_index, len(source)):
-        if source[i] == "{":
-            depth += 1
-        elif source[i] == "}":
-            depth -= 1
-            if depth == 0:
-                return i + 1
-    raise CompileError("unbalanced braces in try/catch block")
 
 
 def remove_exceptions(source, flag_name="__error"):

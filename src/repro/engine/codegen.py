@@ -341,6 +341,8 @@ class FnEmitter:
     error_name = "TrapError"
     #: Statement after the last arm, or ``""`` for none.
     dispatch_tail = ""
+    #: Parameters of the generated ``run``.
+    run_params = "args"
 
     def __init__(self, fn, code, ranges, block_index, profiling,
                  entry_depth=None, max_depth=0):
@@ -511,7 +513,7 @@ class FnEmitter:
         out.emit("def make(ns):")
         with out.block():
             self.emit_bindings()
-            out.emit("def run(args):")
+            out.emit(f"def run({self.run_params}):")
             out.lines.extend(body.lines)
             out.emit("return run")
         return out.source()

@@ -43,7 +43,7 @@ class DevTools:
                 "parse_cycles": engine.stats.parse_cycles,
                 "compile_cycles": engine.stats.compile_cycles,
                 "exec_cycles": engine.stats.cycles,
-                "gc_runs": engine.heap.gc_runs,
+                "gc_runs": engine.stats.gc_runs,
                 "tier_ups": engine.stats.tier_ups,
             })
 

@@ -46,12 +46,6 @@ class MeasurementError(ReproError):
     result)."""
 
 
-class CacheError(ReproError):
-    """Raised for unrecoverable artifact-cache misconfiguration (an
-    unusable cache *entry* is never an error — it is treated as stale and
-    recompiled)."""
-
-
 class SweepError(ReproError):
     """Raised when a benchmark × configuration sweep finishes with failed
     cells and the caller asked for strict semantics.

@@ -319,12 +319,6 @@ class Function:
         self.body = body or []
         self.exported = exported
 
-    def local_type(self, name):
-        for pname, ptype in self.params:
-            if pname == name:
-                return ptype
-        return self.locals[name]
-
     def new_temp(self, type_, hint="t"):
         index = len(self.locals)
         while f"__{hint}{index}" in self.locals:

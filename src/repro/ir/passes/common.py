@@ -52,11 +52,6 @@ def map_stmt_exprs(stmt, fn):
             stmt.expr = map_expr(stmt.expr, fn)
 
 
-def map_body_exprs(body, fn):
-    for stmt in walk_stmts(body):
-        map_stmt_exprs(stmt, fn)
-
-
 def expr_is_pure(expr):
     """True if the expression has no calls (loads count as pure)."""
     return not any(isinstance(e, ECall) for e in walk_exprs(expr))
@@ -115,12 +110,3 @@ def collect_writes(body):
         elif isinstance(stmt, SGlobalSet):
             globals_w.add(stmt.name)
     return locals_w, arrays_w, globals_w
-
-
-def has_calls(body):
-    for stmt in walk_stmts(body):
-        for root in stmt_exprs(stmt):
-            for e in walk_exprs(root):
-                if isinstance(e, ECall):
-                    return True
-    return False

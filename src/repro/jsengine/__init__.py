@@ -10,9 +10,10 @@ stack interpreter — wrapped in the performance model the paper studies:
   and hot loops (back-edge counters) tier up to the optimizing tier with a
   much lower per-op cost — the mechanism behind Fig. 10's large JS JIT
   speedups.
-* **Garbage collection**: allocations are tracked with weak references;
-  collections reclaim dead objects, keeping the JS heap flat across input
-  sizes — the mechanism behind Tables 4/6/8's memory results.
+* **Garbage collection**: a collection marks from the JS roots (globals
+  and the active frames' locals and operand stacks); objects the program
+  can no longer reach are reclaimed, keeping the JS heap flat across
+  input sizes — the mechanism behind Tables 4/6/8's memory results.
 
 Engine tier parameters live in :class:`JsEngineConfig`; browser profiles in
 :mod:`repro.env` instantiate them per engine (V8, SpiderMonkey, Chakra-Blink).

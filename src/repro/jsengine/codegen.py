@@ -33,33 +33,26 @@ they apply to emitted source:
   counting at ``JBACK`` runs under ``if not fn.tier:``.
 * **GC checks only where the counter can rise.**  The reference checks
   ``allocated_since_gc`` after *every* op, but the counter only moves on
-  allocation (``ADD`` string path, ``SETIDX`` extends, ``NEWARR``/
-  ``NEWOBJ``, calls into allocating callees), so the check is inlined at
-  exactly those points; frames entered already over-trigger run on the
-  reference ladder (the ``execute`` gate).  Every collection lands on
-  the same op with the same pause arithmetic.
+  allocation (``ADD`` string path, ``SETIDX``/``INCIDX`` extends,
+  ``NEWARR``/``NEWOBJ``, calls into allocating callees), so the check is
+  inlined at exactly those points; frames entered already over-trigger
+  run on the reference ladder (the ``execute`` gate).  Every collection
+  lands on the same op with the same pause arithmetic.
 * **Flush discipline.**  ``cyc`` is flushed to ``stats.cycles`` only
   where the reference flushes its local: before recursing into a
   ``JSFunction`` callee, and in the frame's ``finally``.
   ``performance.now()`` therefore reads identical values mid-run.
   ``NEWCALL`` deliberately does *not* flush (neither does the
   reference).
-* **Shadow locals mirror the reference frame's arm locals.**  GC
-  reachability is delegated to Python's object graph, so the reference
-  ladder's *stale* frame locals (``obj`` from the last GETIDX, ``a``/``b``
-  from the last binop, the last ``call_args`` list, ...) pin heap objects
-  until the next arm rebinds them — and that changes ``live_bytes()`` at
-  collection time, hence the pause cycles.  The generated frame keeps a
-  shadow slot per reference local name (``sh``), written exactly where
-  the reference rebinds that name, and routes popped values *through*
-  the shadow slots instead of Python temporaries, so it never pins a
-  heap object the reference frame would not.  Slots the reference only
-  ever rebinds to numbers on a given arm are written as ``0.0``: shadow
-  contents are observable *only* through the liveness of registered
-  objects, so any non-heap value is equivalent.  Dead stack slots above
-  the current depth are cleared to ``None`` before every point that can
-  collect, because a lowered slot (unlike a popped list entry) would
-  otherwise keep its last value alive.
+* **The frame publishes its JS roots where the mark can run.**  The
+  collector marks from the globals and one root holder per active frame
+  (:mod:`repro.jsengine.gc`).  A generated frame's holder is the ``rt``
+  list ``execute`` passes to ``run``; the frame overwrites it with its
+  locals and the operand slots below the current depth
+  (``rt[:] = l0, ..., s0, ...``) at the only points a mark can run while
+  the frame is live: before each ``JSFunction`` call and ``NEWCALL``,
+  and inside its own collection branch.  Slots above the depth and
+  Python temporaries are never roots, so nothing needs clearing.
 
 The generated source depends only on the bytecode and translation flags
 (JIT enablement, profiling) — instance state and the tier constants are
@@ -87,7 +80,6 @@ from repro.jsengine.values import (
     NativeFunction,
     SparseItems,
     UNDEFINED,
-    js_to_str,
     js_truthy,
     to_int32,
     to_uint32,
@@ -103,29 +95,11 @@ _JUMPS = frozenset((27, 28, 29, 30))
 #: either — both tiers reject it with a structured error.
 SUPPORTED_OPS = frozenset(range(48)) | {49}
 
-#: Shadow-local slots (see module docstring): one per reference arm local
-#: that can hold — and therefore pin — a registered heap object:
-#: 0 ``i``, 1 ``obj``, 2 ``value``, 3 ``index``, 4 ``a``, 5 ``b``, 6 ``v``,
-#: 7 ``call_args``, 8 ``callee``, 9 ``this_val``, 10 ``ctor``,
-#: 11 ``array``, 12 ``items``, 13 ``values``.
-_NSHADOW = 14
-
-#: Pure binop → the shadow slots its reference arm rebinds.  Most arms
-#: bind the popped originals ``a``/``b`` ("ab"); DIV rebinds both to
-#: coerced floats ("ab_num"), EQ/NE and the bitwise ops bind only ``b``
-#: ("b"), the shifts rebind ``b`` to a number ("b_num") and SHL also
-#: ``v`` ("shl").  ADD has its own arm (it also binds ``v`` on the
-#: non-float path).
-_SHADOW_KIND = {
-    6: "ab", 7: "ab", 9: "ab",
-    8: "ab_num",
-    13: "b", 14: "b", 15: "b",
-    16: "shl", 17: "b_num", 18: "b_num",
-    19: "ab", 20: "ab", 21: "ab", 22: "ab",
-    23: "b", 24: "b",
-    25: "ab", 26: "ab",
-    49: "ab",
-}
+#: Pure binary operators (two operands in, one value out), lowered by
+#: ``emit_binval``.  ADD is not pure (its string path allocates) and has
+#: its own arm.
+_BINOPS = frozenset((6, 7, 8, 9, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22,
+                     23, 24, 25, 26, 49))
 
 
 def _cmp(compare):
@@ -149,46 +123,13 @@ _VALUE_FNS = {
 }
 
 
-def _setidx_work(heap, obj, index, value, sh):
-    """The reference SETIDX body (everything after the boxed-element
-    penalty), writing the ``i``/``items`` shadow slots where the
-    reference arm rebinds them."""
-    if isinstance(obj, JSArray):
-        i = int(index)
-        items = obj.items
-        sh[0] = 0.0
-        sh[12] = items
-        if i >= len(items):
-            heap.note_ephemeral(8 * (i + 1 - len(items)))
-            items.extend([UNDEFINED] * (i + 1 - len(items)))
-        items[i] = value
-    elif isinstance(obj, JSTypedArray):
-        i = int(index)
-        sh[0] = 0.0
-        if 0 <= i < len(obj.items):
-            if obj.width == 8:
-                obj.items[i] = _to_number(value)
-            elif obj.kind == "Uint8Array":
-                obj.items[i] = float(to_int32(value) & 0xFF)
-            elif obj.kind == "Uint16Array":
-                obj.items[i] = float(to_int32(value) & 0xFFFF)
-            elif obj.kind == "Uint32Array":
-                obj.items[i] = float(to_uint32(value))
-            else:
-                obj.items[i] = float(to_int32(value))
-    elif isinstance(obj, JSObject):
-        obj.props[js_to_str(index)] = value
-    else:
-        raise JsRuntimeError(f"cannot index-assign {type(obj).__name__}")
-
-
 def _flow(op, arg):
     """(pops, pushes) for one non-terminator opcode."""
     if op in (0, 1, 3):
         return 0, 1
     if op in (2, 4, 42):
         return 1, 0
-    if op == 5 or op in _SHADOW_KIND:
+    if op == 5 or op in _BINOPS:
         return 2, 1
     if op in (10, 11, 12, 43, 39, 47):
         return 1, 1
@@ -214,8 +155,7 @@ def _analyse(code, ranges, block_index):
     entered at two different depths or a depth would go negative (the
     compiler never produces either; hand-built bytecode runs on the
     reference ladder).  The max adds each op's pushes before its pops,
-    an over-count the slot initialisation and the dead-slot clears are
-    emitted from."""
+    an over-count the slot initialisation is emitted from."""
     def walk(ops, end, d, join):
         body, term = split_term(ops, _TERM_OPS)
         peak = d
@@ -289,6 +229,7 @@ class _FnEmitter(FnEmitter):
 
     error_name = "err"
     dispatch_tail = LOST_DISPATCH
+    run_params = "args, rt"
 
     def __init__(self, fn, code, ranges, block_index, entry_depth,
                  max_depth, jit_enabled, profiling, tier_names,
@@ -317,18 +258,22 @@ class _FnEmitter(FnEmitter):
         self.out.emit(f"{names} = {self.use('tiers')}"
                       f"[{self.use('fn')}.tier]")
 
-    def emit_clears(self, depth):
-        """Kill dead stack slots before a point that can collect: the
-        reference's popped list entries are gone; a lowered slot would
-        otherwise pin its last value through the collection."""
-        for j in range(depth, self.max_depth):
-            self.out.emit(f"s{j} = None")
+    def emit_roots(self, depth):
+        """Publish the frame's JS roots to its holder for the mark: every
+        local and the operand slots below ``depth``."""
+        live = [f"l{j}" for j in range(self.fn.num_locals)] + \
+            [f"s{j}" for j in range(depth)]
+        self.out.emit(f"rt[:] = ({', '.join(live)}"
+                      f"{',' if len(live) == 1 else ''})")
 
-    def emit_gc_check(self):
+    def emit_gc_check(self, depth):
+        """Collect if the allocation budget is full, with ``depth``
+        operand slots live."""
         heap = self.use("heap")
         self.out.emit(f"if {heap}.allocated_since_gc >= "
                       f"{heap}.trigger_bytes:")
         with self.out.block():
+            self.emit_roots(depth)
             self.out.emit(f"p_ = {heap}.collect()")
             self.out.emit(f"{self.use('stats')}.gc_runs += 1")
             self.out.emit("stats.gc_pause_cycles += p_")
@@ -436,55 +381,33 @@ class _FnEmitter(FnEmitter):
             out.emit(f"l{arg} = s{d - 1}")
             return d - 1
         if op == 5:       # ADD
-            out.emit(f"sh[4] = s{d - 2}")
-            out.emit(f"sh[5] = s{d - 1}")
-            out.emit("if type(sh[4]) is float and type(sh[5]) is float:")
+            a, b = f"s{d - 2}", f"s{d - 1}"
+            out.emit(f"if type({a}) is float and type({b}) is float:")
             with out.block():
-                out.emit(f"s{d - 2} = sh[4] + sh[5]")
+                out.emit(f"{a} = {a} + {b}")
             out.emit("else:")
             with out.block():
-                out.emit(f"sh[6] = {self.use('jadd')}(sh[4], sh[5])")
-                out.emit("if isinstance(sh[6], str):")
+                out.emit(f"{a} = {self.use('jadd')}({a}, {b})")
+                out.emit(f"if isinstance({a}, str):")
                 with out.block():
-                    out.emit(f"{self.use('note')}(16 + 2 * len(sh[6]))")
-                out.emit(f"s{d - 2} = sh[6]")
-                self.emit_clears(d - 1)
-                self.emit_gc_check()
+                    out.emit(f"{self.use('note')}(16 + 2 * len({a}))")
+                    self.emit_gc_check(d - 1)
             return d - 1
-        if op in _SHADOW_KIND:
-            kind = _SHADOW_KIND[op]
-            if kind == "ab":
-                out.emit(f"sh[4] = s{d - 2}")
-                out.emit(f"sh[5] = s{d - 1}")
-            elif kind == "ab_num":
-                out.emit("sh[4] = 0.0")
-                out.emit("sh[5] = 0.0")
-            elif kind == "b":
-                out.emit(f"sh[5] = s{d - 1}")
-            elif kind == "b_num":
-                out.emit("sh[5] = 0.0")
-            else:                         # shl
-                out.emit("sh[5] = 0.0")
-                out.emit("sh[6] = 0.0")
+        if op in _BINOPS:
             self.emit_binval(op, d)
             return d - 1
         if op == 37:      # GETIDX
-            out.emit(f"sh[0] = s{d - 1}")
-            out.emit(f"sh[1] = s{d - 2}")
-            out.emit(f"if type(sh[1]) is {self.use('JSArray')}:")
+            obj, index = f"s{d - 2}", f"s{d - 1}"
+            out.emit(f"if type({obj}) is {self.use('JSArray')}:")
             with out.block():
                 out.emit("cyc += B16")
-                # Inline of ``_element_get``'s array path.  ``t_`` briefly
-                # holds the raw items list; it is reset before any later
-                # GC point so the generated frame's live set stays equal
-                # to the reference frame's.
+                # Inline of ``_element_get``'s array path.
                 self.guarded(
-                    ["i_ = int(sh[0])",
-                     "t_ = sh[1].items",
-                     f"s{d - 2} = t_[i_] if 0 <= i_ < len(t_) "
-                     f"else {self.use('u_')}",
-                     "t_ = 0.0"], classes, idx)
-            out.emit(f"elif type(sh[1]) is {self.use('JSTypedArray')}:")
+                    [f"i_ = int({index})",
+                     f"t_ = {obj}.items",
+                     f"{obj} = t_[i_] if 0 <= i_ < len(t_) "
+                     f"else {self.use('u_')}"], classes, idx)
+            out.emit(f"elif type({obj}) is {self.use('JSTypedArray')}:")
             with out.block():
                 # Same inline, with the typed-array miss value (0.0) and
                 # no JSArray surcharge — mirroring ``_element_get``.  The
@@ -492,31 +415,28 @@ class _FnEmitter(FnEmitter):
                 # read directly; host code (crypto digests) may swap in a
                 # plain list, hence the type guard.
                 self.guarded(
-                    ["i_ = int(sh[0])",
-                     "t_ = sh[1].items",
+                    [f"i_ = int({index})",
+                     f"t_ = {obj}.items",
                      f"if type(t_) is {self.use('Sparse')}:",
-                     f"    s{d - 2} = t_._data.get(i_, 0.0) "
+                     f"    {obj} = t_._data.get(i_, 0.0) "
                      f"if 0 <= i_ < t_._length else 0.0",
                      "else:",
-                     f"    s{d - 2} = t_[i_] if 0 <= i_ < len(t_) else 0.0",
-                     "t_ = 0.0"], classes, idx)
+                     f"    {obj} = t_[i_] if 0 <= i_ < len(t_) else 0.0"],
+                    classes, idx)
             out.emit("else:")
             with out.block():
-                self.guarded([f"s{d - 2} = {self.use('eget')}"
-                              f"(sh[1], sh[0])"], classes, idx)
+                self.guarded([f"{obj} = {self.use('eget')}({obj}, {index})"],
+                             classes, idx)
             return d - 1
         if op == 38:      # SETIDX
-            out.emit(f"sh[2] = s{d - 1}")
-            out.emit(f"sh[3] = s{d - 2}")
-            out.emit(f"sh[1] = s{d - 3}")
-            out.emit(f"if type(sh[1]) is {self.use('JSArray')}:")
+            obj = f"s{d - 3}"
+            out.emit(f"if type({obj}) is {self.use('JSArray')}:")
             with out.block():
                 out.emit("cyc += B20")
-            self.guarded([f"{self.use('setw')}({self.use('heap')}, sh[1], "
-                          f"sh[3], sh[2], sh)"], classes, idx)
-            out.emit(f"s{d - 3} = sh[2]")
-            self.emit_clears(d - 2)
-            self.emit_gc_check()
+            self.guarded([f"{self.use('setel')}({self.use('heap')}, {obj}, "
+                          f"s{d - 2}, s{d - 1})"], classes, idx)
+            out.emit(f"{obj} = s{d - 1}")
+            self.emit_gc_check(d - 2)
             return d - 2
         if op == 10:      # NEG
             out.emit(f"s{d - 1} = -{self.use('tonum')}(s{d - 1})")
@@ -535,46 +455,37 @@ class _FnEmitter(FnEmitter):
             out.emit(f"{self.use('glb')}[{arg!r}] = s{d - 1}")
             return d - 1
         if op == 39:      # GETMEM
-            out.emit(f"sh[1] = s{d - 1}")
-            self.guarded([f"s{d - 1} = {self.use('mget')}(sh[1], "
+            self.guarded([f"s{d - 1} = {self.use('mget')}(s{d - 1}, "
                           f"{arg!r})"], classes, idx)
             return d
         if op == 40:      # SETMEM
-            out.emit(f"sh[2] = s{d - 1}")
-            out.emit(f"sh[1] = s{d - 2}")
-            body = [f"if isinstance(sh[1], {self.use('JSObject')}):",
-                    f"    sh[1].props[{arg!r}] = sh[2]"]
+            obj, value = f"s{d - 2}", f"s{d - 1}"
+            body = [f"if isinstance({obj}, {self.use('JSObject')}):",
+                    f"    {obj}.props[{arg!r}] = {value}"]
             if arg == "length":
-                body += [f"elif isinstance(sh[1], "
-                         f"{self.use('JSArray')}):",
-                         f"    del sh[1].items"
-                         f"[int({self.use('tonum')}(sh[2])):]"]
+                body += [f"elif isinstance({obj}, {self.use('JSArray')}):",
+                         f"    del {obj}.items"
+                         f"[int({self.use('tonum')}({value})):]"]
             body += ["else:",
                      f"    raise {self.use('err')}("
                      f"{literal(f'cannot set {arg} on ')}"
-                     f" + type(sh[1]).__name__)"]
+                     f" + type({obj}).__name__)"]
             self.guarded(body, classes, idx)
-            out.emit(f"s{d - 2} = sh[2]")
+            out.emit(f"{obj} = {value}")
             return d - 1
         if op == 35:      # NEWARR
             items = ", ".join(f"s{d - arg + i}" for i in range(arg))
-            out.emit(f"sh[12] = [{items}]")
-            out.emit(f"sh[11] = {self.use('JSArray')}(sh[12])")
-            out.emit(f"{self.use('reg_')}(sh[11])")
-            out.emit(f"s{d - arg} = sh[11]")
-            self.emit_clears(d - arg + 1)
-            self.emit_gc_check()
+            out.emit(f"s{d - arg} = {self.use('JSArray')}([{items}])")
+            out.emit(f"{self.use('reg_')}(s{d - arg})")
+            self.emit_gc_check(d - arg + 1)
             return d - arg + 1
         if op == 36:      # NEWOBJ
             nk = len(arg)
             values = ", ".join(f"s{d - nk + i}" for i in range(nk))
-            out.emit(f"sh[13] = [{values}]")
-            out.emit(f"sh[1] = {self.use('JSObject')}(dict(zip("
-                     f"{self.const_expr(pc, tuple(arg))}, sh[13])))")
-            out.emit(f"{self.use('reg_')}(sh[1])")
-            out.emit(f"s{d - nk} = sh[1]")
-            self.emit_clears(d - nk + 1)
-            self.emit_gc_check()
+            out.emit(f"s{d - nk} = {self.use('JSObject')}(dict(zip("
+                     f"{self.const_expr(pc, tuple(arg))}, [{values}])))")
+            out.emit(f"{self.use('reg_')}(s{d - nk})")
+            self.emit_gc_check(d - nk + 1)
             return d - nk + 1
         if op == 41:      # DUP
             out.emit(f"s{d} = s{d - 1}")
@@ -586,55 +497,50 @@ class _FnEmitter(FnEmitter):
         if op == 42:      # POP
             return d - 1
         if op == 43:      # TYPEOF
-            out.emit(f"sh[6] = s{d - 1}")
-            out.emit("if isinstance(sh[6], float):")
+            v = f"s{d - 1}"
+            out.emit(f"if isinstance({v}, float):")
             with out.block():
-                out.emit(f"s{d - 1} = 'number'")
-            out.emit("elif isinstance(sh[6], str):")
+                out.emit(f"{v} = 'number'")
+            out.emit(f"elif isinstance({v}, str):")
             with out.block():
-                out.emit(f"s{d - 1} = 'string'")
-            out.emit("elif isinstance(sh[6], bool):")
+                out.emit(f"{v} = 'string'")
+            out.emit(f"elif isinstance({v}, bool):")
             with out.block():
-                out.emit(f"s{d - 1} = 'boolean'")
-            out.emit(f"elif sh[6] is {self.use('u_')}:")
+                out.emit(f"{v} = 'boolean'")
+            out.emit(f"elif {v} is {self.use('u_')}:")
             with out.block():
-                out.emit(f"s{d - 1} = 'undefined'")
-            out.emit(f"elif isinstance(sh[6], ({self.use('JSFunction')}, "
+                out.emit(f"{v} = 'undefined'")
+            out.emit(f"elif isinstance({v}, ({self.use('JSFunction')}, "
                      f"{self.use('NativeFunction')})):")
             with out.block():
-                out.emit(f"s{d - 1} = 'function'")
+                out.emit(f"{v} = 'function'")
             out.emit("else:")
             with out.block():
-                out.emit(f"s{d - 1} = 'object'")
+                out.emit(f"{v} = 'object'")
             return d
         if op == 46:      # INCIDX
             delta, is_post = arg
-            out.emit(f"sh[3] = s{d - 1}")
-            out.emit(f"sh[1] = s{d - 2}")
+            obj, index = f"s{d - 2}", f"s{d - 1}"
             self.guarded([
                 f"t_ = {self.use('tonum')}({self.use('eget')}"
-                f"(sh[1], sh[3]))",
+                f"({obj}, {index}))",
                 f"n_ = t_ + {literal(delta)}",
-                "i_ = int(sh[3])",
-                "sh[0] = 0.0",
-                f"if isinstance(sh[1], ({self.use('JSArray')}, "
-                f"{self.use('JSTypedArray')})):",
-                "    sh[1].items[i_] = n_",
-                "else:",
-                f"    sh[1].props[{self.use('jstr')}(sh[3])] = n_",
+                f"{self.use('setel')}({self.use('heap')}, {obj}, {index}, "
+                f"n_)",
             ], classes, idx)
-            out.emit(f"s{d - 2} = {'t_' if is_post else 'n_'}")
+            out.emit(f"{obj} = {'t_' if is_post else 'n_'}")
+            self.emit_gc_check(d - 1)
             return d - 1
         if op == 47:      # INCMEM
             name, delta, is_post = arg
-            out.emit(f"sh[1] = s{d - 1}")
+            obj = f"s{d - 1}"
             self.guarded([
                 f"t_ = {self.use('tonum')}({self.use('mget')}"
-                f"(sh[1], {name!r}))",
+                f"({obj}, {name!r}))",
                 f"n_ = t_ + {literal(delta)}",
-                f"sh[1].props[{name!r}] = n_",
+                f"{obj}.props[{name!r}] = n_",
             ], classes, idx)
-            out.emit(f"s{d - 1} = {'t_' if is_post else 'n_'}")
+            out.emit(f"{obj} = {'t_' if is_post else 'n_'}")
             return d
         raise JsRuntimeError(  # pragma: no cover - pre-checked
             f"{self.fn.name}: unimplemented bytecode op {op} "
@@ -683,42 +589,41 @@ class _FnEmitter(FnEmitter):
             name, nargs = None, arg
         nd = d - nargs - 1                # depth with args + target popped
         args_list = ", ".join(f"s{nd + 1 + i}" for i in range(nargs))
-        out.emit(f"sh[7] = [{args_list}]")
+        out.emit(f"a_ = [{args_list}]")
         if op == 44:      # NEWCALL
-            out.emit(f"sh[10] = s{nd}")
-            self.emit_clears(nd)
-            out.emit(f"s{nd} = {self.use('construct')}(sh[10], sh[7])")
+            self.emit_roots(nd)
+            out.emit(f"s{nd} = {self.use('construct')}(s{nd}, a_)")
             self.emit_rebind()
-            self.emit_gc_check()
+            self.emit_gc_check(nd + 1)
             self.emit_jump(fall_bi, fall_bi)
             return
         if is_method:
-            out.emit(f"sh[9] = s{nd}")
-            out.emit(f"sh[8] = {self.use('mget')}(sh[9], {name!r})")
+            out.emit(f"o_ = s{nd}")
+            out.emit(f"f_ = {self.use('mget')}(o_, {name!r})")
         else:
-            out.emit(f"sh[8] = s{nd}")
-            out.emit(f"sh[9] = {self.use('u_')}")
-        self.emit_clears(nd)
-        out.emit(f"if isinstance(sh[8], {self.use('JSFunction')}):")
+            out.emit(f"f_ = s{nd}")
+            out.emit(f"o_ = {self.use('u_')}")
+        out.emit(f"if isinstance(f_, {self.use('JSFunction')}):")
         with out.block():
+            self.emit_roots(nd)
             out.emit(f"{self.use('stats')}.cycles += cyc")
             out.emit("cyc = 0.0")
             out.emit(f"s{nd} = {self.use('call')}({self.use('engine')}, "
-                     f"sh[8], sh[7], sh[9])")
+                     f"f_, a_, o_)")
             self.emit_rebind()
-        out.emit(f"elif isinstance(sh[8], {self.use('NativeFunction')}):")
+        out.emit(f"elif isinstance(f_, {self.use('NativeFunction')}):")
         with out.block():
-            out.emit("cyc += sh[8].cycles * F")
-            out.emit(f"s{nd} = sh[8].fn(engine, sh[9], sh[7])")
+            out.emit("cyc += f_.cycles * F")
+            out.emit(f"s{nd} = f_.fn(engine, o_, a_)")
         out.emit("else:")
         with out.block():
             if is_method:
                 out.emit(f"raise {self.use('err')}("
                          f"{literal(f'{arg} is not a function')})")
             else:
-                out.emit(f"raise {self.use('err')}(repr(sh[8])"
+                out.emit(f"raise {self.use('err')}(repr(f_)"
                          f" + ' is not a function')")
-        self.emit_gc_check()
+        self.emit_gc_check(nd + 1)
         self.emit_jump(fall_bi, fall_bi)
 
     # -- whole blocks ---------------------------------------------------
@@ -736,7 +641,6 @@ class _FnEmitter(FnEmitter):
         for j in range(nparams, self.fn.num_locals):
             out.emit(f"l{j} = {self.use('u_')}")
         self.emit_slots("None")
-        out.emit(f"sh = [None] * {_NSHADOW}")
         out.emit("cyc = 0.0")
 
     def emit_frame_entry(self):
@@ -834,8 +738,8 @@ def translate(fn, engine):
         "call": _execute, "construct": engine._construct,
         "mget": engine._member_get, "eget": _element_get,
         "jadd": _js_add, "tonum": _to_number, "truthy": js_truthy,
-        "jstr": js_to_str, "ti32": to_int32, "tu32": to_uint32,
-        "copysign": math.copysign, "setw": _setidx_work,
+        "ti32": to_int32, "tu32": to_uint32,
+        "copysign": math.copysign, "setel": _set_element,
         "note": engine.heap.note_ephemeral, "reg_": engine.heap.register,
         "err": JsRuntimeError, "JSArray": JSArray,
         "Sparse": SparseItems,
@@ -856,6 +760,6 @@ def translate(fn, engine):
 # Bound at the bottom to break the import cycle with the interpreter
 # (which imports this module at *its* bottom).
 from repro.jsengine.interpreter import (  # noqa: E402
-    JsRuntimeError, _element_get, _js_add, _js_loose_eq, _to_number,
-    execute as _execute,
+    JsRuntimeError, _element_get, _js_add, _js_loose_eq, _set_element,
+    _to_number, execute as _execute,
 )

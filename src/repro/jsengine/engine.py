@@ -69,12 +69,13 @@ class JsEngine:
         self.trace = None
         self._fast = fast_interp_enabled()
         self._profile = new_profile("js")
+        self.globals = {}
         self.heap = GcHeap(
+            self.globals,
             baseline_bytes=self.config.gc_baseline_bytes,
             trigger_bytes=self.config.gc_trigger_bytes,
             pause_base_cycles=self.config.gc_pause_base_cycles,
             pause_per_live_byte=self.config.gc_pause_per_live_byte)
-        self.globals = {}
         self.console_output = []
         self._rng_state = 0x9E3779B97F4A7C15
         self._string_method_cache = {}
@@ -117,10 +118,6 @@ class JsEngine:
         """The engine's ``performance.now()``: virtual time derived from
         cycles executed so far."""
         return self.total_cycles() / self.cycles_per_ms
-
-    def heap_used_bytes(self):
-        """DevTools-style JS heap usage (steady state after collection)."""
-        return self.heap.steady_state_bytes()
 
     # -- engine internals (used by the interpreter) ---------------------------
 

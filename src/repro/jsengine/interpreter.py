@@ -85,6 +85,37 @@ def _element_get(obj, index):
     raise JsRuntimeError(f"cannot index {type(obj).__name__}")
 
 
+def _set_element(heap, obj, index, value):
+    """Store ``value`` at ``obj[index]``: the SETIDX store (everything
+    after the boxed-element penalty), shared by INCIDX and the codegen
+    tier.  Plain arrays grow on demand; typed arrays drop out-of-range
+    writes and coerce to their element kind."""
+    if isinstance(obj, JSArray):
+        i = int(index)
+        items = obj.items
+        if i >= len(items):
+            heap.note_ephemeral(8 * (i + 1 - len(items)))
+            items.extend([UNDEFINED] * (i + 1 - len(items)))
+        items[i] = value
+    elif isinstance(obj, JSTypedArray):
+        i = int(index)
+        if 0 <= i < len(obj.items):
+            if obj.width == 8:
+                obj.items[i] = _to_number(value)
+            elif obj.kind == "Uint8Array":
+                obj.items[i] = float(to_int32(value) & 0xFF)
+            elif obj.kind == "Uint16Array":
+                obj.items[i] = float(to_int32(value) & 0xFFFF)
+            elif obj.kind == "Uint32Array":
+                obj.items[i] = float(to_uint32(value))
+            else:
+                obj.items[i] = float(to_int32(value))
+    elif isinstance(obj, JSObject):
+        obj.props[js_to_str(index)] = value
+    else:
+        raise JsRuntimeError(f"cannot index-assign {type(obj).__name__}")
+
+
 _STRING_METHODS = {
     "charCodeAt": lambda s, args: float(ord(s[int(args[0])]))
     if 0 <= int(args[0]) < len(s) else math.nan,
@@ -142,7 +173,15 @@ def execute(engine, fn, args, this=None):
                   _codegen.translate(fn, engine) or _codegen.DECLINED)
             fn.codegen = cg
         if cg[1] is not _codegen.DECLINED:
-            return cg[1](args)
+            # The frame's GC root holder: the generated code writes its
+            # live locals and operand slots into ``roots`` wherever the
+            # collector's mark can run (see ``jsengine/gc.py``).
+            roots = []
+            heap.frames.append((roots,))
+            try:
+                return cg[1](args, roots)
+            finally:
+                heap.frames.pop()
 
     factor = tiering.exec_factor(fn.tier)
     cost = JS_OP_COST_OPT if fn.tier else JS_OP_COST
@@ -167,6 +206,7 @@ def execute(engine, fn, args, this=None):
     instret = 0
     result = UNDEFINED
 
+    heap.frames.append((locals_, stack))     # GC roots, read live
     try:
         while pc < n:
             op, arg = code[pc]
@@ -200,31 +240,7 @@ def execute(engine, fn, args, this=None):
                 obj = pop()
                 if type(obj) is JSArray:
                     cycles += 2.0 * factor
-                if isinstance(obj, JSArray):
-                    i = int(index)
-                    items = obj.items
-                    if i >= len(items):
-                        heap.note_ephemeral(8 * (i + 1 - len(items)))
-                        items.extend([UNDEFINED] * (i + 1 - len(items)))
-                    items[i] = value
-                elif isinstance(obj, JSTypedArray):
-                    i = int(index)
-                    if 0 <= i < len(obj.items):
-                        if obj.width == 8:
-                            obj.items[i] = _to_number(value)
-                        elif obj.kind == "Uint8Array":
-                            obj.items[i] = float(to_int32(value) & 0xFF)
-                        elif obj.kind == "Uint16Array":
-                            obj.items[i] = float(to_int32(value) & 0xFFFF)
-                        elif obj.kind == "Uint32Array":
-                            obj.items[i] = float(to_uint32(value))
-                        else:
-                            obj.items[i] = float(to_int32(value))
-                elif isinstance(obj, JSObject):
-                    obj.props[js_to_str(index)] = value
-                else:
-                    raise JsRuntimeError(
-                        f"cannot index-assign {type(obj).__name__}")
+                _set_element(heap, obj, index, value)
                 push(value)
             elif op == 5:     # ADD
                 b = pop(); a = pop()
@@ -444,11 +460,7 @@ def execute(engine, fn, args, this=None):
                 obj = pop()
                 old = _to_number(_element_get(obj, index))
                 new = old + delta
-                i = int(index)
-                if isinstance(obj, (JSArray, JSTypedArray)):
-                    obj.items[i] = new
-                else:
-                    obj.props[js_to_str(index)] = new
+                _set_element(heap, obj, index, new)
                 push(old if is_post else new)
             elif op == 49:    # IMUL
                 b = pop(); a = pop()
@@ -474,6 +486,7 @@ def execute(engine, fn, args, this=None):
                         stats.cycles + cycles, pause)
                 cycles += pause
     finally:
+        heap.frames.pop()
         stats.cycles += cycles
         stats.instructions += instret
 

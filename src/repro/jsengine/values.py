@@ -2,9 +2,9 @@
 
 Numbers are Python floats (JS has only doubles); strings are Python ``str``;
 ``null`` is ``None``; ``undefined`` is the :data:`UNDEFINED` sentinel.
-Arrays/objects/typed arrays are thin wrappers so the GC can track them with
-weak references (Python object reachability stands in for the JS heap graph,
-which is exactly the property the paper's memory findings rest on).
+Arrays/objects/typed arrays are thin wrappers the GC registers and marks
+through (array elements and object properties are the JS heap graph, whose
+reachability from JS roots the paper's memory findings rest on).
 """
 
 from __future__ import annotations

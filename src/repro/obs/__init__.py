@@ -8,8 +8,8 @@ package is a *leaf*: it imports nothing from ``repro`` outside itself
 
 The instruments:
 
-* :mod:`repro.obs.metrics` — a process-local registry of counters,
-  gauges and histograms that is deterministic by construction.  Every
+* :mod:`repro.obs.metrics` — a process-local registry of counters and
+  histograms that is deterministic by construction.  Every
   metric carries a stability tag (``det`` / ``sched`` / ``wall``) saying
   how reproducible its value is; ``det`` metrics are golden-comparable
   across schedules, cache warmth and interpreter tiers.

@@ -1,4 +1,4 @@
-"""Deterministic metrics registry: counters, gauges, histograms.
+"""Deterministic metrics registry: counters and histograms.
 
 Determinism is structural, not aspirational:
 
@@ -14,9 +14,6 @@ Determinism is structural, not aspirational:
   that unit (the exact :class:`fractions.Fraction` cycle totals of
   ``repro.engine.profdecode`` are); anything else raises
   ``ValueError`` rather than being rounded.
-* **Gauges** merge by ``max`` (a commutative, associative, idempotent
-  reduction) rather than last-write-wins, which would be
-  schedule-dependent.
 * **Histograms** are integer bucket counts over bounds fixed when the
   histogram is first observed.
 
@@ -100,23 +97,6 @@ class Counter:
         return ((self.ints << FRAC_BITS) + self.frac) / _FRAC_ONE
 
 
-class Gauge:
-    """High-water mark (max-merge; order-independent)."""
-
-    __slots__ = ("peak",)
-
-    def __init__(self, peak=None):
-        self.peak = peak
-
-    def observe(self, value):
-        if self.peak is None or value > self.peak:
-            self.peak = value
-
-    @property
-    def value(self):
-        return self.peak
-
-
 class Histogram:
     """Integer bucket counts over fixed upper bounds (last bucket is
     overflow)."""
@@ -141,7 +121,6 @@ class MetricsRegistry:
 
     def __init__(self):
         self._counters = {}
-        self._gauges = {}
         self._hists = {}
         self._stability = {}
 
@@ -175,13 +154,6 @@ class MetricsRegistry:
             counter = self._counters[name] = Counter()
         counter.add(value)
 
-    def gauge_max(self, name, value, stability=DET):
-        self._tag(name, stability)
-        gauge = self._gauges.get(name)
-        if gauge is None:
-            gauge = self._gauges[name] = Gauge()
-        gauge.observe(value)
-
     def hist_observe(self, name, value, stability=DET,
                      bounds=DEFAULT_BOUNDS):
         self._tag(name, stability)
@@ -197,22 +169,20 @@ class MetricsRegistry:
         :meth:`diff`)."""
         return (
             {n: (c.ints, c.frac) for n, c in self._counters.items()},
-            {n: g.peak for n, g in self._gauges.items()},
             {n: (h.bounds, list(h.counts)) for n, h in self._hists.items()},
             dict(self._stability),
         )
 
     def restore(self, snap):
-        counters, gauges, hists, stability = snap
+        counters, hists, stability = snap
         self._counters = {n: Counter(i, f) for n, (i, f) in counters.items()}
-        self._gauges = {n: Gauge(p) for n, p in gauges.items()}
         self._hists = {n: Histogram(b, c) for n, (b, c) in hists.items()}
         self._stability = dict(stability)
 
     def diff(self, snap):
         """Pickleable increment relative to ``snap`` — everything added
         since the snapshot was taken, mergeable with :meth:`apply`."""
-        counters, gauges, hists, _ = snap
+        counters, hists, _ = snap
         dcounters = {}
         for name, c in self._counters.items():
             base = counters.get(name)
@@ -224,26 +194,20 @@ class MetricsRegistry:
             # would after a serial run.
             if di or df or base is None:
                 dcounters[name] = (self._stability[name], di, df)
-        dgauges = {}
-        for name, g in self._gauges.items():
-            base = gauges.get(name)
-            if g.peak is not None and (base is None or g.peak > base):
-                dgauges[name] = (self._stability[name], g.peak)
         dhists = {}
         for name, h in self._hists.items():
             base = hists.get(name, (h.bounds, [0] * len(h.counts)))[1]
             delta = [a - b for a, b in zip(h.counts, base)]
             if any(delta):
                 dhists[name] = (self._stability[name], h.bounds, delta)
-        return {"counters": dcounters, "gauges": dgauges, "hists": dhists}
+        return {"counters": dcounters, "hists": dhists}
 
     def apply(self, payload):
-        """Fold a :meth:`diff` payload in.  Counter addition is exact and
-        gauges max-merge, so application order does not matter.
+        """Fold a :meth:`diff` payload in.  Counter and bucket addition
+        is exact, so application order does not matter.
 
         Atomic: every entry's stability tag, shape and delta types
-        (``int`` counter and bucket deltas, numeric gauge peaks) are
-        checked before anything is folded, so a truncated or
+        (``int`` counter and bucket deltas) are checked before anything is folded, so a truncated or
         schema-drifted payload raises ``ValueError`` (or the
         ``TypeError``/``KeyError`` of a malformed container) and leaves
         the registry untouched.  Only entries that change something are
@@ -257,11 +221,6 @@ class MetricsRegistry:
                 self._check_tag(name, stability, tags)
             if type(di) is not int or type(df) is not int:
                 raise ValueError(f"counter {name!r} delta is not int")
-        gauges = payload["gauges"]
-        for name, (stability, peak) in gauges.items():
-            self._check_tag(name, stability, tags)
-            if type(peak) not in (int, float):
-                raise ValueError(f"gauge {name!r} peak is not a number")
         hists = payload["hists"]
         for name, (stability, bounds, delta) in hists.items():
             self._check_tag(name, stability, tags)
@@ -282,11 +241,6 @@ class MetricsRegistry:
                 counter.ints += di
             if df:
                 counter.frac += df
-        for name, (_, peak) in gauges.items():
-            gauge = self._gauges.get(name)
-            if gauge is None:
-                gauge = self._gauges[name] = Gauge()
-            gauge.observe(peak)
         for name, (_, bounds, delta) in hists.items():
             hist = self._hists.get(name)
             if hist is None:
@@ -312,15 +266,12 @@ class MetricsRegistry:
                 continue
             if name in self._counters:
                 out[name] = self._counters[name].value
-            elif name in self._gauges:
-                out[name] = self._gauges[name].value
             elif name in self._hists:
                 out[name] = self._hists[name].value
         return out
 
     def reset(self):
         self._counters.clear()
-        self._gauges.clear()
         self._hists.clear()
         self._stability.clear()
 
@@ -335,11 +286,11 @@ def _prom_name(name):
 def render_prometheus(registry, extra_gauges=None):
     """Prometheus text exposition (v0.0.4) of one registry.
 
-    Counters export as ``counter`` samples, gauges as ``gauge``,
-    histograms as cumulative ``le`` buckets plus a ``_count`` total.
-    Every sample carries its stability tag (``det``/``sched``/``wall``)
-    as a label, so scrapers can select the deterministic slice the same
-    way the parity tests do.  ``extra_gauges`` — ``{name: value}`` or
+    Counters export as ``counter`` samples, histograms as cumulative
+    ``le`` buckets plus a ``_count`` total.  Every sample carries its
+    stability tag (``det``/``sched``/``wall``) as a label, so scrapers
+    can select the deterministic slice the same way the parity tests
+    do.  ``extra_gauges`` — ``{name: value}`` or
     ``{name: (value, {label: v})}`` — lets front ends append
     operational numbers (store stats, outstanding cells) that live
     outside the registry."""
@@ -361,12 +312,6 @@ def render_prometheus(registry, extra_gauges=None):
         if name in registry._counters:
             lines.append(f"# TYPE {prom} counter")
             sample(prom, labels, registry._counters[name].value)
-        elif name in registry._gauges:
-            value = registry._gauges[name].value
-            if value is None:
-                continue
-            lines.append(f"# TYPE {prom} gauge")
-            sample(prom, labels, value)
         elif name in registry._hists:
             hist = registry._hists[name]
             lines.append(f"# TYPE {prom} histogram")

@@ -51,8 +51,7 @@ def _parse_args(argv):
 def _det_delta(registry, snap):
     """The DET increments recorded since ``snap``: counters (zero deltas
     dropped — a cold pass ships the names it registers, a warm pass
-    finds them registered) and histograms.  Gauges are left out: they
-    max-merge, so replaying a peak the cold pass set cannot raise it."""
+    finds them registered) and histograms."""
     from repro.obs import DET
     payload = registry.diff(snap)
     counters = {name: entry for name, entry in payload["counters"].items()

@@ -203,9 +203,6 @@ class WasmInstance:
     def global_value(self, name):
         return self._global_values[self._global_index[name]]
 
-    def set_global(self, name, value):
-        self._global_values[self._global_index[name]] = value
-
     def invoke(self, name, *args):
         """Call an exported function from the host side.
 
@@ -215,14 +212,6 @@ class WasmInstance:
         prepared = self._prepared[name]
         self.stats.boundary_cycles += self.boundary_cost
         return self._run(prepared, list(args))
-
-    def _call_index(self, index, args):
-        kind, target, ftype = self._funcs[index]
-        if kind == "host":
-            self.stats.host_calls += 1
-            self.stats.boundary_cycles += self.boundary_cost
-            return target(self, *args)
-        return self._run(target, args)
 
     def _run(self, fn, args):
         # Frame entry (the deopt resume below goes through _run_from

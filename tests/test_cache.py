@@ -288,7 +288,7 @@ class TestFailureSafety:
             # half-written diff looks like after schema drift.
             corrupt = {"counters": {"memo.test.cells": (DET, 100, zero),
                                     "memo.test.tail": ("bogus", 1, zero)},
-                       "gauges": {}, "hists": {}}
+                       "hists": {}}
             key = result_key("test", ("k",), replay_metrics=True)
             isolated_cache.put(key, ("result", 7, corrupt))
 

@@ -174,17 +174,15 @@ class TestDispatchCompleteness:
             assert JS_OP_COST[op] > 0.0
             assert JS_OP_COST_OPT[op] > 0.0
 
-    def test_js_codegen_shadow_table_in_lockstep(self):
+    def test_js_binop_tables_in_lockstep(self):
         from repro.jsengine import codegen as jcg
         from repro.jsengine.bytecode import JsOp
 
-        # Every binary operator except ADD (its own arm) writes its
-        # reference arm's rebound locals through one of the known kinds.
+        # Every binary operator except ADD (its own arm) is lowered by
+        # ``emit_binval``; those it does not inline call a value function.
         binops = set(range(JsOp.SUB, JsOp.MOD + 1)) \
             | set(range(JsOp.BAND, JsOp.SNE + 1)) | {JsOp.IMUL}
-        assert set(jcg._SHADOW_KIND) == binops
-        assert set(jcg._SHADOW_KIND.values()) == {
-            "ab", "ab_num", "b", "b_num", "shl"}
+        assert jcg._BINOPS == binops
         assert set(jcg._VALUE_FNS) <= binops
 
     def test_js_unsupported_op_fails_loudly_in_codegen(self, monkeypatch):
@@ -614,9 +612,10 @@ class TestBudgetDeoptResume:
 
 
 # ---------------------------------------------------------------------------
-# GC-pause parity on the JS engine: the generated frames must present
-# the same live set to the collector as the reference frames, so pause
-# cycles (charged from live bytes) stay bit-identical.
+# GC-pause parity on the JS engine: the generated frames must publish
+# the same JS roots to the collector's mark as the reference frames, so
+# pause cycles (charged from live bytes) stay bit-identical — and no
+# number may depend on when CPython frees an object.
 
 GC_JS = r"""
 function churn(n) {
@@ -661,6 +660,15 @@ function main() {
 """
 
 
+CYCLE_JS = """
+function main() {
+  var a, b;
+  for (var i = 0; i < 4000; i++) { a = [i, 0]; b = [a]; a[1] = b; }
+  return a.length + b.length;
+}
+"""
+
+
 class TestJsGcPauseParity:
     def _run(self, monkeypatch, tier):
         from repro.jsengine.config import JsEngineConfig
@@ -682,8 +690,9 @@ class TestJsGcPauseParity:
 
     def test_pause_cycles_identical(self, monkeypatch):
         """GC pauses depend on *liveness* at collection time, so this
-        pins the generated frames' shadow locals: stale reference-frame
-        arm locals must pin exactly the same heap bytes in both tiers."""
+        pins the roots the generated frames publish: locals and live
+        operand slots must reach exactly the heap bytes the reference
+        frame's lists reach."""
         from repro.jsengine.engine import JsEngine
         snaps = []
         for tier in TIERS:
@@ -696,6 +705,45 @@ class TestJsGcPauseParity:
             snaps.append((value, _stats_dict(engine.stats)))
         assert snaps[0] == snaps[1]
         assert int(snaps[0][1]["gc_runs"]) > 3
+
+    def test_cyclic_garbage_ignores_python_gc(self, monkeypatch):
+        """Each iteration leaves a two-array reference cycle behind, which
+        CPython frees only when its cycle collector happens to run.  The
+        modeled live set is what the JS roots reach, so every stat is the
+        same on both tiers whatever Python's ``gc`` settings are."""
+        import gc
+
+        from repro.jsengine.config import JsEngineConfig
+        from repro.jsengine.engine import JsEngine
+
+        settings = {"disabled": gc.disable,
+                    "threshold 1": lambda: gc.set_threshold(1),
+                    "default": lambda: None}
+        enabled, threshold = gc.isenabled(), gc.get_threshold()
+        runs = {}
+        try:
+            for name, apply in settings.items():
+                for tier in TIERS:
+                    _set_tier(monkeypatch, tier)
+                    engine = JsEngine(config=JsEngineConfig(
+                        gc_trigger_bytes=16 * 1024))
+                    engine.load_script(CYCLE_JS)
+                    apply()
+                    try:
+                        value = engine.call_global("main")
+                    finally:
+                        gc.set_threshold(*threshold)
+                        gc.enable()
+                    stats = engine.stats
+                    runs[name, tier] = (value, stats.gc_runs,
+                                        repr(stats.gc_pause_cycles),
+                                        repr(stats.cycles))
+        finally:
+            gc.set_threshold(*threshold)
+            if not enabled:
+                gc.disable()
+        assert len(set(runs.values())) == 1, runs
+        assert runs["default", "ref"][1] > 10
 
 
 # ---------------------------------------------------------------------------

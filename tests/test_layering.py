@@ -66,6 +66,28 @@ def test_engines_have_no_apparatus_imports_today():
     assert violations == [], "\n".join(violations)
 
 
+def test_jsengine_may_not_ask_python_what_is_alive(tmp_path):
+    """JS heap liveness comes only from the mark over JS roots: the JS
+    engine may not import Python's ``gc`` or walk Python frames.  Other
+    layers, and the engine's own ``gc`` module, are not flagged."""
+    heap = tmp_path / "jsengine" / "heap.py"
+    heap.parent.mkdir()
+    heap.write_text(
+        "import gc\n"
+        "import sys\n"
+        "from sys import _getframe\n"
+        "from repro.jsengine.gc import GcHeap\n"
+        "def roots():\n"
+        "    return sys._getframe(1).f_locals\n")
+    runner = tmp_path / "harness" / "probe.py"
+    runner.parent.mkdir()
+    runner.write_text("import gc\nimport sys\nsys._getframe(0)\n")
+    violations = check_layering.check(src=tmp_path)
+    assert [v.split(":")[:2] for v in violations] == [
+        ["src/repro/jsengine/heap.py", str(line)] for line in (1, 3, 6)]
+    assert all("JS roots" in v for v in violations)
+
+
 def test_typed_env_parses_must_use_envflags(tmp_path):
     """``int``/``float``/``bool`` over an environment read — directly or
     through a local bound to one — is flagged everywhere except the

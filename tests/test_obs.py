@@ -166,14 +166,6 @@ def test_counter_accepts_finest_dyadic_increment():
 # -- registry --------------------------------------------------------------
 
 
-def test_gauge_is_max_merge():
-    reg = MetricsRegistry()
-    reg.gauge_max("mem", 5)
-    reg.gauge_max("mem", 3)
-    reg.gauge_max("mem", 9)
-    assert reg.export() == {"mem": 9}
-
-
 def test_histogram_buckets():
     reg = MetricsRegistry()
     for v in (0.5, 1, 3, 100, 10 ** 9):
@@ -215,15 +207,14 @@ def test_export_is_sorted_and_json_clean():
 def test_snapshot_restore_roundtrip():
     reg = MetricsRegistry()
     reg.counter_add("c", 2)
-    reg.gauge_max("g", 7)
     reg.hist_observe("h", 4)
     snap = reg.snapshot()
     reg.counter_add("c", 100)
     reg.counter_add("new", 1)
-    reg.gauge_max("g", 99)
+    reg.hist_observe("h", 4)
     reg.restore(snap)
-    assert reg.export() == {"c": 2, "g": 7,
-                            "h": reg.export()["h"]}
+    assert reg.export() == {"c": 2, "h": reg.export()["h"]}
+    assert sum(reg.export()["h"]["counts"]) == 1
     assert "new" not in reg.export()
 
 
@@ -239,14 +230,12 @@ def test_diff_apply_equals_direct_accumulation():
     snap = worker.snapshot()
     worker.counter_add("base", 3)
     worker.counter_add("f", 0.2)
-    worker.gauge_max("peak", 11, SCHED)
     worker.hist_observe("lat", 6, SCHED)
     payload = worker.diff(snap)
     payload = pickle.loads(pickle.dumps(payload))    # ships over a pipe
     parent.apply(payload)
     direct.counter_add("base", 3)
     direct.counter_add("f", 0.2)
-    direct.gauge_max("peak", 11, SCHED)
     direct.hist_observe("lat", 6, SCHED)
     assert parent.export() == direct.export()
     assert parent._counters["f"].frac == direct._counters["f"].frac
@@ -257,14 +246,13 @@ def test_diff_is_empty_when_nothing_changed():
     reg.counter_add("c", 1)
     snap = reg.snapshot()
     payload = reg.diff(snap)
-    assert payload == {"counters": {}, "gauges": {}, "hists": {}}
+    assert payload == {"counters": {}, "hists": {}}
 
 
 def _seeded_registry():
     reg = MetricsRegistry()
     reg.counter_add("c", 2)
     reg.counter_add("f", 0.25)
-    reg.gauge_max("g", 7, SCHED)
     reg.hist_observe("h", 4, SCHED)
     return reg
 
@@ -279,7 +267,7 @@ def _state(reg):
     ("counters", "tail", (DET, 1, Fraction(1, 4))),  # non-int delta
     ("counters", "tail", (DET, 1.0, 0)),             # non-int delta
     ("counters", "tail", (DET, 1)),                  # truncated entry
-    ("gauges", "tail", (SCHED, "high")),             # non-numeric peak
+    ("hists", "h", (SCHED, DEFAULT_BOUNDS, [1.0] * 22)),  # float delta
     ("hists", "h", (SCHED, DEFAULT_BOUNDS, [1])),    # wrong width
 ])
 def test_apply_rejects_bad_last_entry_atomically(tail):
@@ -292,7 +280,6 @@ def test_apply_rejects_bad_last_entry_atomically(tail):
     source.counter_add("c", 5)
     source.counter_add("f", 0.5)
     source.counter_add("fresh", 1)
-    source.gauge_max("g", 70, SCHED)
     source.hist_observe("h", 4, SCHED)
     payload = source.diff(snap)
     section, name, entry = tail
@@ -305,7 +292,7 @@ def test_apply_rejects_bad_last_entry_atomically(tail):
 def test_apply_registers_zero_delta_counters_and_skips_known_ones():
     reg = _seeded_registry()
     reg.apply({"counters": {"c": (DET, 0, 0), "new": (DET, 0, 0)},
-               "gauges": {}, "hists": {}})
+               "hists": {}})
     assert reg.export()["c"] == 2
     assert reg.export()["new"] == 0
     assert reg.stability("new") == DET
@@ -455,7 +442,6 @@ def test_render_prometheus_text_exposition():
     reg = MetricsRegistry()
     reg.counter_add("cache.hits", 3, SCHED)
     reg.counter_add("vm.cycles", 1.5, DET)
-    reg.gauge_max("sched.peak", 7, SCHED)
     reg.hist_observe("sched.attempts", 1, SCHED, bounds=(1, 2))
     reg.hist_observe("sched.attempts", 5, SCHED, bounds=(1, 2))
     text = render_prometheus(reg, extra_gauges={
@@ -466,7 +452,6 @@ def test_render_prometheus_text_exposition():
     assert "# TYPE repro_cache_hits counter" in lines
     assert 'repro_cache_hits{stability="sched"} 3' in lines
     assert 'repro_vm_cycles{stability="det"} 1.5' in lines
-    assert 'repro_sched_peak{stability="sched"} 7' in lines
     # Histogram buckets are cumulative and close with +Inf and _count
     # (registry bounds are exclusive: an observation of exactly 1 lands
     # in the next bucket).
@@ -480,16 +465,6 @@ def test_render_prometheus_text_exposition():
     assert "# TYPE repro_store_hits gauge" in lines
     assert "repro_store_hits 9" in lines
     assert 'repro_service_outstanding_cells{shard="0"} 2' in lines
-
-
-def test_render_prometheus_skips_unset_gauges():
-    from repro.obs import render_prometheus
-
-    reg = MetricsRegistry()
-    reg.gauge_max("unset.gauge", 1, SCHED)
-    reg._gauges["unset.gauge"].peak = None   # registered but never set
-    text = render_prometheus(reg)
-    assert "unset_gauge" not in text
 
 
 # -- profiler --------------------------------------------------------------

@@ -120,8 +120,8 @@ class TestJsTrace:
             "var a = [];"
             "for (var i = 0; i < 2000; i = i + 1) { a.push([i, i]); }")
         gc_events = [e for e in engine.trace.events if e.phase == "gc"]
-        assert engine.heap.gc_runs > 0
-        assert len(gc_events) == engine.heap.gc_runs
+        assert engine.stats.gc_runs > 0
+        assert len(gc_events) == engine.stats.gc_runs
         assert sum(e.cycles for e in gc_events) == \
             engine.stats.gc_pause_cycles
         starts = [e.start_cycles for e in gc_events]

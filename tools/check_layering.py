@@ -62,6 +62,11 @@ Enforced here:
   config plumbing via the browser module); engines may be reached only
   through lazy function-level imports, and the measurement apparatus
   never (profiles are inputs to the harness, not clients of it).
+* ``repro.jsengine`` may not import Python's ``gc`` module or call
+  ``sys._getframe``.  JS heap liveness is the collector's mark from JS
+  roots (``jsengine/gc.py``); asking CPython what is alive, or walking
+  Python frames for roots, would make the modeled numbers depend on the
+  interpreter's own bookkeeping again.
 * Typed environment knobs parse through ``repro.obs.envflags``
   (``env_int``/``env_float``/``env_flag``): outside that module, no
   ``int(…)``, ``float(…)`` or ``bool(…)`` may be applied to an
@@ -175,6 +180,26 @@ def _env_casts(tree):
     return sorted(lines)
 
 
+def _python_liveness(tree):
+    """Line numbers where a module imports Python's ``gc`` or reaches
+    ``sys._getframe``."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hit = any(alias.name.split(".")[0] == "gc"
+                      for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = node.level == 0 and (node.module == "gc" or (
+                node.module == "sys" and any(
+                    alias.name == "_getframe" for alias in node.names)))
+        else:
+            hit = isinstance(node, ast.Attribute) and \
+                node.attr == "_getframe"
+        if hit:
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
 def check(src=SRC):
     violations = []
     for path in sorted(src.rglob("*.py")):
@@ -187,6 +212,12 @@ def check(src=SRC):
                     f"src/repro/{rel}:{lineno}: typed parse of an "
                     f"environment read (use repro.obs.envflags "
                     f"env_int/env_float/env_flag)")
+        if layer == "jsengine":
+            for lineno in _python_liveness(tree):
+                violations.append(
+                    f"src/repro/{rel}:{lineno}: the JS engine imports "
+                    f"Python's gc or calls sys._getframe (heap liveness "
+                    f"comes only from the mark over JS roots)")
         module_level_nodes = set()
         for stmt in tree.body:
             for node in ast.walk(stmt):
