@@ -40,6 +40,16 @@ class CToken:
         return f"CToken({self.kind}, {self.value!r})"
 
 
+def _number(text, base, line):
+    """The value of one numeric literal: ``int`` in ``base``, or a
+    ``float`` when ``base`` is :class:`float`.  A malformed one (``3e``,
+    ``1..2``, a bare ``0x``) is a :class:`ParseError` on its line."""
+    try:
+        return float(text) if base is float else int(text, base)
+    except ValueError:
+        raise ParseError(f"malformed number {text!r}", line) from None
+
+
 def tokenize_c(source):
     """Tokenize preprocessed C-subset source."""
     tokens = []
@@ -63,7 +73,7 @@ def tokenize_c(source):
                 j = i + 2
                 while j < n and source[j] in "0123456789abcdefABCDEF":
                     j += 1
-                value = int(source[i:j], 16)
+                value = _number(source[i:j], 16, line)
             else:
                 while j < n and (source[j].isdigit() or source[j] == "."):
                     if source[j] == ".":
@@ -76,8 +86,8 @@ def tokenize_c(source):
                         j += 1
                     while j < n and source[j].isdigit():
                         j += 1
-                text = source[i:j]
-                value = float(text) if is_float else int(text)
+                value = _number(source[i:j], float if is_float else 10,
+                                line)
             is_long = False
             is_unsigned = False
             while j < n and source[j] in "uUlLfF":
@@ -103,14 +113,13 @@ def tokenize_c(source):
             i = j
             continue
         if ch == "'":
-            if source[i + 1] == "\\":
-                value = _ESCAPES.get(source[i + 2], source[i + 2])
-                end = i + 3
-            else:
-                value = source[i + 1]
-                end = i + 2
+            escaped = source.startswith("\\", i + 1)
+            end = i + 3 if escaped else i + 2
             if end >= n or source[end] != "'":
                 raise ParseError("malformed char literal", line)
+            value = source[end - 1]
+            if escaped:
+                value = _ESCAPES.get(value, value)
             tokens.append(CToken("char", ord(value), line))
             i = end + 1
             continue

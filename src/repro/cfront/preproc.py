@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 
+from repro.cache.derived import memoize
 from repro.errors import ParseError
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -62,13 +63,29 @@ def _substitute(line, defines):
     return line
 
 
+#: Expansions kept per process: one per (program, input size) of a sweep.
+PREPROCESS_MEMO_SIZE = 64
+
+
 def preprocess(source, defines=None):
     """Run the preprocessor; returns expanded source text.
 
     ``defines`` maps macro names to replacement text (ints are accepted and
     stringified) — the ``-D`` mechanism the toolchains use for input sizes.
+    The expansion is memoized per process on the source and the
+    stringified defines, so the compile cache's key and a cache miss's
+    frontend share one expansion, and a warm run expands nothing.
     """
-    defines = dict(defines or {})
+    return _memoized(source, frozenset(
+        (name, str(value)) for name, value in (defines or {}).items()))
+
+
+@memoize(PREPROCESS_MEMO_SIZE)
+def _memoized(source, defines):
+    return _expand(source, dict(defines))
+
+
+def _expand(source, defines):
     out = []
     # Stack of booleans: is the current conditional region active?
     active_stack = [True]

@@ -77,6 +77,15 @@ block; native and JS add ``cyc +=`` per op), the guard's rewind, trap
 messages and unknown-op error types, the frame prologue, its ``ns``
 construction, and its own ``load_factory`` call.
 
+Plan and bind.  Each translator's ``translate`` is two halves.  The
+*plan* (supported-op check, :func:`block_ranges`, stack depths, constant
+tables, :func:`unit_key`) depends only on the code and the translation
+flags, so it is memoized on the code's shared holder (``fn.plans``, a
+:class:`~repro.cache.derived.Derived`) and every engine that runs the
+same program reuses it.  The *bind* runs per engine: it fetches the
+factory through :func:`load_factory`, builds ``ns`` and counts the
+function as translated or declined.
+
 Persistent compile cache: generated source depends only on the prepared
 code and a handful of translation flags, never on instance state (state
 is handed to ``make`` through ``ns``), so translation units are
@@ -93,6 +102,7 @@ import hashlib
 import importlib.util
 import marshal
 
+from repro.cache.derived import clear as clear_derived
 from repro.obs import SCHED, get_registry
 from repro.obs.envflags import env_flag
 
@@ -561,10 +571,14 @@ def _store():
 
 
 def reset_cache():
-    """Drop the in-process layers (tests: cold/warm differentials)."""
+    """Drop the in-process layers (tests: cold/warm differentials): the
+    compiled factories and every value derived from program inputs
+    (:mod:`repro.cache.derived`: preprocessed sources, JS script
+    templates, prepared Wasm bodies, translation plans)."""
     global _STORE
     _FACTORIES.clear()
     _STORE = None
+    clear_derived()
 
 
 def unit_key(engine, parts):

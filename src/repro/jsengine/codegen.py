@@ -64,6 +64,7 @@ across every engine configuration.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 from repro.clibm import c_fmod
 from repro.engine.codegen import (
@@ -556,9 +557,12 @@ class _FnEmitter(FnEmitter):
             self.emit_jump(self.bi_of(arg), fall_bi)
             return
         if op in (28, 29):                # JF / JT
+            # ToBoolean, with the bool and number cases inline.
             test = "" if op == 29 else "not "
-            out.emit(f"if {test}(s{d - 1} if type(s{d - 1}) is bool "
-                     f"else {self.use('truthy')}(s{d - 1})):")
+            v = f"s{d - 1}"
+            out.emit(f"if {test}({v} if type({v}) is bool else "
+                     f"({v} != 0.0 and {v} == {v}) if type({v}) is float "
+                     f"else {self.use('truthy')}({v})):")
             with out.block():
                 self.emit_jump(self.bi_of(arg))
             self.emit_jump(fall_bi, fall_bi)
@@ -678,10 +682,23 @@ class _FnEmitter(FnEmitter):
         self.emit_flush()
 
 
-def translate(fn, engine):
-    """Build (or load warm) the generated runner for one JS function on
-    one engine; ``None`` means the translator declined and the caller
-    should run the function on the reference ladder."""
+class _Plan(NamedTuple):
+    """What translating one function derives from its code and the
+    translation flags alone: shared by every engine that runs the code."""
+
+    key: str
+    ranges: list
+    block_index: dict
+    entry_depth: dict
+    max_depth: int
+    tier_names: tuple
+    const_index: dict
+    consts: tuple
+
+
+def _plan(fn, jit_enabled, profiling):
+    """Plan one function's translation; ``None`` when the translator
+    declines it."""
     code = fn.code
     for pc, (op, _arg) in enumerate(code):
         if op not in SUPPORTED_OPS:
@@ -693,17 +710,13 @@ def translate(fn, engine):
 
     flow = _analyse(code, ranges, block_index)
     if flow is None:
-        return declined("js")
+        return None
     entry_depth, max_depth = flow
 
-    tiering = engine.tiering
-    jit_enabled = engine.config.jit_enabled
-    profiling = engine._profile is not None
-
     # Constants the source cannot spell (UNDEFINED, non-string object
-    # keys) ride in an ``ns`` list; indices are assigned in pc order so a
-    # warm cache hit (which skips source generation) rebuilds the exact
-    # same list.
+    # keys) ride in an ``ns`` tuple; indices are assigned in pc order so
+    # a warm cache hit (which skips source generation) rebuilds the exact
+    # same tuple.
     const_index = {}
     consts = []
     for pc, (op, arg) in enumerate(code):
@@ -714,27 +727,45 @@ def translate(fn, engine):
             const_index[pc] = len(consts)
             consts.append(tuple(arg))
 
-    # The per-tier constants ride in ``ns`` too, so the source (and its
-    # cache key) is shared by every engine configuration.
-    tier_names = _tier_names(code, profiling)
-    tiers = tuple(_tier_values(tier_names, tier, tiering.exec_factor(tier))
-                  for tier in (0, 1))
-
     key = unit_key("js", (
         repr(code), len(fn.params), fn.num_locals, jit_enabled, profiling))
+    return _Plan(key, ranges, block_index, entry_depth, max_depth,
+                 tuple(_tier_names(code, profiling)), const_index,
+                 tuple(consts))
+
+
+def translate(fn, engine):
+    """Build (or load warm) the generated runner for one JS function on
+    one engine; ``None`` means the translator declined and the caller
+    should run the function on the reference ladder.  The plan is
+    memoized on the function's shared code (``fn.plans``); the runner,
+    which pre-binds this engine's state, is built every time."""
+    tiering = engine.tiering
+    jit_enabled = engine.config.jit_enabled
+    profiling = engine._profile is not None
+    plan = fn.plans.get((jit_enabled, profiling),
+                        lambda: _plan(fn, jit_enabled, profiling))
+    if plan is None:
+        return declined("js")
+
+    # The per-tier constants ride in ``ns``, so the source (and its
+    # cache key) is shared by every engine configuration.
+    tiers = tuple(_tier_values(plan.tier_names, tier,
+                               tiering.exec_factor(tier))
+                  for tier in (0, 1))
 
     def build_source():
-        emitter = _FnEmitter(fn, code, ranges, block_index, entry_depth,
-                             max_depth, jit_enabled, profiling, tier_names,
-                             const_index)
+        emitter = _FnEmitter(fn, fn.code, plan.ranges, plan.block_index,
+                             plan.entry_depth, plan.max_depth, jit_enabled,
+                             profiling, plan.tier_names, plan.const_index)
         return emitter.build()
 
-    factory = load_factory("js", key, build_source)
+    factory = load_factory("js", plan.key, build_source)
 
     ns = {
         "engine": engine, "fn": fn, "stats": engine.stats,
         "counts": engine.stats.op_counts, "heap": engine.heap,
-        "glb": engine.globals, "u_": UNDEFINED, "K": consts,
+        "glb": engine.globals, "u_": UNDEFINED, "K": plan.consts,
         "call": _execute, "construct": engine._construct,
         "mget": engine._member_get, "eget": _element_get,
         "jadd": _js_add, "tonum": _to_number, "truthy": js_truthy,
@@ -753,7 +784,7 @@ def translate(fn, engine):
     if profiling:
         ns["fprof"] = engine._profile.frame(fn.name)
 
-    translated("js", len(ranges))
+    translated("js", len(plan.ranges))
     return factory(ns)
 
 

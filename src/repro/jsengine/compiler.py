@@ -84,8 +84,9 @@ class _FunctionCompiler:
     def compile(self):
         self.compile_statement(self.body)
         self.emit(JsOp.RETU)
-        return JSFunction(self.name, self.params, self.code, None,
-                          len(self.slots))
+        # Frozen: every engine that loads the script shares this code.
+        return JSFunction(self.name, tuple(self.params), tuple(self.code),
+                          None, len(self.slots))
 
     # -- statements ----------------------------------------------------------
 

@@ -38,6 +38,15 @@ class Token:
         return f"Token({self.kind}, {self.value!r})"
 
 
+def _number(text, base, line, col):
+    """The value of one numeric literal; a malformed one (``3e``,
+    ``1..2``, a bare ``0x``) is a :class:`ParseError` at its position."""
+    try:
+        return float(int(text, 16)) if base == 16 else float(text)
+    except ValueError:
+        raise ParseError(f"malformed number {text!r}", line, col) from None
+
+
 def tokenize_js(source):
     """Tokenize JS-subset source; returns a list of :class:`Token` ending
     with an ``eof`` token."""
@@ -75,14 +84,15 @@ def tokenize_js(source):
                 j = i + 2
                 while j < n and source[j] in "0123456789abcdefABCDEF":
                     j += 1
-                tokens.append(Token("num", float(int(source[i:j], 16)),
-                                    line, col))
+                tokens.append(Token("num", _number(source[i:j], 16, line,
+                                                   col), line, col))
                 i = j
                 continue
             while j < n and (source[j].isdigit() or source[j] in ".eE" or
                              (source[j] in "+-" and source[j - 1] in "eE")):
                 j += 1
-            tokens.append(Token("num", float(source[i:j]), line, col))
+            tokens.append(Token("num", _number(source[i:j], 10, line, col),
+                                line, col))
             i = j
             continue
         if ch.isalpha() or ch in "_$":

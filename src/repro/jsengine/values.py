@@ -9,6 +9,8 @@ reachability from JS roots the paper's memory findings rest on).
 
 from __future__ import annotations
 
+from repro.cache.derived import Derived
+
 
 class _Undefined:
     _instance = None
@@ -128,9 +130,9 @@ class JSFunction:
 
     __slots__ = ("name", "params", "code", "consts", "num_locals",
                  "call_count", "backedge_count", "tier", "codegen",
-                 "__weakref__")
+                 "plans", "__weakref__")
 
-    def __init__(self, name, params, code, consts, num_locals):
+    def __init__(self, name, params, code, consts, num_locals, plans=None):
         self.name = name
         self.params = params
         self.code = code
@@ -143,6 +145,16 @@ class JSFunction:
         #: tier — the generated runner pre-binds engine state, so it is
         #: keyed by engine.
         self.codegen = None
+        #: The codegen translator's plans for ``code``
+        #: (:class:`~repro.cache.derived.Derived`), shared by every
+        #: function built from the same script template.
+        self.plans = plans if plans is not None else Derived()
+
+    def fresh(self):
+        """A new function over the same code, params and plans, with its
+        own tiering state — one engine's copy of a template function."""
+        return JSFunction(self.name, self.params, self.code, self.consts,
+                          self.num_locals, self.plans)
 
     @property
     def heap_bytes(self):

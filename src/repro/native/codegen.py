@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math as _math
 import struct as _struct
+from typing import NamedTuple
 
 from repro.engine.codegen import (
     DECLINED, LOST_DISPATCH, M32, M64, S32, W32, FnEmitter, block_ranges,
@@ -433,11 +434,19 @@ class _FnEmitter(FnEmitter):
             self.out.emit(f"{local} = ns['callees'][{cname!r}]")
 
 
-def translate(fn, machine):
-    """Build (or load warm) the generated runner for one native function
-    on one machine; ``None`` means the translator declined (a ``MOVI``
-    immediate it cannot literalise) and the caller should run the
-    function on the reference ladder."""
+class _Plan(NamedTuple):
+    """What translating one function derives from its code and the
+    translation flags alone: shared by every machine that runs the
+    program."""
+
+    key: str
+    ranges: list
+    block_index: dict
+
+
+def _plan(fn, budget_mode, profiling):
+    """Plan one function's translation; ``None`` when the translator
+    declines it (a ``MOVI`` immediate it cannot literalise)."""
     code = fn.code
     for pc, instr in enumerate(code):
         if int(instr[0]) not in SUPPORTED_OPS:
@@ -449,20 +458,32 @@ def translate(fn, machine):
         if int(instr[0]) == 0 and not literalizable(instr[2]):
             # A MOVI immediate the source emitter cannot literalise:
             # decline to the reference ladder rather than fail mid-build.
-            return declined("native")
+            return None
     ranges, block_index = block_ranges(code, _TERM_OPS, _BRANCHES)
-
-    budget_mode = machine.budget is not None
-    profiling = machine._profile is not None
     key = unit_key("native", (
         repr(code), fn.nregs, budget_mode, profiling))
+    return _Plan(key, ranges, block_index)
+
+
+def translate(fn, machine):
+    """Build (or load warm) the generated runner for one native function
+    on one machine; ``None`` means the translator declined and the
+    caller should run the function on the reference ladder.  The plan is
+    memoized on the program's function (``fn.plans``); the runner, which
+    pre-binds this machine's state, is built every time."""
+    budget_mode = machine.budget is not None
+    profiling = machine._profile is not None
+    plan = fn.plans.get((budget_mode, profiling),
+                        lambda: _plan(fn, budget_mode, profiling))
+    if plan is None:
+        return declined("native")
 
     def build_source():
-        emitter = _FnEmitter(fn, code, ranges, block_index, budget_mode,
-                             profiling)
+        emitter = _FnEmitter(fn, fn.code, plan.ranges, plan.block_index,
+                             budget_mode, profiling)
         return emitter.build()
 
-    factory = load_factory("native", key, build_source)
+    factory = load_factory("native", plan.key, build_source)
 
     functions = machine.program.functions
     ns = {
@@ -486,5 +507,5 @@ def translate(fn, machine):
     for op, f in _TRAP_UNVAL.items():
         ns[f"vf{op}"] = f
 
-    translated("native", len(ranges))
+    translated("native", len(plan.ranges))
     return factory(ns)

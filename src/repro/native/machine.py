@@ -21,6 +21,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 
+from repro.cache.derived import Derived
 from repro.engine.codegen import fast_interp_enabled
 from repro.engine.hostlib import native_libm
 from repro.engine.opclass import OpClass
@@ -174,6 +175,10 @@ class NativeFunction:
     nregs: int
     code: list                     # list of (op, dst, a, b, vector)
     returns_value: bool = False
+    #: The codegen translator's plans for ``code``, shared by every
+    #: machine that runs the program; pickles empty.
+    plans: Derived = field(default_factory=Derived, repr=False,
+                           compare=False)
 
 
 @dataclass

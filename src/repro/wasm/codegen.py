@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 import struct as _struct
+from typing import NamedTuple
 
 from repro.engine.codegen import (
     DECLINED, M32, M64, FnEmitter, block_ranges, class_deltas,
@@ -575,10 +576,22 @@ class _FnEmitter(FnEmitter):
             self.emit_term(term, d, bi, fall_bi)
 
 
-def translate(fn, inst):
-    """Build (or load warm) the generated runner for one prepared
-    function on one instance; ``None`` means the translator declined and
-    the caller should run the function on the reference ladder."""
+class _Plan(NamedTuple):
+    """What translating one function derives from its prepared code, its
+    module's call signatures and the translation flags alone: shared by
+    every instance of the module."""
+
+    key: str
+    ranges: list
+    block_index: dict
+    entry_depth: dict
+    max_depth: int
+    call_sigs: dict
+
+
+def _plan(fn, inst, budget_mode, profiling):
+    """Plan one function's translation; ``None`` when the translator
+    declines it."""
     code = fn.code
     for pc, (op, _arg, _extra) in enumerate(code):
         if op not in SUPPORTED_OPS:
@@ -587,6 +600,8 @@ def translate(fn, inst):
                 f"(codegen tier has no handler)")
     ranges, block_index = block_ranges(code, _TERM_OPS, _BRANCHES)
 
+    # Callee kinds and signatures come from the module (imports are
+    # always host calls), so they are the same on every instance.
     call_sigs = {}
     for pc, (op, arg, _extra) in enumerate(code):
         if op == 10:
@@ -595,22 +610,39 @@ def translate(fn, inst):
 
     flow = _analyse(code, ranges, block_index, call_sigs)
     if flow is None:
-        return declined("wasm")
+        return None
     entry_depth, max_depth = flow
 
-    budget_mode = inst.max_instructions is not None
-    profiling = inst._profile is not None
     key = unit_key("wasm", (
         repr(code), repr(tuple(fn.local_types)), fn.num_params,
         bool(fn.results), budget_mode, profiling,
         repr(sorted(call_sigs.items()))))
+    return _Plan(key, ranges, block_index, entry_depth, max_depth,
+                 call_sigs)
+
+
+def translate(fn, inst):
+    """Build (or load warm) the generated runner for one prepared
+    function on one instance; ``None`` means the translator declined and
+    the caller should run the function on the reference ladder.  The
+    plan is memoized on the module's prepared code (``fn.plans``); the
+    runner, which pre-binds this instance's state, is built every
+    time."""
+    budget_mode = inst.max_instructions is not None
+    profiling = inst._profile is not None
+    plan = fn.plans.get((budget_mode, profiling),
+                        lambda: _plan(fn, inst, budget_mode, profiling))
+    if plan is None:
+        return declined("wasm")
+    call_sigs = plan.call_sigs
 
     def build_source():
-        emitter = _FnEmitter(fn, code, ranges, block_index, entry_depth,
-                             max_depth, budget_mode, profiling, call_sigs)
+        emitter = _FnEmitter(fn, fn.code, plan.ranges, plan.block_index,
+                             plan.entry_depth, plan.max_depth, budget_mode,
+                             profiling, call_sigs)
         return emitter.build()
 
-    factory = load_factory("wasm", key, build_source)
+    factory = load_factory("wasm", plan.key, build_source)
 
     ns = {
         "inst": inst, "stats": inst.stats, "counts": inst.stats.op_counts,
@@ -632,5 +664,5 @@ def translate(fn, inst):
         target = inst._funcs[arg][1]
         ns[f"host_{arg}" if kind == "host" else f"fn_{arg}"] = target
 
-    translated("wasm", len(ranges))
+    translated("wasm", len(plan.ranges))
     return factory(ns)

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.cache.derived import Derived
+
 VALTYPES = ("i32", "i64", "f64")
 
 
@@ -96,6 +98,10 @@ class WasmModule:
     #: Optional metadata attached by toolchains (e.g. source optimization
     #: level) so the harness can report provenance.
     meta: dict = field(default_factory=dict)
+    #: What the VM derives from this module once per process (its
+    #: prepared bodies); pickles empty.
+    derived: Derived = field(default_factory=Derived, repr=False,
+                             compare=False)
 
     def func_index(self, name):
         """Function-space index of ``name`` (imports come first, as in the

@@ -3,10 +3,12 @@
 Design notes
 ------------
 
-* Function bodies are *prepared* once per instance: structured control
-  (``block``/``loop``/``if``/``else``/``end``) is resolved to direct jump
-  targets with recorded operand-stack heights, so the runtime needs no label
-  stack.  This mirrors what baseline compilers (LiftOff/Baseline) do.
+* Function bodies are *prepared* once per module object (and process):
+  structured control (``block``/``loop``/``if``/``else``/``end``) is
+  resolved to direct jump targets with recorded operand-stack heights, so
+  the runtime needs no label stack.  This mirrors what baseline compilers
+  (LiftOff/Baseline) do.  Every instance of the module shares the
+  prepared code, which is why a module must not change once instantiated.
 * Every executed instruction is charged its abstract cycle cost and counted
   by operation class; :class:`ExecutionStats` is the raw material for all of
   the paper's execution-time and operation-count results.
@@ -23,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.cache.derived import Derived
 from repro.engine.codegen import fast_interp_enabled
 from repro.engine.stats import EngineStats
 from repro.errors import TrapError, ValidationError
@@ -61,9 +64,10 @@ class _PreparedFunction:
     """A function body with branches resolved to absolute targets."""
 
     __slots__ = ("name", "num_params", "num_locals", "local_types", "code",
-                 "results", "codegen")
+                 "results", "codegen", "plans")
 
-    def __init__(self, name, num_params, local_types, code, results):
+    def __init__(self, name, num_params, local_types, code, results,
+                 plans):
         self.name = name
         self.num_params = num_params
         self.local_types = local_types
@@ -75,9 +79,19 @@ class _PreparedFunction:
         #: cached right here); ``_codegen.DECLINED`` when the translator
         #: declined the function.
         self.codegen = None
+        #: The codegen translator's plans for ``code``, shared by every
+        #: instance of the module.
+        self.plans = plans
 
 
-def _prepare_body(func, num_imports):
+def _prepare_module(module):
+    """``(code, plans)`` per defined function: each body prepared once
+    and frozen, with the translator-plan memo every instance shares."""
+    return tuple((tuple(_prepare_body(fn)), Derived())
+                 for fn in module.functions)
+
+
+def _prepare_body(func):
     """Resolve structured control flow to jump targets.
 
     Returns a list of tuples ``(op, arg, extra)`` where for branch ops
@@ -172,7 +186,6 @@ class WasmInstance:
         self._profile = new_profile("wasm")
 
         imports = imports or {}
-        num_imports = len(module.imports)
         self._funcs = []
         for imp in module.imports:
             key = (imp.module, imp.name)
@@ -181,10 +194,12 @@ class WasmInstance:
                 raise ValidationError(f"unresolved import {key}")
             self._funcs.append(("host", fn, imp.type))
         self._prepared = {}
-        for fn in module.functions:
+        bodies = module.derived.get("prepared",
+                                    lambda: _prepare_module(module))
+        for fn, (code, plans) in zip(module.functions, bodies):
             prepared = _PreparedFunction(
-                fn.name, fn.num_params, fn.locals,
-                _prepare_body(fn, num_imports), fn.type.results)
+                fn.name, fn.num_params, fn.locals, code, fn.type.results,
+                plans)
             self._prepared[fn.name] = prepared
             self._funcs.append(("wasm", prepared, fn.type))
 

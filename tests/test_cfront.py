@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cfront import parse_c, preprocess, remove_exceptions, \
+from repro.cfront import parse_c, preprocess, remove_exceptions, tokenize_c, \
     replace_unions, transform_source
 from repro.errors import ParseError
 from repro.ir.nodes import (
@@ -51,6 +51,23 @@ class TestPreprocessor:
     def test_identifier_prefixes_not_substituted(self):
         out = preprocess("#define PN 8\nint a[PNI];", {"PNI": 3})
         assert "int a[3];" in out
+
+
+class TestLexer:
+    @pytest.mark.parametrize("literal", ["3e", "1..2", "1.2.3", "0x"])
+    def test_malformed_number_is_parse_error(self, literal):
+        with pytest.raises(ParseError, match="malformed number") as info:
+            tokenize_c(f"int a;\ndouble x = {literal};")
+        assert info.value.line == 2
+
+    @pytest.mark.parametrize("tail", ["'", "'\\", "'a"])
+    def test_char_literal_cut_off_at_end_is_parse_error(self, tail):
+        with pytest.raises(ParseError, match="malformed char literal"):
+            tokenize_c(f"char c = {tail}")
+
+    def test_char_literals(self):
+        tokens = tokenize_c(r"'a' '\n' '\''")
+        assert [t.value for t in tokens[:3]] == [97, 10, 39]
 
 
 class TestParserBasics:

@@ -364,9 +364,13 @@ def _declined_count(engine):
 class TestDeclinePath:
     @pytest.fixture(autouse=True)
     def _profiled(self, monkeypatch):
+        # Plans are memoized per process: start from none, and drop the
+        # declines the patched analysis leaves behind.
         monkeypatch.setenv("REPRO_PROFILE", "1")
+        substrate.reset_cache()
         reset_registry()
         yield
+        substrate.reset_cache()
         reset_registry()
 
     def test_wasm(self, cheerp, monkeypatch):
@@ -1179,6 +1183,35 @@ class TestJsSourceShape:
         # Rebinds: frame entry, one per call site, one per OSR.
         assert src.count("= tiers[fn.tier]") == 1 + n_calls + n_backedges
         assert src.count("fn.tier") == 1 + n_calls + 2 * n_backedges
+
+
+TRUTHY_JS = r"""
+function jf(x) { if (x) { return 1; } return 0; }
+function jt(x) { var r = x || "falsy"; return r === "falsy" ? 0 : 1; }
+var conds = [0.0, -0.0, 0 / 0, 1.0, "", "a", undefined, {k: 1}];
+for (var i = 0; i < conds.length; i++) {
+  console.log(jf(conds[i]) + "" + jt(conds[i]));
+}
+"""
+
+
+class TestJsConditionTruthiness:
+    def test_jf_jt_match_the_reference_ladder(self, monkeypatch):
+        """``JF`` (``if``) and ``JT`` (``||``) apply ToBoolean to numbers
+        inline on the codegen tier; both tiers must agree on every value
+        kind, signed zero and NaN included."""
+        from repro.jsengine.engine import JsEngine
+
+        runs = {}
+        for tier in ("ref", "codegen"):
+            _set_tier(monkeypatch, tier)
+            engine = JsEngine()
+            engine.load_script(TRUTHY_JS)
+            runs[tier] = ([str(x) for x in engine.console_output],
+                          _stats_dict(engine.stats))
+        assert runs["ref"][0] == ["00", "00", "00", "11", "00", "11", "00",
+                                  "11"]
+        assert runs["codegen"] == runs["ref"]
 
 
 class TestUnitNames:

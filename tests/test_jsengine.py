@@ -38,6 +38,12 @@ class TestLexerParser:
         _, count = parse_js("var a = 1;")
         assert count == 6  # var a = 1 ; eof
 
+    @pytest.mark.parametrize("literal", ["3e", "1..2", "1.2.3", "0x"])
+    def test_malformed_number_is_parse_error(self, literal):
+        with pytest.raises(ParseError, match="malformed number") as info:
+            tokenize_js(f"var a = 1;\n  x = {literal};")
+        assert (info.value.line, info.value.col) == (2, 7)
+
 
 class TestSemantics:
     def test_arithmetic(self):
