@@ -8,9 +8,10 @@ differential oracle — simple, obviously faithful, and slow.
 
 The codegen tier translates each prepared function body *once* into
 basic blocks and emits them as straight-line Python source: operand
-stack lowered to local variables, batched accounting constants folded
-into literal statements, trap points compiled to explicit guards that
-rewind the batched charges.  The source is ``compile()``d once per
+stack lowered to local variables (through an abstract stack that
+forwards copies, :class:`OperandStack`), batched accounting constants
+folded into literal statements, trap points compiled to explicit guards
+that rewind the batched charges.  The source is ``compile()``d once per
 translation unit and the resulting ``make(ns)`` factory is called per
 engine instance to pre-bind that instance's state.
 
@@ -61,6 +62,14 @@ translator skeleton the three ``codegen.py`` files build on:
 * :func:`block_ranges` (leaders → :func:`split_blocks` → block index)
   and :func:`stack_depths`, the worklist that propagates operand-stack
   depths over the blocks and declines an inconsistent join;
+* :class:`OperandStack`, the abstract operand stack of the two
+  stack-machine translators (wasm, JS).  Blocks are entered with every
+  value held in its slot ``s<i>``; inside a block, locals, literals and
+  copies are forwarded to the op that consumes them (and wasm
+  comparisons deferred to the branch that tests them) and written out
+  only before a write to what they read and at block end.  Only
+  trap-free, side-effect-free values are deferred, so no charge, trap,
+  GC root or deopt moves;
 * :class:`FnEmitter`: the ``def make(ns): … def run(args): … return
   run`` wrapper, the ``bi``/``while True`` dispatch loop with its
   ``try``/``finally``, jumps, trap guards, the per-block charge flush
@@ -82,8 +91,10 @@ Plan and bind.  Each translator's ``translate`` is two halves.  The
 tables, :func:`unit_key`) depends only on the code and the translation
 flags, so it is memoized on the code's shared holder (``fn.plans``, a
 :class:`~repro.cache.derived.Derived`) and every engine that runs the
-same program reuses it.  The *bind* runs per engine: it fetches the
-factory through :func:`load_factory`, builds ``ns`` and counts the
+same program reuses it, as does the ``make`` factory compiled from the
+plan's source (:func:`load_factory`), memoized beside it so that it
+lives exactly as long as the code it runs.  The *bind*
+runs per engine: it builds ``ns``, calls the factory and counts the
 function as translated or declined.
 
 Persistent compile cache: generated source depends only on the prepared
@@ -101,6 +112,7 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import marshal
+from typing import NamedTuple
 
 from repro.cache.derived import clear as clear_derived
 from repro.obs import SCHED, get_registry
@@ -328,6 +340,160 @@ class Emitter:
 LOST_DISPATCH = "raise AssertionError('codegen: lost dispatch')"
 
 
+#: :attr:`Operand.value` of an operand whose value is not known at
+#: translation time.
+UNKNOWN = object()
+
+
+class Operand(NamedTuple):
+    """One entry of an :class:`OperandStack`.
+
+    ``src`` is the Python expression that reads the value: its slot
+    ``s<i>`` when the value is *held* there, else a forwarded expression
+    that is free of traps and side effects (a local, a literal, another
+    slot, or a wasm comparison over such values).  ``reads`` names
+    the variables ``src`` reads, so a write to one of them can write the
+    entry out first.  ``kind`` is the Python type name the value is known
+    to have (``"float"``, ``"bool"``, ``"str"``) or ``None``; ``value``
+    is the value itself when it is a translation-time constant, else
+    :data:`UNKNOWN`.  ``test`` is set on a deferred comparison: the value
+    is ``1`` when ``test`` holds (``0`` when ``negated``), else the other
+    one, and a branch on it tests ``test`` directly.
+    """
+
+    src: str
+    reads: frozenset
+    held: bool = False
+    kind: object = None
+    value: object = UNKNOWN
+    test: object = None
+    negated: bool = False
+
+    @property
+    def cond(self):
+        """The Python condition that is true when the value is nonzero."""
+        if self.test is None:
+            return self.src
+        return f"not ({self.test})" if self.negated else self.test
+
+
+class OperandStack:
+    """The abstract operand stack of a stack-machine translator: what
+    each live stack position holds, in source terms, at one point of a
+    block.
+
+    Every block is entered with each live value held in its slot ``s<i>``
+    (the static depths of :func:`stack_depths` name them).  Inside the
+    block, pushes of locals, literals and copies of held slots are not
+    emitted: the entry records the expression, and the op that consumes
+    it reads that expression in place.  An entry is *written out*
+    (``s<i> = <expr>``, after which it is held) only when the translator
+    needs the slot itself: before a write to a variable the expression
+    reads (:meth:`clobber`), and at the end of the block for every entry
+    still live (:meth:`flush`), so every successor, deopt and slot list
+    sees the same held slots as a translation without forwarding.
+
+    Only values whose evaluation cannot trap, has no side effect and
+    reads nothing but locals and slots are deferred, so moving their
+    evaluation later (or dropping it, for a value that is popped unused)
+    is unobservable.
+    """
+
+    def __init__(self):
+        self.out = None
+        self.entries = []
+
+    def enter(self, out, depth):
+        """Start a block entered at ``depth``: every entry held."""
+        self.out = out
+        self.entries = [self._held(i) for i in range(depth)]
+
+    def __len__(self):
+        return len(self.entries)
+
+    def __getitem__(self, i):
+        return self.entries[i]
+
+    @staticmethod
+    def _held(i, kind=None, value=UNKNOWN):
+        name = f"s{i}"
+        return Operand(name, frozenset((name,)), True, kind, value)
+
+    # -- pushes -----------------------------------------------------------
+
+    def push(self, src, reads=(), kind=None, value=UNKNOWN, test=None,
+             negated=False):
+        """Push a forwarded value."""
+        self.entries.append(Operand(src, frozenset(reads), False, kind,
+                                    value, test, negated))
+
+    def push_local(self, k):
+        self.push(f"l{k}", (f"l{k}",))
+
+    def push_test(self, test, reads, negated=False):
+        """Push a deferred comparison: ``1`` when ``test`` holds (``0``
+        when ``negated``), else the other one."""
+        one, zero = ("0", "1") if negated else ("1", "0")
+        self.push(f"({one} if {test} else {zero})", reads, test=test,
+                  negated=negated)
+
+    def push_const(self, src, value, kind=None):
+        """Push a literal (its source ``src``, e.g. :func:`literal`)."""
+        if src.startswith("-"):           # safe as any operator's operand
+            src = f"({src})"
+        self.push(src, (), kind, value)
+
+    def push_copy(self, entry):
+        """Push a copy of ``entry`` (``DUP``, or a store's result): a held
+        entry is read from its slot (write-outs and :meth:`clobber` keep
+        that read valid)."""
+        self.entries.append(entry._replace(held=False))
+
+    def slot(self, kind=None):
+        """Claim the next position for a value the caller assigns to the
+        returned slot name (its operands already popped and read)."""
+        d = len(self.entries)
+        self.clobber(f"s{d}")
+        self.entries.append(self._held(d, kind))
+        return f"s{d}"
+
+    # -- pops and write-outs ------------------------------------------------
+
+    def pop(self, n=1):
+        """Pop ``n`` entries; returns them bottom first."""
+        taken = self.entries[len(self.entries) - n:]
+        del self.entries[len(self.entries) - n:]
+        return taken
+
+    def spill(self, i):
+        """Write entry ``i`` out to its slot."""
+        entry = self.entries[i]
+        if entry.held:
+            return
+        name = f"s{i}"
+        # An entry below may read this slot (a deferred comparison or a
+        # store's result reads the slot of an operand its op consumed):
+        # write it out first, from the old value.
+        for k in range(i):
+            if name in self.entries[k].reads:
+                self.spill(k)
+        self.out.emit(f"{name} = {entry.src}")
+        self.entries[i] = self._held(i, entry.kind, entry.value)
+
+    def clobber(self, name):
+        """Write out every entry that reads variable ``name``; call before
+        emitting a write to it."""
+        for i, entry in enumerate(self.entries):
+            if not entry.held and name in entry.reads:
+                self.spill(i)
+
+    def flush(self):
+        """Write out every live entry (block end: successors, deopts and
+        slot lists read held slots)."""
+        for i in range(len(self.entries)):
+            self.spill(i)
+
+
 class FnEmitter:
     """Emits the generated source of one function: the translator
     skeleton every engine shares.
@@ -374,6 +540,9 @@ class FnEmitter:
         #: ``[(counter source, [(profile key, count)])]``.
         self.prof_cells = []
         self.out = Emitter()
+        #: Stack machines: the abstract operand stack of the block being
+        #: emitted.
+        self.stack = OperandStack()
 
     def use(self, name):
         self.names.add(name)
@@ -433,6 +602,14 @@ class FnEmitter:
             self.out.emit(f"bi = {tbi}")
             if tbi != fall_bi:
                 self.out.emit("continue")
+
+    def emit_fall(self, fall_bi):
+        """End a stack machine's block that has no terminator: write the
+        live entries out (unless the function ends here) and fall into
+        block ``fall_bi``."""
+        if fall_bi != -1:
+            self.stack.flush()
+        self.emit_jump(fall_bi, fall_bi, len(self.stack))
 
     def guarded(self, body_lines, *rewind):
         """Emit trap-capable statements inside a guard that runs the
@@ -555,10 +732,11 @@ def deopt_counter(engine):
 
 
 # ---------------------------------------------------------------------------
-# The translation-unit cache: memory (compiled ``make`` factories) over
-# the persistent artifact store (source + marshalled code object).
+# The translation-unit cache: the persistent artifact store (source +
+# marshalled code object).  The compiled ``make`` factory is memoized by
+# each translator on the function's ``plans``, beside the plan it was
+# built from, so it lives exactly as long as the code it runs.
 
-_FACTORIES = {}          # key -> make() factory (compiled once per process)
 _STORE = None            # lazily built ArtifactCache (own stats, shared root)
 
 
@@ -572,11 +750,11 @@ def _store():
 
 def reset_cache():
     """Drop the in-process layers (tests: cold/warm differentials): the
-    compiled factories and every value derived from program inputs
+    store's memory layer and every value derived from program inputs
     (:mod:`repro.cache.derived`: preprocessed sources, JS script
-    templates, prepared Wasm bodies, translation plans)."""
+    templates, prepared Wasm bodies, translation plans and their
+    compiled factories)."""
     global _STORE
-    _FACTORIES.clear()
     _STORE = None
     clear_derived()
 
@@ -601,18 +779,15 @@ def unit_key(engine, parts):
 
 
 def load_factory(engine, key, build_source):
-    """Return the compiled ``make`` factory for one translation unit.
+    """Compile the ``make`` factory for one translation unit.
 
-    Layered lookup: in-process factory cache, then the persistent store
-    (source + marshalled code object — skips ``build_source`` *and*
-    ``compile``), then a cold build that populates both.  The factory is
-    the module-level ``make`` function of the generated source; callers
-    invoke it once per engine instance with the pre-bound namespace.
+    The store (source + marshalled code object) skips ``build_source``
+    *and* ``compile``; a miss builds and stores both.  The factory is the
+    module-level ``make`` function of the generated source; callers
+    memoize it beside the unit's plan and invoke it once per engine
+    instance with the pre-bound namespace.
     """
     reg = get_registry()
-    factory = _FACTORIES.get(key)
-    if factory is not None:
-        return factory
     filename = f"<repro-codegen:{engine}:{key[:12]}>"
     store = _store()
     entry = store.get(key)
@@ -636,5 +811,4 @@ def load_factory(engine, key, build_source):
     exec(code, namespace)
     factory = namespace["make"]
     factory.__repro_source__ = source     # tests / debugging
-    _FACTORIES[key] = factory
     return factory

@@ -7,6 +7,17 @@ with inconsistent join depths makes the translator decline), locals to
 ``l0..lN``, and dispatch to a ``bi`` block index looping over
 ``if bi == k`` arms.
 
+Ops emit through the abstract operand stack
+(:class:`~repro.engine.codegen.OperandStack`): ``LOADL``, ``CONST``,
+``DUP``/``DUP2`` and a store's result are forwarded to their consumer
+(``STOREL`` writes out the entries that read the local first, and every
+live entry is written out before a terminator with a successor or a
+fall-through), and the inline coercions fold on what the block knows:
+``ToInt32``/``ToUint32``/``ToNumber`` and ``type(x) is float`` tests on
+a float literal or a slot known to hold a float, ``JF``/``JT`` on a slot
+known to hold a bool (``if not sK:``) or on a constant (a static
+branch), and ``TYPEOF`` of an operand of known type.
+
 Exactness follows the rules of :mod:`repro.engine.codegen`, restated as
 they apply to emitted source:
 
@@ -48,11 +59,14 @@ they apply to emitted source:
   collector marks from the globals and one root holder per active frame
   (:mod:`repro.jsengine.gc`).  A generated frame's holder is the ``rt``
   list ``execute`` passes to ``run``; the frame overwrites it with its
-  locals and the operand slots below the current depth
-  (``rt[:] = l0, ..., s0, ...``) at the only points a mark can run while
-  the frame is live: before each ``JSFunction`` call and ``NEWCALL``,
-  and inside its own collection branch.  Slots above the depth and
+  locals and its live operands, a forwarded one by its source
+  (``rt[:] = l0, ..., s0, l2, ...``), at the only points a mark can run
+  while the frame is live: before each ``JSFunction`` call and
+  ``NEWCALL``, and inside its own collection branch.  Dead slots and
   Python temporaries are never roots, so nothing needs clearing.
+* **Forwarding moves no charge.**  Each op still adds its ``cyc +=
+  c<op>`` in the reference's order, and every trap stays in its guard;
+  only trap-free, side-effect-free reads are deferred.
 
 The generated source depends only on the bytecode and translation flags
 (JIT enablement, profiling) — instance state and the tier constants are
@@ -64,13 +78,14 @@ across every engine configuration.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from typing import NamedTuple
 
 from repro.clibm import c_fmod
 from repro.engine.codegen import (
-    DECLINED, LOST_DISPATCH, FnEmitter, block_ranges, class_deltas,
-    declined, literal, literalizable, load_factory, split_term,
-    stack_depths, translated, unit_key,
+    DECLINED, LOST_DISPATCH, UNKNOWN, FnEmitter, block_ranges,
+    class_deltas, declined, literal, literalizable, load_factory,
+    split_term, stack_depths, translated, unit_key,
 )
 from repro.jsengine.bytecode import JS_OP_CLASS, JS_OP_COST, JS_OP_COST_OPT
 from repro.jsengine.values import (
@@ -219,6 +234,29 @@ def _tier_values(names, tier, factor):
                  for n in names)
 
 
+#: Kinds (:attr:`~repro.engine.codegen.Operand.kind`) of constants.
+_KINDS = {float: "float", bool: "bool", str: "str"}
+
+#: ``typeof`` of each kind.
+_TYPEOF = {"float": "number", "bool": "boolean", "str": "string"}
+
+
+def _typeof(x):
+    """``typeof`` of an operand whose type is known at translation time,
+    else ``None``."""
+    if x.kind is not None:
+        return _TYPEOF[x.kind]
+    if x.value is None:
+        return "object"
+    if x.value is UNDEFINED:
+        return "undefined"
+    return None
+
+
+def _int_literal(n):
+    return f"({n})" if n < 0 else str(n)
+
+
 def _literalizable(value):
     if isinstance(value, tuple):
         return all(isinstance(v, str) for v in value)
@@ -259,22 +297,22 @@ class _FnEmitter(FnEmitter):
         self.out.emit(f"{names} = {self.use('tiers')}"
                       f"[{self.use('fn')}.tier]")
 
-    def emit_roots(self, depth):
+    def emit_roots(self, depth=None):
         """Publish the frame's JS roots to its holder for the mark: every
-        local and the operand slots below ``depth``."""
+        local and the live operands below ``depth`` (default: all), a
+        forwarded one by its source."""
         live = [f"l{j}" for j in range(self.fn.num_locals)] + \
-            [f"s{j}" for j in range(depth)]
+            [e.src for e in self.stack.entries[:depth]]
         self.out.emit(f"rt[:] = ({', '.join(live)}"
                       f"{',' if len(live) == 1 else ''})")
 
-    def emit_gc_check(self, depth):
-        """Collect if the allocation budget is full, with ``depth``
-        operand slots live."""
+    def emit_gc_check(self):
+        """Collect if the allocation budget is full."""
         heap = self.use("heap")
         self.out.emit(f"if {heap}.allocated_since_gc >= "
                       f"{heap}.trigger_bytes:")
         with self.out.block():
-            self.emit_roots(depth)
+            self.emit_roots()
             self.out.emit(f"p_ = {heap}.collect()")
             self.out.emit(f"{self.use('stats')}.gc_runs += 1")
             self.out.emit("stats.gc_pause_cycles += p_")
@@ -297,108 +335,168 @@ class _FnEmitter(FnEmitter):
             return
         super().guarded(body_lines, classes, idx)
 
-    # -- one straight-line op at static depth d; returns the new depth --
+    # -- one straight-line op over the abstract stack ------------------
 
     def i32(self, x):
-        """Inline ToInt32 of one slot: the finite-in-range float fast path
-        as an expression (``int()`` truncates toward zero exactly like the
-        wrap-around), falling back to the bound coercion."""
-        return (f"(int({x}) if type({x}) is float and "
-                f"-2147483648.0 <= {x} <= 2147483647.0 "
-                f"else {self.use('ti32')}({x}))")
+        """Inline ToInt32 of one operand: a constant folds; a float takes
+        the finite-in-range fast path as an expression (``int()``
+        truncates toward zero exactly like the wrap-around), anything
+        else falls back to the bound coercion."""
+        if isinstance(x.value, float):
+            return _int_literal(to_int32(x.value))
+        v = x.src
+        test = "" if x.kind == "float" else f"type({v}) is float and "
+        return (f"(int({v}) if {test}-2147483648.0 <= {v} <= 2147483647.0 "
+                f"else {self.use('ti32')}({v}))")
 
     def u32(self, x):
-        """Inline ToUint32 of one slot (same fast path, wrapped)."""
-        return (f"(int({x}) & 0xFFFFFFFF if type({x}) is float and "
-                f"-2147483648.0 <= {x} <= 2147483647.0 "
-                f"else {self.use('tu32')}({x}))")
+        """Inline ToUint32 of one operand (same fast path, wrapped)."""
+        if isinstance(x.value, float):
+            return _int_literal(to_uint32(x.value))
+        v = x.src
+        test = "" if x.kind == "float" else f"type({v}) is float and "
+        return (f"(int({v}) & 0xFFFFFFFF if {test}-2147483648.0 <= {v} "
+                f"<= 2147483647.0 else {self.use('tu32')}({v}))")
 
-    def emit_binval(self, op, d):
-        """The value computation of one pure binop, assigned to the result
-        slot.  The hot operators are inlined as expressions over the slot
-        variables — observably identical to the reference arms (same
-        coercions in the same order).  The rest call the bound value
-        function (``_VALUE_FNS``)."""
+    def num(self, x):
+        """Inline ToNumber of one operand."""
+        if x.kind == "float":
+            return x.src
+        return f"({x.src} if type({x.src}) is float else " \
+               f"{self.use('tonum')}({x.src}))"
+
+    @staticmethod
+    def float_test(*xs):
+        """The runtime test that every operand is a float: ``""`` when
+        each is known to be one, ``None`` when one is known not to be."""
+        if any(x.kind not in (None, "float") for x in xs):
+            return None
+        return " and ".join(f"type({x.src}) is float" for x in xs
+                            if x.kind is None)
+
+    def emit_binval(self, op, a, b):
+        """The value computation of one pure binop of operands ``a`` and
+        ``b``, assigned to the result slot.  The hot operators are
+        inlined as expressions — observably identical to the reference
+        arms (same coercions in the same order).  The rest call the bound
+        value function (``_VALUE_FNS``)."""
         out = self.out
-        a, b = f"s{d - 2}", f"s{d - 1}"
-
-        def num(x):
-            return f"({x} if type({x}) is float else {self.use('tonum')}({x}))"
-
+        st = self.stack
+        x, y = a.src, b.src
         if op in (6, 7):                       # SUB / MUL
-            out.emit(f"{a} = {num(a)} {'-' if op == 6 else '*'} {num(b)}")
+            out.emit(f"{st.slot('float')} = {self.num(a)} "
+                     f"{'-' if op == 6 else '*'} {self.num(b)}")
         elif op == 8:                          # DIV (C99 signed-zero rules)
-            out.emit(f"t_ = {num(a)}")
-            out.emit(f"n_ = {num(b)}")
+            out.emit(f"t_ = {self.num(a)}")
+            out.emit(f"n_ = {self.num(b)}")
+            r = st.slot("float")
             out.emit("if n_ == 0.0:")
             with out.block():
-                out.emit(f"{a} = float('nan') if (t_ == 0.0 or t_ != t_) "
+                out.emit(f"{r} = float('nan') if (t_ == 0.0 or t_ != t_) "
                          f"else {self.use('copysign')}(float('inf'), t_) * "
                          f"{self.use('copysign')}(1.0, n_)")
             out.emit("else:")
             with out.block():
-                out.emit(f"{a} = t_ / n_")
+                out.emit(f"{r} = t_ / n_")
         elif op in (13, 14, 15):               # BAND / BOR / BXOR
             sym = {13: "&", 14: "|", 15: "^"}[op]
-            out.emit(f"{a} = float({self.i32(a)} {sym} {self.i32(b)})")
+            out.emit(f"{st.slot('float')} = "
+                     f"float({self.i32(a)} {sym} {self.i32(b)})")
         elif op == 16:                         # SHL (int32 wrap-around)
-            out.emit(f"i_ = ({self.i32(a)} << ({self.u32(b)} & 31)) "
+            out.emit(f"i_ = ({self.i32(a)} << {self.count(b)}) "
                      f"& 0xFFFFFFFF")
-            out.emit(f"{a} = float(i_ - 0x100000000 "
+            out.emit(f"{st.slot('float')} = float(i_ - 0x100000000 "
                      f"if i_ & 0x80000000 else i_)")
         elif op == 17:                         # SHR
-            out.emit(f"{a} = float({self.i32(a)} >> ({self.u32(b)} & 31))")
+            out.emit(f"{st.slot('float')} = "
+                     f"float({self.i32(a)} >> {self.count(b)})")
         elif op == 18:                         # USHR
-            out.emit(f"{a} = float({self.u32(a)} >> ({self.u32(b)} & 31))")
+            out.emit(f"{st.slot('float')} = "
+                     f"float({self.u32(a)} >> {self.count(b)})")
         elif op in (19, 20, 21, 22):           # LT / LE / GT / GE
             # Numbers compare directly (``_to_number`` of a float is the
             # float); anything else takes the full string-aware path.
             sym = {19: "<", 20: "<=", 21: ">", 22: ">="}[op]
-            out.emit(f"{a} = {a} {sym} {b} "
-                     f"if type({a}) is float and type({b}) is float "
-                     f"else {self.use(f'vf{op}')}({a}, {b})")
-        elif op == 25:                         # SEQ
-            out.emit(f"{a} = type({a}) is type({b}) and {a} == {b}")
-        elif op == 26:                         # SNE
-            out.emit(f"{a} = not (type({a}) is type({b}) and {a} == {b})")
+            test = self.float_test(a, b)
+            slow = f"{self.use(f'vf{op}')}({x}, {y})"
+            if test is None:
+                value = slow
+            elif test:
+                value = f"{x} {sym} {y} if {test} else {slow}"
+            else:
+                value = f"{x} {sym} {y}"
+            out.emit(f"{st.slot('bool')} = {value}")
+        elif op in (25, 26):                   # SEQ / SNE
+            if a.kind and b.kind:
+                same = f"{x} == {y}" if a.kind == b.kind else "False"
+            else:
+                same = f"{self.type_of(a)} is {self.type_of(b)} and " \
+                       f"{x} == {y}"
+            out.emit(f"{st.slot('bool')} = "
+                     f"{same if op == 25 else f'not ({same})'}")
         elif op == 49:                         # IMUL
             out.emit(f"i_ = {self.i32(a)} * {self.i32(b)}")
-            out.emit(f"{a} = float(i_ if -2147483648 <= i_ <= 2147483647 "
+            out.emit(f"{st.slot('float')} = "
+                     f"float(i_ if -2147483648 <= i_ <= 2147483647 "
                      f"else {self.use('ti32')}(i_))")
         else:                                  # MOD / EQ / NE
-            out.emit(f"{a} = {self.use(f'vf{op}')}({a}, {b})")
+            kind = None if op == 9 else "bool"
+            out.emit(f"{st.slot(kind)} = {self.use(f'vf{op}')}({x}, {y})")
 
-    def emit_op(self, pc, instr, d, classes, idx):
+    def count(self, b):
+        """A shift count: ``ToUint32(b) & 31``."""
+        if isinstance(b.value, float):
+            return str(to_uint32(b.value) & 31)
+        return f"({self.u32(b)} & 31)"
+
+    @staticmethod
+    def type_of(x):
+        return x.kind or f"type({x.src})"
+
+    def emit_op(self, pc, instr, classes, idx):
         op, arg = instr
         out = self.out
+        st = self.stack
         out.emit(f"cyc += c{op}")
         if op == 1:       # LOADL
-            out.emit(f"s{d} = l{arg}")
-            return d + 1
+            st.push_local(arg)
+            return
         if op == 0:       # CONST
-            out.emit(f"s{d} = {self.const_expr(pc, arg)}")
-            return d + 1
+            st.push_const(self.const_expr(pc, arg), arg,
+                          _KINDS.get(type(arg)))
+            return
         if op == 2:       # STOREL
-            out.emit(f"l{arg} = s{d - 1}")
-            return d - 1
+            (v,) = st.pop()
+            st.clobber(f"l{arg}")
+            out.emit(f"l{arg} = {v.src}")
+            return
         if op == 5:       # ADD
-            a, b = f"s{d - 2}", f"s{d - 1}"
-            out.emit(f"if type({a}) is float and type({b}) is float:")
-            with out.block():
-                out.emit(f"{a} = {a} + {b}")
-            out.emit("else:")
-            with out.block():
-                out.emit(f"{a} = {self.use('jadd')}({a}, {b})")
-                out.emit(f"if isinstance({a}, str):")
+            a, b = st.pop(2)
+            x, y = a.src, b.src
+            test = self.float_test(a, b)
+            r = st.slot("float" if test == "" else None)
+            if test == "":
+                out.emit(f"{r} = {x} + {y}")
+                return
+            if test:
+                out.emit(f"if {test}:")
                 with out.block():
-                    out.emit(f"{self.use('note')}(16 + 2 * len({a}))")
-                    self.emit_gc_check(d - 1)
-            return d - 1
+                    out.emit(f"{r} = {x} + {y}")
+                out.emit("else:")
+            with out.block() if test else nullcontext():
+                out.emit(f"{r} = {self.use('jadd')}({x}, {y})")
+                out.emit(f"if isinstance({r}, str):")
+                with out.block():
+                    out.emit(f"{self.use('note')}(16 + 2 * len({r}))")
+                    self.emit_gc_check()
+            return
         if op in _BINOPS:
-            self.emit_binval(op, d)
-            return d - 1
+            a, b = st.pop(2)
+            self.emit_binval(op, a, b)
+            return
         if op == 37:      # GETIDX
-            obj, index = f"s{d - 2}", f"s{d - 1}"
+            obj, index = (e.src for e in st.pop(2))
+            r = st.slot()
             out.emit(f"if type({obj}) is {self.use('JSArray')}:")
             with out.block():
                 out.emit("cyc += B16")
@@ -406,7 +504,7 @@ class _FnEmitter(FnEmitter):
                 self.guarded(
                     [f"i_ = int({index})",
                      f"t_ = {obj}.items",
-                     f"{obj} = t_[i_] if 0 <= i_ < len(t_) "
+                     f"{r} = t_[i_] if 0 <= i_ < len(t_) "
                      f"else {self.use('u_')}"], classes, idx)
             out.emit(f"elif type({obj}) is {self.use('JSTypedArray')}:")
             with out.block():
@@ -419,48 +517,59 @@ class _FnEmitter(FnEmitter):
                     [f"i_ = int({index})",
                      f"t_ = {obj}.items",
                      f"if type(t_) is {self.use('Sparse')}:",
-                     f"    {obj} = t_._data.get(i_, 0.0) "
+                     f"    {r} = t_._data.get(i_, 0.0) "
                      f"if 0 <= i_ < t_._length else 0.0",
                      "else:",
-                     f"    {obj} = t_[i_] if 0 <= i_ < len(t_) else 0.0"],
+                     f"    {r} = t_[i_] if 0 <= i_ < len(t_) else 0.0"],
                     classes, idx)
             out.emit("else:")
             with out.block():
-                self.guarded([f"{obj} = {self.use('eget')}({obj}, {index})"],
+                self.guarded([f"{r} = {self.use('eget')}({obj}, {index})"],
                              classes, idx)
-            return d - 1
+            return
         if op == 38:      # SETIDX
-            obj = f"s{d - 3}"
-            out.emit(f"if type({obj}) is {self.use('JSArray')}:")
+            obj, index, value = st.pop(3)
+            out.emit(f"if type({obj.src}) is {self.use('JSArray')}:")
             with out.block():
                 out.emit("cyc += B20")
-            self.guarded([f"{self.use('setel')}({self.use('heap')}, {obj}, "
-                          f"s{d - 2}, s{d - 1})"], classes, idx)
-            out.emit(f"{obj} = s{d - 1}")
-            self.emit_gc_check(d - 2)
-            return d - 2
+            self.guarded([f"{self.use('setel')}({self.use('heap')}, "
+                          f"{obj.src}, {index.src}, {value.src})"],
+                         classes, idx)
+            st.push_copy(value)           # the stored value is the result
+            self.emit_gc_check()
+            return
         if op == 10:      # NEG
-            out.emit(f"s{d - 1} = -{self.use('tonum')}(s{d - 1})")
-            return d
+            (v,) = st.pop()
+            value = v.src if v.kind == "float" else \
+                f"{self.use('tonum')}({v.src})"
+            out.emit(f"{st.slot('float')} = -{value}")
+            return
         if op == 11:      # NOT
-            out.emit(f"s{d - 1} = not {self.use('truthy')}(s{d - 1})")
-            return d
+            (v,) = st.pop()
+            out.emit(f"{st.slot('bool')} = not {self.truth(v)}")
+            return
         if op == 12:      # BNOT
-            out.emit(f"s{d - 1} = float(~{self.use('ti32')}(s{d - 1}))")
-            return d
+            (v,) = st.pop()
+            out.emit(f"{st.slot('float')} = "
+                     f"float(~{self.use('ti32')}({v.src}))")
+            return
         if op == 3:       # LOADG
-            out.emit(f"s{d} = {self.use('glb')}.get({arg!r}, "
+            out.emit(f"{st.slot()} = {self.use('glb')}.get({arg!r}, "
                      f"{self.use('u_')})")
-            return d + 1
+            return
         if op == 4:       # STOREG
-            out.emit(f"{self.use('glb')}[{arg!r}] = s{d - 1}")
-            return d - 1
+            (v,) = st.pop()
+            out.emit(f"{self.use('glb')}[{arg!r}] = {v.src}")
+            return
         if op == 39:      # GETMEM
-            self.guarded([f"s{d - 1} = {self.use('mget')}(s{d - 1}, "
-                          f"{arg!r})"], classes, idx)
-            return d
+            (v,) = st.pop()
+            r = st.slot()
+            self.guarded([f"{r} = {self.use('mget')}({v.src}, {arg!r})"],
+                         classes, idx)
+            return
         if op == 40:      # SETMEM
-            obj, value = f"s{d - 2}", f"s{d - 1}"
+            eo, ev = st.pop(2)
+            obj, value = eo.src, ev.src
             body = [f"if isinstance({obj}, {self.use('JSObject')}):",
                     f"    {obj}.props[{arg!r}] = {value}"]
             if arg == "length":
@@ -472,56 +581,57 @@ class _FnEmitter(FnEmitter):
                      f"{literal(f'cannot set {arg} on ')}"
                      f" + type({obj}).__name__)"]
             self.guarded(body, classes, idx)
-            out.emit(f"{obj} = {value}")
-            return d - 1
+            st.push_copy(ev)              # the stored value is the result
+            return
         if op == 35:      # NEWARR
-            items = ", ".join(f"s{d - arg + i}" for i in range(arg))
-            out.emit(f"s{d - arg} = {self.use('JSArray')}([{items}])")
-            out.emit(f"{self.use('reg_')}(s{d - arg})")
-            self.emit_gc_check(d - arg + 1)
-            return d - arg + 1
+            items = ", ".join(e.src for e in st.pop(arg))
+            r = st.slot()
+            out.emit(f"{r} = {self.use('JSArray')}([{items}])")
+            out.emit(f"{self.use('reg_')}({r})")
+            self.emit_gc_check()
+            return
         if op == 36:      # NEWOBJ
-            nk = len(arg)
-            values = ", ".join(f"s{d - nk + i}" for i in range(nk))
-            out.emit(f"s{d - nk} = {self.use('JSObject')}(dict(zip("
+            values = ", ".join(e.src for e in st.pop(len(arg)))
+            r = st.slot()
+            out.emit(f"{r} = {self.use('JSObject')}(dict(zip("
                      f"{self.const_expr(pc, tuple(arg))}, [{values}])))")
-            out.emit(f"{self.use('reg_')}(s{d - nk})")
-            self.emit_gc_check(d - nk + 1)
-            return d - nk + 1
+            out.emit(f"{self.use('reg_')}({r})")
+            self.emit_gc_check()
+            return
         if op == 41:      # DUP
-            out.emit(f"s{d} = s{d - 1}")
-            return d + 1
+            st.push_copy(st[-1])
+            return
         if op == 45:      # DUP2
-            out.emit(f"s{d} = s{d - 2}")
-            out.emit(f"s{d + 1} = s{d - 1}")
-            return d + 2
+            st.push_copy(st[-2])
+            st.push_copy(st[-2])
+            return
         if op == 42:      # POP
-            return d - 1
+            st.pop()
+            return
         if op == 43:      # TYPEOF
-            v = f"s{d - 1}"
-            out.emit(f"if isinstance({v}, float):")
-            with out.block():
-                out.emit(f"{v} = 'number'")
-            out.emit(f"elif isinstance({v}, str):")
-            with out.block():
-                out.emit(f"{v} = 'string'")
-            out.emit(f"elif isinstance({v}, bool):")
-            with out.block():
-                out.emit(f"{v} = 'boolean'")
-            out.emit(f"elif {v} is {self.use('u_')}:")
-            with out.block():
-                out.emit(f"{v} = 'undefined'")
-            out.emit(f"elif isinstance({v}, ({self.use('JSFunction')}, "
-                     f"{self.use('NativeFunction')})):")
-            with out.block():
-                out.emit(f"{v} = 'function'")
+            (v,) = st.pop()
+            known = _typeof(v)
+            if known is not None:
+                st.push_const(repr(known), known, "str")
+                return
+            r = st.slot("str")
+            for test, name in (
+                    (f"isinstance({v.src}, float)", "number"),
+                    (f"isinstance({v.src}, str)", "string"),
+                    (f"isinstance({v.src}, bool)", "boolean"),
+                    (f"{v.src} is {self.use('u_')}", "undefined"),
+                    (f"isinstance({v.src}, ({self.use('JSFunction')}, "
+                     f"{self.use('NativeFunction')}))", "function")):
+                out.emit(f"{'if' if name == 'number' else 'elif'} {test}:")
+                with out.block():
+                    out.emit(f"{r} = {name!r}")
             out.emit("else:")
             with out.block():
-                out.emit(f"{v} = 'object'")
-            return d
+                out.emit(f"{r} = 'object'")
+            return
         if op == 46:      # INCIDX
             delta, is_post = arg
-            obj, index = f"s{d - 2}", f"s{d - 1}"
+            obj, index = (e.src for e in st.pop(2))
             self.guarded([
                 f"t_ = {self.use('tonum')}({self.use('eget')}"
                 f"({obj}, {index}))",
@@ -529,43 +639,70 @@ class _FnEmitter(FnEmitter):
                 f"{self.use('setel')}({self.use('heap')}, {obj}, {index}, "
                 f"n_)",
             ], classes, idx)
-            out.emit(f"{obj} = {'t_' if is_post else 'n_'}")
-            self.emit_gc_check(d - 1)
-            return d - 1
+            out.emit(f"{st.slot('float')} = {'t_' if is_post else 'n_'}")
+            self.emit_gc_check()
+            return
         if op == 47:      # INCMEM
             name, delta, is_post = arg
-            obj = f"s{d - 1}"
+            (v,) = st.pop()
+            obj = v.src
             self.guarded([
                 f"t_ = {self.use('tonum')}({self.use('mget')}"
                 f"({obj}, {name!r}))",
                 f"n_ = t_ + {literal(delta)}",
                 f"{obj}.props[{name!r}] = n_",
             ], classes, idx)
-            out.emit(f"{obj} = {'t_' if is_post else 'n_'}")
-            return d
+            out.emit(f"{st.slot('float')} = {'t_' if is_post else 'n_'}")
+            return
         raise JsRuntimeError(  # pragma: no cover - pre-checked
             f"{self.fn.name}: unimplemented bytecode op {op} "
             f"(codegen tier)")
 
+    def truth(self, v):
+        """ToBoolean of one operand, with the bool and number cases
+        inline (and folded when the operand's kind is known)."""
+        x = v.src
+        if v.kind == "bool":
+            return x
+        if v.kind == "float":
+            return f"({x} != 0.0 and {x} == {x})"
+        return (f"({x} if type({x}) is bool else "
+                f"({x} != 0.0 and {x} == {x}) if type({x}) is float "
+                f"else {self.use('truthy')}({x}))")
+
     # -- terminators ----------------------------------------------------
 
-    def emit_term(self, instr, d, bi, fall_bi):
+    def emit_term(self, instr, fall_bi):
         op, arg = instr
         out = self.out
-        out.emit(f"cyc += c{op}")
-        if op == 27:      # JMP
-            self.emit_jump(self.bi_of(arg), fall_bi)
+        st = self.stack
+        if op == 33:      # RET
+            out.emit(f"cyc += c{op}")
+            out.emit(f"return {st[-1].src}")
+            return
+        if op == 34:      # RETU
+            out.emit(f"cyc += c{op}")
+            self.emit_exit(0)
             return
         if op in (28, 29):                # JF / JT
-            # ToBoolean, with the bool and number cases inline.
-            test = "" if op == 29 else "not "
-            v = f"s{d - 1}"
-            out.emit(f"if {test}({v} if type({v}) is bool else "
-                     f"({v} != 0.0 and {v} == {v}) if type({v}) is float "
-                     f"else {self.use('truthy')}({v})):")
+            (v,) = st.pop()
+            st.flush()
+            out.emit(f"cyc += c{op}")
+            if v.value is not UNKNOWN:    # a constant: the branch is static
+                taken = js_truthy(v.value) == (op == 29)
+                self.emit_jump(self.bi_of(arg) if taken else fall_bi,
+                               fall_bi)
+                return
+            out.emit(f"if {'' if op == 29 else 'not '}{self.truth(v)}:")
             with out.block():
                 self.emit_jump(self.bi_of(arg))
             self.emit_jump(fall_bi, fall_bi)
+            return
+        if op in (27, 30):
+            st.flush()
+            out.emit(f"cyc += c{op}")
+        if op == 27:      # JMP
+            self.emit_jump(self.bi_of(arg), fall_bi)
             return
         if op == 30:      # JBACK
             if self.jit_enabled:
@@ -579,46 +716,40 @@ class _FnEmitter(FnEmitter):
                         self.emit_rebind()
             self.emit_jump(self.bi_of(arg), fall_bi)
             return
-        if op == 33:      # RET
-            out.emit(f"return s{d - 1}")
-            return
-        if op == 34:      # RETU
-            self.emit_exit(0)
-            return
         # CALL / METHOD / NEWCALL
         is_method = op == 32
-        if is_method:
-            name, nargs = arg
-        else:
-            name, nargs = None, arg
-        nd = d - nargs - 1                # depth with args + target popped
-        args_list = ", ".join(f"s{nd + 1 + i}" for i in range(nargs))
-        out.emit(f"a_ = [{args_list}]")
+        nargs = arg[1] if is_method else arg
+        callee, *args = st.pop(nargs + 1)
+        st.flush()
+        out.emit(f"cyc += c{op}")
+        out.emit(f"a_ = [{', '.join(e.src for e in args)}]")
         if op == 44:      # NEWCALL
-            self.emit_roots(nd)
-            out.emit(f"s{nd} = {self.use('construct')}(s{nd}, a_)")
+            self.emit_roots()
+            out.emit(f"{st.slot()} = {self.use('construct')}"
+                     f"({callee.src}, a_)")
             self.emit_rebind()
-            self.emit_gc_check(nd + 1)
+            self.emit_gc_check()
             self.emit_jump(fall_bi, fall_bi)
             return
         if is_method:
-            out.emit(f"o_ = s{nd}")
-            out.emit(f"f_ = {self.use('mget')}(o_, {name!r})")
+            out.emit(f"o_ = {callee.src}")
+            out.emit(f"f_ = {self.use('mget')}(o_, {arg[0]!r})")
         else:
-            out.emit(f"f_ = s{nd}")
+            out.emit(f"f_ = {callee.src}")
             out.emit(f"o_ = {self.use('u_')}")
+        r = st.slot()
         out.emit(f"if isinstance(f_, {self.use('JSFunction')}):")
         with out.block():
-            self.emit_roots(nd)
+            self.emit_roots(len(st) - 1)
             out.emit(f"{self.use('stats')}.cycles += cyc")
             out.emit("cyc = 0.0")
-            out.emit(f"s{nd} = {self.use('call')}({self.use('engine')}, "
+            out.emit(f"{r} = {self.use('call')}({self.use('engine')}, "
                      f"f_, a_, o_)")
             self.emit_rebind()
         out.emit(f"elif isinstance(f_, {self.use('NativeFunction')}):")
         with out.block():
             out.emit("cyc += f_.cycles * F")
-            out.emit(f"s{nd} = f_.fn(engine, o_, a_)")
+            out.emit(f"{r} = f_.fn(engine, o_, a_)")
         out.emit("else:")
         with out.block():
             if is_method:
@@ -627,7 +758,7 @@ class _FnEmitter(FnEmitter):
             else:
                 out.emit(f"raise {self.use('err')}(repr(f_)"
                          f" + ' is not a function')")
-        self.emit_gc_check(nd + 1)
+        self.emit_gc_check()
         self.emit_jump(fall_bi, fall_bi)
 
     # -- whole blocks ---------------------------------------------------
@@ -667,15 +798,15 @@ class _FnEmitter(FnEmitter):
                 self.prof_cells.append((f"pf[{2 * bi + tier}]", [
                     (op + (tier << 8), dc)
                     for op, dc in class_deltas([o for o, _a in ops])]))
-        d = self.entry_depth[bi]
+        self.stack.enter(out, self.entry_depth[bi])
         body, term = split_term(ops, _TERM_OPS)
         for idx, instr in enumerate(body):
-            d = self.emit_op(start + idx, instr, d, classes, idx)
+            self.emit_op(start + idx, instr, classes, idx)
         fall_bi = self.bi_of(end)
         if term is None:
-            self.emit_jump(fall_bi, fall_bi)
+            self.emit_fall(fall_bi)
         else:
-            self.emit_term(term, d, bi, fall_bi)
+            self.emit_term(term, fall_bi)
 
     def emit_finally(self):
         self.out.emit(f"{self.use('stats')}.cycles += cyc")
@@ -737,9 +868,10 @@ def _plan(fn, jit_enabled, profiling):
 def translate(fn, engine):
     """Build (or load warm) the generated runner for one JS function on
     one engine; ``None`` means the translator declined and the caller
-    should run the function on the reference ladder.  The plan is
-    memoized on the function's shared code (``fn.plans``); the runner,
-    which pre-binds this engine's state, is built every time."""
+    should run the function on the reference ladder.  The plan and its
+    compiled factory are memoized on the function's shared code
+    (``fn.plans``); the runner, which pre-binds this engine's state, is
+    built every time."""
     tiering = engine.tiering
     jit_enabled = engine.config.jit_enabled
     profiling = engine._profile is not None
@@ -760,7 +892,9 @@ def translate(fn, engine):
                              profiling, plan.tier_names, plan.const_index)
         return emitter.build()
 
-    factory = load_factory("js", plan.key, build_source)
+    factory = fn.plans.get(
+        ("make", jit_enabled, profiling),
+        lambda: load_factory("js", plan.key, build_source))
 
     ns = {
         "engine": engine, "fn": fn, "stats": engine.stats,

@@ -86,7 +86,7 @@ class _FunctionCompiler:
         self.emit(JsOp.RETU)
         # Frozen: every engine that loads the script shares this code.
         return JSFunction(self.name, tuple(self.params), tuple(self.code),
-                          None, len(self.slots))
+                          len(self.slots))
 
     # -- statements ----------------------------------------------------------
 

@@ -128,15 +128,14 @@ class JSObject:
 class JSFunction:
     """A compiled JS function (parameters + bytecode + tiering state)."""
 
-    __slots__ = ("name", "params", "code", "consts", "num_locals",
+    __slots__ = ("name", "params", "code", "num_locals",
                  "call_count", "backedge_count", "tier", "codegen",
                  "plans", "__weakref__")
 
-    def __init__(self, name, params, code, consts, num_locals, plans=None):
+    def __init__(self, name, params, code, num_locals, plans=None):
         self.name = name
         self.params = params
         self.code = code
-        self.consts = consts
         self.num_locals = num_locals
         self.call_count = 0
         self.backedge_count = 0
@@ -153,7 +152,7 @@ class JSFunction:
     def fresh(self):
         """A new function over the same code, params and plans, with its
         own tiering state — one engine's copy of a template function."""
-        return JSFunction(self.name, self.params, self.code, self.consts,
+        return JSFunction(self.name, self.params, self.code,
                           self.num_locals, self.plans)
 
     @property

@@ -468,9 +468,10 @@ def _plan(fn, budget_mode, profiling):
 def translate(fn, machine):
     """Build (or load warm) the generated runner for one native function
     on one machine; ``None`` means the translator declined and the
-    caller should run the function on the reference ladder.  The plan is
-    memoized on the program's function (``fn.plans``); the runner, which
-    pre-binds this machine's state, is built every time."""
+    caller should run the function on the reference ladder.  The plan
+    and its compiled factory are memoized on the program's function
+    (``fn.plans``); the runner, which pre-binds this machine's state, is
+    built every time."""
     budget_mode = machine.budget is not None
     profiling = machine._profile is not None
     plan = fn.plans.get((budget_mode, profiling),
@@ -483,7 +484,9 @@ def translate(fn, machine):
                              budget_mode, profiling)
         return emitter.build()
 
-    factory = load_factory("native", plan.key, build_source)
+    factory = fn.plans.get(
+        ("make", budget_mode, profiling),
+        lambda: load_factory("native", plan.key, build_source))
 
     functions = machine.program.functions
     ns = {

@@ -7,6 +7,16 @@ empty-stack statement boundaries, so every join has one depth), locals
 to ``l0..lN``, and dispatch to a resumable ``bi`` block index looping
 over ``if bi == k`` arms with straight-line bodies.
 
+Ops emit through the abstract operand stack
+(:class:`~repro.engine.codegen.OperandStack`): ``local.get`` and
+constants are forwarded to their consumer, ``local.set``/``local.tee``
+write out the entries that read the local first, and comparisons and
+``eqz`` are deferred as a test, so a loop header's compare → ``eqz`` →
+``br_if`` is one ``if not (l3 < l0):``.  A literal shift count folds its
+mask.  Live entries are written out before every terminator with a
+successor and before a fall-through, so every block is still entered
+with its values in ``s0..``.
+
 Exactness (the rules of :mod:`repro.engine.codegen` as they apply here).
 Wasm is the one engine whose whole charge stream lives on an exact
 0.25-cycle grid, so cycles, instruction counts, op-class counts *and*
@@ -20,7 +30,9 @@ the instruction budget are all batched per block:
   statements subtract the charge suffix before re-raising;
 * a block entered with fewer budget units than instructions deopts to
   the reference ladder (``_run_from``) at the block start, materialising
-  the slot values back into real locals/stack lists;
+  the slot values back into real locals/stack lists (blocks are entered
+  with every value held in its slot, so forwarding never reaches a
+  deopt);
 * unknown opcodes fail loudly at translation with a structured error.
 
 The generated source depends only on the prepared code and translation
@@ -40,7 +52,7 @@ import struct as _struct
 from typing import NamedTuple
 
 from repro.engine.codegen import (
-    DECLINED, M32, M64, FnEmitter, block_ranges, class_deltas,
+    DECLINED, M32, M64, UNKNOWN, FnEmitter, block_ranges, class_deltas,
     declined, deopt_counter, emit_wrap, literal, load_factory, split_term,
     stack_depths, translated, unit_key,
 )
@@ -274,7 +286,7 @@ class _FnEmitter(FnEmitter):
         if not self.results:
             self.out.emit("return None")
         elif depth > 0:
-            self.out.emit(f"return s{depth - 1}")
+            self.out.emit(f"return {self.stack[depth - 1].src}")
         else:
             self.out.emit("return 0")
 
@@ -309,163 +321,90 @@ class _FnEmitter(FnEmitter):
             f"    o_ = a_ & {_FRAME_MASK}",
         ]
 
-    # -- one straight-line op at static depth d; returns the new depth --
+    # -- one straight-line op over the abstract stack ------------------
 
-    def emit_op(self, instr, d, costs, classes, idx):
+    def emit_op(self, instr, costs, classes, idx):
         op, arg, _extra = instr
         out = self.out
+        st = self.stack
         if op in _MARKERS:
-            return d
+            return
         if op == 13:
-            out.emit(f"s{d} = l{arg}")
-            return d + 1
-        if op == 14:
-            out.emit(f"l{arg} = s{d - 1}")
-            return d - 1
-        if op == 15:
-            out.emit(f"l{arg} = s{d - 1}")
-            return d
+            st.push_local(arg)
+            return
+        if op == 14 or op == 15:          # local.set / local.tee
+            (v,) = st.pop()
+            st.clobber(f"l{arg}")
+            out.emit(f"l{arg} = {v.src}")
+            if op == 15:
+                st.push_local(arg)
+            return
         if op in _CONSTS:
-            out.emit(f"s{d} = {literal(arg)}")
-            return d + 1
+            st.push_const(literal(arg), arg)
+            return
         if op == 16:
-            out.emit(f"s{d} = {self.use('gvals')}[{arg}]")
-            return d + 1
+            out.emit(f"{st.slot()} = {self.use('gvals')}[{arg}]")
+            return
         if op == 17:
-            out.emit(f"{self.use('gvals')}[{arg}] = s{d - 1}")
-            return d - 1
+            (v,) = st.pop()
+            out.emit(f"{self.use('gvals')}[{arg}] = {v.src}")
+            return
         if op == 11:
-            return d - 1
+            st.pop()
+            return
         if op == 12:
-            out.emit(f"s{d - 3} = s{d - 3} if s{d - 1} else s{d - 2}")
-            return d - 2
+            a, b, c = st.pop(3)
+            out.emit(f"{st.slot()} = {a.src} if {c.cond} else {b.src}")
+            return
         if op == 29:
-            out.emit(f"s{d} = {self.use('mem')}.pages")
-            return d + 1
+            out.emit(f"{st.slot()} = {self.use('mem')}.pages")
+            return
         if op == 30:
-            out.emit(f"t_ = {self.use('mem')}.grow(s{d - 1})")
+            (v,) = st.pop()
+            out.emit(f"t_ = {self.use('mem')}.grow({v.src})")
             out.emit("if t_ >= 0:")
             with out.block():
                 out.emit("mem.grow_count += 1")
                 out.emit(f"{self.use('stats')}.memory_grows += 1")
-            out.emit(f"s{d - 1} = t_")
-            return d
+            out.emit(f"{st.slot()} = t_")
+            return
         if op == 0:
             self.emit_rewind(costs, classes, idx)
             out.emit(f"raise {self.use('TrapError')}"
                      f"('unreachable executed')")
-            return d
-        a, b = f"s{d - 2}", f"s{d - 1}"
-        if op in _I32_WRAP_ARITH:
-            emit_wrap(out, 32, a, f"{a} {_I32_WRAP_ARITH[op]} {b}")
-            return d - 1
-        if op in _I64_WRAP_ARITH:
-            emit_wrap(out, 64, a, f"{a} {_I64_WRAP_ARITH[op]} {b}")
-            return d - 1
-        if op in _F64_ARITH:
-            out.emit(f"{a} = {a} {_F64_ARITH[op]} {b}")
-            return d - 1
-        if op == 44:
-            emit_wrap(out, 32, a, f"{a} << ({b} & 31)")
-            return d - 1
-        if op == 45:
-            out.emit(f"{a} = {a} >> ({b} & 31)")
-            return d - 1
-        if op == 46:
-            emit_wrap(out, 32, a, f"({a} & {M32}) >> ({b} & 31)")
-            return d - 1
-        if op == 72:
-            emit_wrap(out, 64, a, f"{a} << ({b} & 63)")
-            return d - 1
-        if op == 73:
-            out.emit(f"{a} = {a} >> ({b} & 63)")
-            return d - 1
-        if op == 74:
-            emit_wrap(out, 64, a, f"({a} & {M64}) >> ({b} & 63)")
-            return d - 1
-        if op in _CMP_SIGNED:
-            out.emit(f"{a} = 1 if {a} {_CMP_SIGNED[op]} {b} else 0")
-            return d - 1
-        if op in _CMP_U32:
-            out.emit(f"{a} = 1 if ({a} & {M32}) {_CMP_U32[op]} "
-                     f"({b} & {M32}) else 0")
-            return d - 1
-        if op in _CMP_U64:
-            out.emit(f"{a} = 1 if ({a} & {M64}) {_CMP_U64[op]} "
-                     f"({b} & {M64}) else 0")
-            return d - 1
-        if op == 91:
-            out.emit(f"{a} = min({a}, {b})")
-            return d - 1
-        if op == 92:
-            out.emit(f"{a} = max({a}, {b})")
-            return d - 1
-        if op in (47, 87):                # rotl / f64.div via value fn
-            out.emit(f"{a} = {self.use(f'vf{op}')}({a}, {b})")
-            return d - 1
-        if op in _TRAP_BINOPS:
-            self.guarded([f"{a} = {self.use(f'vf{op}')}({a}, {b})"],
-                         costs, classes, idx)
-            return d - 1
-        t = f"s{d - 1}"
-        if op in (51, 75):
-            out.emit(f"{t} = 1 if {t} == 0 else 0")
-            return d
-        if op == 88:
-            out.emit(f"{t} = {self.use('nan')} if {t} < 0 "
-                     f"else {self.use('sqrt')}({t})")
-            return d
-        if op == 89:
-            out.emit(f"{t} = abs({t})")
-            return d
-        if op == 90:
-            out.emit(f"{t} = -{t}")
-            return d
-        if op == 101:
-            emit_wrap(out, 32, t, t)
-            return d
+            return
+        if op in _CMP_SIGNED or op in _CMP_U32 or op in _CMP_U64:
+            ea, eb = st.pop(2)
+            a, b = ea.src, eb.src
+            if op in _CMP_SIGNED:
+                test = f"{a} {_CMP_SIGNED[op]} {b}"
+            elif op in _CMP_U32:
+                test = f"({a} & {M32}) {_CMP_U32[op]} ({b} & {M32})"
+            else:
+                test = f"({a} & {M64}) {_CMP_U64[op]} ({b} & {M64})"
+            # A comparison of a deferred comparison is emitted, so tests
+            # never nest (CPython caps nested parentheses at 200).
+            if ea.test is None and eb.test is None:
+                st.push_test(test, ea.reads | eb.reads)
+            else:
+                out.emit(f"{st.slot()} = 1 if {test} else 0")
+            return
+        if op in (51, 75):                # eqz
+            (v,) = st.pop()
+            if v.test is not None:
+                st.push_test(v.test, v.reads, not v.negated)
+            else:
+                st.push_test(f"{v.src} == 0", v.reads)
+            return
         if op == 102:
-            return d                      # i64.extend_i32_s: identity
-        if op == 103:
-            out.emit(f"{t} = {t} & {M32}")
-            return d
-        if op in (104, 106):
-            out.emit(f"{t} = float({t})")
-            return d
-        if op == 105:
-            out.emit(f"{t} = float({t} & {M32})")
-            return d
-        if op in (109, 110):
-            out.emit(f"{t} = {self.use(f'vf{op}')}({t})")
-            return d
-        if op in _TRAP_UNOPS:
-            self.guarded([f"{t} = {self.use(f'vf{op}')}({t})"],
-                         costs, classes, idx)
-            return d
-        if op in _UNOPS:             # clz/ctz/popcnt and friends
-            out.emit(f"{t} = {self.use(f'vf{op}')}({t})")
-            return d
-        if op in _LOAD_WIDTH:
-            width = _LOAD_WIDTH[op]
-            body = self._frame_lookup(f"s{d - 1}", arg, width)
-            if op == 18:
-                body.append(f"s{d - 1} = {self.use('u_i32')}(f_, o_)[0]")
-            elif op == 19:
-                body.append(f"s{d - 1} = {self.use('u_i64')}(f_, o_)[0]")
-            elif op == 20:
-                body.append(f"s{d - 1} = {self.use('u_f64')}(f_, o_)[0]")
-            elif op == 21:
-                body.append(f"s{d - 1} = f_[o_]")
-            elif op == 22:
-                body.append("t_ = f_[o_]")
-                body.append(f"s{d - 1} = t_ - 256 if t_ >= 128 else t_")
-            else:                         # 23: i32.load16_u
-                body.append(f"s{d - 1} = f_[o_] | (f_[o_ + 1] << 8)")
-            self.guarded(body, costs, classes, idx)
-            return d
+            return                        # i64.extend_i32_s: identity
+        if op in _BINOPS or op in _TRAP_BINOPS:
+            ea, eb = st.pop(2)
+            self.emit_binop(op, ea.src, eb, st.slot(), costs, classes, idx)
+            return
         if op in _STORE_WIDTH:
+            addr, v = (e.src for e in st.pop(2))
             width = _STORE_WIDTH[op]
-            v, addr = f"s{d - 1}", f"s{d - 2}"
             body = self._frame_lookup(addr, arg, width)
             if op == 24:
                 body.append(f"{self.use('p_u32')}(f_, o_, {v} & {M32})")
@@ -480,39 +419,129 @@ class _FnEmitter(FnEmitter):
                 body.append("f_[o_] = t_ & 255")
                 body.append("f_[o_ + 1] = t_ >> 8")
             self.guarded(body, costs, classes, idx)
-            return d - 2
-        raise ValidationError(
-            f"{self.fn.name}: unknown opcode {op} (codegen tier)")
+            return
+        (v,) = st.pop()
+        self.emit_unop(op, arg, v.src, st.slot(), costs, classes, idx)
+
+    def emit_binop(self, op, a, eb, r, costs, classes, idx):
+        """Assign binary operator ``op`` of ``a`` and operand ``eb`` to
+        slot ``r``; a literal shift count folds its mask."""
+        out = self.out
+        b = eb.src
+
+        def count(mask):
+            if eb.value is UNKNOWN:
+                return f"({b} & {mask})"
+            return str(eb.value & mask)
+
+        if op in _I32_WRAP_ARITH:
+            emit_wrap(out, 32, r, f"{a} {_I32_WRAP_ARITH[op]} {b}")
+        elif op in _I64_WRAP_ARITH:
+            emit_wrap(out, 64, r, f"{a} {_I64_WRAP_ARITH[op]} {b}")
+        elif op in _F64_ARITH:
+            out.emit(f"{r} = {a} {_F64_ARITH[op]} {b}")
+        elif op == 44:
+            emit_wrap(out, 32, r, f"{a} << {count(31)}")
+        elif op == 45:
+            out.emit(f"{r} = {a} >> {count(31)}")
+        elif op == 46:
+            emit_wrap(out, 32, r, f"({a} & {M32}) >> {count(31)}")
+        elif op == 72:
+            emit_wrap(out, 64, r, f"{a} << {count(63)}")
+        elif op == 73:
+            out.emit(f"{r} = {a} >> {count(63)}")
+        elif op == 74:
+            emit_wrap(out, 64, r, f"({a} & {M64}) >> {count(63)}")
+        elif op == 91:
+            out.emit(f"{r} = min({a}, {b})")
+        elif op == 92:
+            out.emit(f"{r} = max({a}, {b})")
+        elif op in (47, 87):              # rotl / f64.div via value fn
+            out.emit(f"{r} = {self.use(f'vf{op}')}({a}, {b})")
+        else:                             # _TRAP_BINOPS
+            self.guarded([f"{r} = {self.use(f'vf{op}')}({a}, {b})"],
+                         costs, classes, idx)
+
+    def emit_unop(self, op, arg, t, r, costs, classes, idx):
+        """Assign unary operator ``op`` (a load: ``arg`` is its offset)
+        of ``t`` to slot ``r``."""
+        out = self.out
+        if op == 88:
+            out.emit(f"{r} = {self.use('nan')} if {t} < 0 "
+                     f"else {self.use('sqrt')}({t})")
+        elif op == 89:
+            out.emit(f"{r} = abs({t})")
+        elif op == 90:
+            out.emit(f"{r} = -{t}")
+        elif op == 101:
+            emit_wrap(out, 32, r, t)
+        elif op == 103:
+            out.emit(f"{r} = {t} & {M32}")
+        elif op in (104, 106):
+            out.emit(f"{r} = float({t})")
+        elif op == 105:
+            out.emit(f"{r} = float({t} & {M32})")
+        elif op in _TRAP_UNOPS:
+            self.guarded([f"{r} = {self.use(f'vf{op}')}({t})"],
+                         costs, classes, idx)
+        elif op in _UNOPS:                # clz/ctz/popcnt, reinterprets
+            out.emit(f"{r} = {self.use(f'vf{op}')}({t})")
+        elif op in _LOAD_WIDTH:
+            body = self._frame_lookup(t, arg, _LOAD_WIDTH[op])
+            if op == 18:
+                body.append(f"{r} = {self.use('u_i32')}(f_, o_)[0]")
+            elif op == 19:
+                body.append(f"{r} = {self.use('u_i64')}(f_, o_)[0]")
+            elif op == 20:
+                body.append(f"{r} = {self.use('u_f64')}(f_, o_)[0]")
+            elif op == 21:
+                body.append(f"{r} = f_[o_]")
+            elif op == 22:
+                body.append("t_ = f_[o_]")
+                body.append(f"{r} = t_ - 256 if t_ >= 128 else t_")
+            else:                         # 23: i32.load16_u
+                body.append(f"{r} = f_[o_] | (f_[o_ + 1] << 8)")
+            self.guarded(body, costs, classes, idx)
+        else:
+            raise ValidationError(
+                f"{self.fn.name}: unknown opcode {op} (codegen tier)")
 
     # -- terminators ----------------------------------------------------
 
-    def emit_term(self, instr, d, bi, fall_bi):
+    def emit_term(self, instr, fall_bi):
         op, arg, extra = instr
         out = self.out
-        if op == 8:                       # br_if
-            h = 0 if extra is None else extra
-            tbi = self.bi_of(arg)
-            out.emit(f"if s{d - 1}:")
+        st = self.stack
+        if op == 9:                       # return
+            self.emit_exit(len(st))
+            return
+        if op == 8 or op == 4:            # br_if / if (jump on false)
+            (v,) = st.pop()
+            st.flush()
+            d = len(st)
+            if op == 8:
+                cond = v.cond
+            elif v.test is None:
+                cond = f"not {v.src}"
+            else:
+                cond = v.test if v.negated else f"not ({v.test})"
+            out.emit(f"if {cond}:")
             with out.block():
-                self.emit_jump(tbi, depth=min(d - 1, h))
-            self.emit_jump(fall_bi, fall_bi, d - 1)
-        elif op == 4:                     # if: jump on false
-            tbi = self.bi_of(arg)
-            out.emit(f"if not s{d - 1}:")
-            with out.block():
-                self.emit_jump(tbi, depth=d - 1)
-            self.emit_jump(fall_bi, fall_bi, d - 1)
+                h = 0 if extra is None else extra
+                self.emit_jump(self.bi_of(arg),
+                               depth=min(d, h) if op == 8 else d)
+            self.emit_jump(fall_bi, fall_bi, d)
         elif op == 7:                     # br
-            target_d = d if extra is None else min(d, extra)
-            self.emit_jump(self.bi_of(arg), depth=target_d)
-        elif op == 9:                     # return
-            self.emit_exit(d)
+            st.flush()
+            d = len(st)
+            self.emit_jump(self.bi_of(arg),
+                           depth=d if extra is None else min(d, extra))
         else:                             # call
             kind, nargs, has_res = self.call_sigs[arg]
-            base = d - nargs
-            arg_list = ", ".join(f"s{base + i}" for i in range(nargs))
+            arg_list = ", ".join(e.src for e in st.pop(nargs))
+            st.flush()
             out.emit(f"{self.use('stats')}.calls += 1")
-            dst = f"s{base} = " if has_res else ""
+            dst = f"{st.slot()} = " if has_res else ""
             if kind == "host":
                 out.emit("stats.host_calls += 1")
                 out.emit(f"stats.boundary_cycles += "
@@ -524,7 +553,7 @@ class _FnEmitter(FnEmitter):
                 target = self.use(f"fn_{arg}")
                 out.emit(f"{dst}{self.use('call')}({target}, "
                          f"[{arg_list}])")
-            self.emit_jump(fall_bi, fall_bi, base + (1 if has_res else 0))
+            self.emit_jump(fall_bi, fall_bi, len(st))
 
     # -- whole blocks ---------------------------------------------------
 
@@ -566,14 +595,15 @@ class _FnEmitter(FnEmitter):
         if self.profiling:
             self.prof_cells.append(
                 (f"nb{bi}", class_deltas([o for o, _a, _e in ops])))
+        self.stack.enter(out, d)
         body, term = split_term(ops, _TERM_OPS)
         for idx, instr in enumerate(body):
-            d = self.emit_op(instr, d, costs, classes, idx)
+            self.emit_op(instr, costs, classes, idx)
         fall_bi = self.bi_of(end)
         if term is None:
-            self.emit_jump(fall_bi, fall_bi, d)
+            self.emit_fall(fall_bi)
         else:
-            self.emit_term(term, d, bi, fall_bi)
+            self.emit_term(term, fall_bi)
 
 
 class _Plan(NamedTuple):
@@ -625,9 +655,9 @@ def translate(fn, inst):
     """Build (or load warm) the generated runner for one prepared
     function on one instance; ``None`` means the translator declined and
     the caller should run the function on the reference ladder.  The
-    plan is memoized on the module's prepared code (``fn.plans``); the
-    runner, which pre-binds this instance's state, is built every
-    time."""
+    plan and its compiled factory are memoized on the module's prepared
+    code (``fn.plans``); the runner, which pre-binds this instance's
+    state, is built every time."""
     budget_mode = inst.max_instructions is not None
     profiling = inst._profile is not None
     plan = fn.plans.get((budget_mode, profiling),
@@ -642,7 +672,9 @@ def translate(fn, inst):
                              profiling, call_sigs)
         return emitter.build()
 
-    factory = load_factory("wasm", plan.key, build_source)
+    factory = fn.plans.get(
+        ("make", budget_mode, profiling),
+        lambda: load_factory("wasm", plan.key, build_source))
 
     ns = {
         "inst": inst, "stats": inst.stats, "counts": inst.stats.op_counts,

@@ -21,6 +21,7 @@ import re
 import subprocess
 import symtable
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -191,7 +192,7 @@ class TestDispatchCompleteness:
         from repro.jsengine.values import JSFunction, UNDEFINED
 
         _set_tier(monkeypatch, "codegen")
-        fn = JSFunction("bogus", [], [(48, None)], [], 0)
+        fn = JSFunction("bogus", [], [(48, None)], 0)
         with pytest.raises(JsRuntimeError, match="no handler"):
             execute(JsEngine(), fn, [], UNDEFINED)
 
@@ -298,7 +299,7 @@ class TestUnknownOpcode:
         from repro.jsengine.values import JSFunction, UNDEFINED
 
         def run():
-            fn = JSFunction("bogus", [], [(48, None)], [], 0)
+            fn = JSFunction("bogus", [], [(48, None)], 0)
             execute(JsEngine(), fn, [], UNDEFINED)
 
         monkeypatch.setenv("REPRO_FAST_INTERP", "1")
@@ -751,6 +752,68 @@ class TestJsGcPauseParity:
 
 
 # ---------------------------------------------------------------------------
+# Factory lifetime: a compiled ``make`` factory is memoized beside its
+# plan on the function's ``plans``, so it lives exactly as long as the
+# artifact it was translated from — which ``REPRO_CACHE_MEM`` bounds.
+
+class TestFactoryLifetime:
+    CAP = 2
+
+    def test_evicted_artifacts_free_their_factories(self, tmp_path,
+                                                    monkeypatch):
+        import gc
+        import weakref
+
+        from repro.cache import configure
+        from repro.compilers import CheerpCompiler
+        from repro.engine.hostlib import wasm_host_imports
+        from repro.wasm import WasmVM
+        from repro.wasm import codegen as wcg
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_CACHE_MEM", str(self.CAP))
+        _set_tier(monkeypatch, "codegen")
+        factories = []
+        load = wcg.load_factory
+
+        def spy(engine, key, build_source):
+            factory = load(engine, key, build_source)
+            factories[-1].append(weakref.ref(factory))
+            return factory
+        monkeypatch.setattr(wcg, "load_factory", spy)
+        configure(root=str(tmp_path), disk=True)
+        substrate.reset_cache()
+        try:
+            n_programs = self.CAP + 3
+            for k in range(n_programs):
+                factories.append([])
+                source = (f"int main() {{ int s = 0; "
+                          f"for (int i = 0; i < {k + 3}; i++) "
+                          f"s = s + i * {k + 1}; "
+                          f'printf("%d", s); return 0; }}')
+                module = CheerpCompiler().compile_wasm(
+                    source, name=f"life{k}").module
+                inst = WasmVM().instantiate(module,
+                                            wasm_host_imports([], None))
+                inst.invoke("main")
+                # A second instance reuses the memoized factories.
+                WasmVM().instantiate(
+                    module, wasm_host_imports([], None)).invoke("main")
+            del module, inst
+            gc.collect()
+            assert all(factories)
+            alive = [[ref() is not None for ref in refs]
+                     for refs in factories]
+            evicted = n_programs - self.CAP
+            assert alive == [[False] * len(refs)
+                             for refs in factories[:evicted]] + \
+                [[True] * len(refs) for refs in factories[evicted:]]
+        finally:
+            substrate.reset_cache()
+            configure()
+
+
+# ---------------------------------------------------------------------------
 # Cold vs warm compile cache: a warm process loads source + marshalled
 # code objects from the persistent store instead of re-emitting, and the
 # run it serves must replay identical DET counters.
@@ -1149,19 +1212,20 @@ class TestJsSourceShape:
 
         _set_tier(monkeypatch, "codegen")
         substrate.reset_cache()
-        engine = JsEngine()
-        engine.load_script(UNIT_JS)
         sources = {}
         load = jcg.load_factory
 
         def spy(engine_name, key, build_source):
             factory = load(engine_name, key, build_source)
-            sources["src"] = factory.__repro_source__
+            sources[key] = factory.__repro_source__
             return factory
         monkeypatch.setattr(jcg, "load_factory", spy)
+        engine = JsEngine()
+        engine.load_script(UNIT_JS)
         fn = engine.globals["f"]
-        jcg.translate(fn, engine)
-        src = sources["src"]
+        # The factory is memoized beside the plan: find its unit by key.
+        plan = fn.plans.get((engine.config.jit_enabled, False), None)
+        src = sources[plan.key]
 
         code = fn.code
         leaders = {0}
@@ -1218,7 +1282,9 @@ class TestUnitNames:
     """Every name a generated unit reads is bound: a builtin, or a name
     ``make`` binds from ``ns``.  A fragment that spells an ``ns`` name
     without ``use()`` leaves it unbound in ``make``, so ``run`` would read
-    it as a module global and fail only when that line executes."""
+    it as a module global and fail only when that line executes.  Every
+    unit also compiles without a ``SyntaxWarning`` (a forwarded literal
+    spelled where CPython warns, such as ``'str' is u_``)."""
 
     @staticmethod
     def _unbound(source):
@@ -1283,6 +1349,9 @@ class TestUnitNames:
                   "budget": "deopt"}[variant]
         for engine, src in sources:
             assert self._unbound(src) == set(), (engine, src)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", SyntaxWarning)
+                compile(src, f"<{engine}-unit>", "exec")
             if marker and engine != "js":
                 assert marker in src, (engine, src)
 
