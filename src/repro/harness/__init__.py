@@ -18,10 +18,12 @@ from repro.harness.parallel import (
     default_retries,
     parallel_map,
     run_sweep,
+    shutdown_pool,
 )
 from repro.harness.runner import PageRunner
 
 __all__ = ["CELL_TIMEOUT_ENV", "CellFailure", "FAULT_INJECT_ENV",
            "FaultPlan", "HtmlPage", "JOBS_ENV", "Measurement", "PageRunner",
            "RETRIES_ENV", "SweepResult", "default_cell_timeout",
-           "default_jobs", "default_retries", "parallel_map", "run_sweep"]
+           "default_jobs", "default_retries", "parallel_map", "run_sweep",
+           "shutdown_pool"]

@@ -39,6 +39,30 @@ Determinism contract (unchanged from the ``Pool.map`` era):
   one at a time so the longest-running benchmark never serialises a
   whole chunk.
 
+Worker lifetime: each process has one worker pool, reused by every
+parallel sweep (``run_all.py``'s experiments and the service's batches
+alike), so a worker keeps what it derived between sweeps: loaded
+modules and its artifact cache's memory layer, whose entries carry the
+``Derived`` memos (prepared bodies, translator plans and compiled
+factories) of the programs it ran.  That layer is capped at
+:data:`WORKER_CACHE_MEM` entries unless ``REPRO_CACHE_MEM`` sets a cap,
+so the artifacts a worker keeps stay bounded however long it lives.  It
+keeps no metric state: each attempt records into an emptied registry
+and ships that diff home.  Each task carries its own callable and fault
+plan, so sweeps of different ``fn``s share the workers; idle workers
+take cells from the head of the queue.  Workers are forked only when a
+sweep needs them: a sweep borrows ``min(jobs, cells)`` of them, so the
+pool grows to the requested count only once a sweep that large has run.
+The pool is pinned to the requested worker count and the ``REPRO_*``
+environment it was forked under; a sweep that asks for a different
+count, or runs under a different environment, replaces it.  It is
+never used across ``fork`` (the owner pid is checked), a worker that
+dies, hangs or is still busy when a sweep ends early is killed and
+replaced, and :func:`shutdown_pool` stops it (at exit, and from the
+service's ``stop``).  A forked worker first neutralizes every socket it
+inherited except its task pipe: a serving parent's client connections
+and listener, and the other workers' pipes.
+
 Fault injection: a :class:`FaultPlan` (or the ``REPRO_FAULT_INJECT``
 environment variable) deterministically crashes, hangs, or flakes
 specific cells by label so tests and operational drills can assert the
@@ -47,14 +71,18 @@ scheduler's recovery behavior without patching benchmark code.
 
 from __future__ import annotations
 
+import atexit
 import multiprocessing
 import os
+import stat
+import threading
 import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import connection as _mpc
 
+from repro.cache import get_cache
 from repro.errors import SweepError
 from repro.obs import (
     SCHED, TraceContext, emit, emit_span, env_float, env_int,
@@ -87,6 +115,13 @@ BACKOFF_CAP_S = 1.0
 #: (a guard against hanging forever when no cell timeout is armed).
 _HANG_NAP_S = 0.05
 _HANG_TOTAL_S = 3600.0
+
+#: Entry cap on a worker's artifact-cache memory layer when
+#: ``REPRO_CACHE_MEM`` sets none.  A worker outlives its sweep, so an
+#: unbounded layer would keep every artifact and result it ever touched
+#: (861 entries per worker over ``serve-mixed``'s cold cells); an evicted
+#: entry is still served from disk.
+WORKER_CACHE_MEM = 256
 
 
 def default_jobs():
@@ -288,21 +323,26 @@ class SweepResult:
 # ---------------------------------------------------------------------------
 
 
-def _worker_main(conn, fn, plan_spec):
-    """Worker loop: receive ``(index, attempt, label, item, trace)``
-    tasks, run them, report ``("ok", index, value, metrics)`` or
-    ``("err", index, ...)``.  ``metrics`` is the registry diff the attempt
-    produced; the scheduler applies the per-cell diffs in *input* order so
-    the merged registry is byte-identical to a serial run.  A failed
-    attempt restores the worker's registry to its pre-attempt snapshot, so
-    retried flakes leave no metric residue.  ``trace`` is an optional
+def _worker_main(conn):
+    """Worker loop: receive ``(fn, plan_spec, index, attempt, label,
+    item, trace)`` tasks, run ``fn(item)``, report ``("ok", index, value,
+    metrics)`` or ``("err", index, ...)``.  ``metrics`` is the registry
+    diff the attempt produced, recorded into an emptied registry so no
+    earlier task or sweep leaves residue in it; the scheduler applies the
+    per-cell diffs in *input* order so the merged registry is
+    byte-identical to a serial run.  A failed attempt ships nothing, so
+    retried flakes leave no metric residue.  ``plan_spec`` is the sweep's
+    :class:`FaultPlan` spec (or ``None``).  ``trace`` is an optional
     :class:`~repro.obs.TraceContext` wire tuple: when present the attempt
     runs inside a ``sched.attempt`` span (activated, so engine phase
     events nest under it) whose deterministic id the scheduler can
     re-derive if it has to kill this worker.  The worker never dies on a
     cell exception — only on EOF/sentinel or when the scheduler kills
     it."""
-    plan = FaultPlan(plan_spec) if plan_spec else None
+    _detach_from_parent(conn)
+    cache = get_cache()
+    if not cache.memory_cap:
+        cache.memory_cap = WORKER_CACHE_MEM
     reg = get_registry()
     while True:
         try:
@@ -311,18 +351,18 @@ def _worker_main(conn, fn, plan_spec):
             return
         if task is None:
             return
-        index, attempt, label, item, trace = task
+        fn, plan_spec, index, attempt, label, item, trace = task
         ctx = TraceContext.from_wire(trace)
+        reg.reset()
         snap = reg.snapshot()
         try:
             with span("sched.attempt", ctx=ctx, parts=(attempt,),
                       label=label, attempt=attempt):
-                if plan is not None:
-                    plan.apply(label, attempt)
+                if plan_spec:
+                    FaultPlan(plan_spec).apply(label, attempt)
                 value = fn(item)
             message = ("ok", index, value, reg.diff(snap))
         except BaseException as exc:
-            reg.restore(snap)
             message = ("err", index, type(exc).__name__, str(exc),
                        traceback.format_exc())
         try:
@@ -335,6 +375,38 @@ def _worker_main(conn, fn, plan_spec):
                        traceback.format_exc()))
 
 
+def _detach_from_parent(conn):
+    """Drop what a forked worker inherited but must not hold.
+
+    The pool lock was held when the worker forked, so a cell that itself
+    sweeps gets a fresh one.  Every inherited socket except the task pipe
+    is replaced by ``/dev/null``: a client connection left open here
+    would keep a served response from ever ending, and the listener and
+    the other workers' pipes would outlive their owners.  The
+    descriptors are overwritten rather than closed because inherited
+    socket objects still own their numbers, and closing a number that a
+    later ``open`` reuses would close the wrong file."""
+    global _POOL_LOCK
+    _POOL_LOCK = threading.Lock()
+    try:
+        fds = [int(name) for name in os.listdir("/proc/self/fd")]
+    except OSError:
+        return   # no descriptor listing on this platform; keep them all
+    keep = conn.fileno()
+    devnull = os.open(os.devnull, os.O_RDWR)
+    try:
+        for fd in fds:
+            if fd in (keep, devnull):
+                continue
+            try:
+                if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                    os.dup2(devnull, fd, inheritable=False)
+            except OSError:
+                pass   # closed meanwhile (the listing's own descriptor)
+    finally:
+        os.close(devnull)
+
+
 def _pool_context():
     # fork is the cheap path (workers inherit the imported package and the
     # warm in-memory caches); fall back to spawn where fork is unavailable.
@@ -344,26 +416,31 @@ def _pool_context():
 
 
 class _Worker:
-    """One scheduler-owned worker process plus its task pipe."""
+    """One pool worker process plus its task pipe."""
 
-    def __init__(self, ctx, fn, plan_spec):
+    def __init__(self, ctx):
         self.conn, child = ctx.Pipe()
-        self.process = ctx.Process(target=_worker_main,
-                                   args=(child, fn, plan_spec), daemon=True)
+        self.process = ctx.Process(target=_worker_main, args=(child,),
+                                   daemon=True)
         self.process.start()
         child.close()
         self.task = None           # (index, attempt) while busy
         self.deadline = None       # monotonic kill time while busy
         self.dispatched_ts = None  # epoch time of the in-flight dispatch
 
-    def dispatch(self, index, attempt, label, item, timeout, trace=None):
+    def dispatch(self, index, attempt, task, timeout):
+        """Send ``task`` (see :func:`_worker_main`) for attempt
+        ``attempt`` of cell ``index``."""
         self.task = (index, attempt)
         self.deadline = (time.monotonic() + timeout) if timeout else None
         self.dispatched_ts = time.time()
-        self.conn.send((index, attempt, label, item,
-                        trace.to_wire() if trace is not None else None))
+        try:
+            self.conn.send(task)
+        except (BrokenPipeError, ConnectionResetError):
+            pass   # it died idle: its EOF reports the attempt as lost
 
     def kill(self):
+        self.task = None
         try:
             self.conn.close()
         except OSError:
@@ -379,9 +456,89 @@ class _Worker:
         """Polite stop for an idle worker."""
         try:
             self.conn.send(None)
-        except (OSError, BrokenPipeError):
+        except OSError:
             pass
         self.kill()
+
+
+class _Pool:
+    """The process's workers, reused by every parallel sweep.  ``pin``
+    is the requested worker count and the ``REPRO_*`` environment they
+    are forked under; ``owner`` the pid that forks them.  Workers are
+    forked on demand, up to the pinned count."""
+
+    def __init__(self, pin):
+        self.pin = pin
+        self.owner = os.getpid()
+        self.ctx = _pool_context()
+        self.workers = []
+
+    def borrow(self, count):
+        """The first ``count`` workers (at most the pinned count), forking
+        the missing ones and replacing any that died since they last
+        ran."""
+        while len(self.workers) < count:
+            self.workers.append(self.spawn())
+        for worker in self.workers[:count]:
+            if not worker.process.is_alive():
+                self.replace(worker)
+        return self.workers[:count]
+
+    def spawn(self):
+        get_registry().counter_add("sched.pool.spawned", 1, SCHED)
+        return _Worker(self.ctx)
+
+    def replace(self, worker):
+        """Kill ``worker`` and put a fresh one in its slot; returns the
+        new one."""
+        worker.kill()
+        fresh = self.spawn()
+        self.workers[self.workers.index(worker)] = fresh
+        return fresh
+
+    def shutdown(self):
+        for worker in self.workers:
+            worker.shutdown()
+        self.workers = []
+
+
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+
+def _pool(size):
+    """The pool for sweeps that request ``size`` workers (call it
+    holding ``_POOL_LOCK``).
+
+    The existing pool is kept when this process forked it for the same
+    count and ``REPRO_*`` environment (a worker reads its knobs once
+    inherited, so a changed cache dir or flag needs fresh workers)."""
+    global _POOL
+    pin = (size, tuple(sorted(
+        (key, value) for key, value in os.environ.items()
+        if key.startswith("REPRO_"))))
+    pool = _POOL
+    if pool is not None and pool.owner != os.getpid():
+        pool = None        # inherited across fork: the parent's workers
+    elif pool is not None and pool.pin != pin:
+        pool.shutdown()
+        pool = None
+    if pool is None:
+        pool = _POOL = _Pool(pin)
+    return pool
+
+
+def shutdown_pool():
+    """Stop this process's worker pool, if it has one.  Runs at exit;
+    the next parallel sweep forks a new pool."""
+    global _POOL
+    with _POOL_LOCK:
+        pool, _POOL = _POOL, None
+        if pool is not None and pool.owner == os.getpid():
+            pool.shutdown()
+
+
+atexit.register(shutdown_pool)
 
 
 # ---------------------------------------------------------------------------
@@ -390,14 +547,15 @@ class _Worker:
 
 
 class _Scheduler:
-    def __init__(self, fn, items, labels, jobs, retries, timeout,
+    def __init__(self, fn, items, labels, requested, jobs, retries, timeout,
                  fault_plan, sleep, on_result=None, traces=None):
         self.fn = fn
         self.on_result = on_result
         self.items = items
         self.labels = labels
         self.traces = traces      # per-cell TraceContext (or None), aligned
-        self.jobs = jobs
+        self.requested = requested   # the pool's pinned worker count
+        self.jobs = jobs             # workers this sweep borrows
         self.retries = retries
         self.timeout = timeout
         self.plan_spec = fault_plan.spec() if fault_plan else None
@@ -410,45 +568,49 @@ class _Scheduler:
         self.metric_payloads = [None] * len(items)
         self.enqueued_at = {}   # index -> monotonic time of (re-)enqueue
         self.start = time.monotonic()
+        self.pool = None
+        self.workers = []
 
     def run(self):
-        ctx = _pool_context()
-        workers = [self._spawn(ctx) for _ in range(self.jobs)]
-        try:
-            while self.done < len(self.items):
-                self._dispatch(workers)
-                busy = [w for w in workers if w.task is not None]
-                if not busy:
-                    break  # defensive: nothing queued, nothing running
-                ready = _mpc.wait([w.conn for w in busy],
-                                  timeout=self._wait_timeout(busy))
-                for worker in busy:
-                    if worker.conn in ready:
-                        self._collect(worker, workers, ctx)
-                self._reap_timeouts(workers, ctx)
-        finally:
-            for worker in workers:
-                worker.shutdown()
-        failures = [self.failures[i] for i in sorted(self.failures)]
-        # Merge the workers' metric diffs in *input* order: the resulting
-        # registry state is independent of completion order and identical
-        # to what the serial path accumulates.
-        reg = get_registry()
-        for payload in self.metric_payloads:
-            if payload is not None:
-                reg.apply(payload)
-        reg.counter_add("sched.cells", len(self.items), SCHED)
-        reg.counter_add("sched.completed",
-                        len(self.items) - len(failures), SCHED)
-        # Register the retry counter even on clean sweeps so scrapers
-        # (the /metrics endpoint) always see it.
-        reg.counter_add("sched.retries", 0, SCHED)
-        if failures:
-            reg.counter_add("sched.failures", len(failures), SCHED)
+        with _POOL_LOCK:
+            self.pool = _pool(self.requested)
+            workers = self.workers = self.pool.borrow(self.jobs)
+            try:
+                while self.done < len(self.items):
+                    self._dispatch(workers)
+                    busy = [w for w in workers if w.task is not None]
+                    if not busy:
+                        break  # defensive: nothing queued, nothing running
+                    ready = _mpc.wait([w.conn for w in busy],
+                                      timeout=self._wait_timeout(busy))
+                    for worker in busy:
+                        if worker.conn in ready:
+                            self._collect(worker)
+                    self._reap_timeouts(workers)
+            finally:
+                # A sweep ending early (an exception or an interrupt)
+                # kills the workers it left busy, so no stale reply can
+                # reach a later sweep; the next sweep replaces them.
+                for worker in workers:
+                    if worker.task is not None:
+                        worker.kill()
+            failures = [self.failures[i] for i in sorted(self.failures)]
+            # Merge the workers' metric diffs in *input* order: the
+            # resulting registry state is independent of completion order
+            # and identical to what the serial path accumulates.
+            reg = get_registry()
+            for payload in self.metric_payloads:
+                if payload is not None:
+                    reg.apply(payload)
+            reg.counter_add("sched.cells", len(self.items), SCHED)
+            reg.counter_add("sched.completed",
+                            len(self.items) - len(failures), SCHED)
+            # Register the retry counter even on clean sweeps so scrapers
+            # (the /metrics endpoint) always see it.
+            reg.counter_add("sched.retries", 0, SCHED)
+            if failures:
+                reg.counter_add("sched.failures", len(failures), SCHED)
         return SweepResult(self.values, failures)
-
-    def _spawn(self, ctx):
-        return _Worker(ctx, self.fn, self.plan_spec)
 
     def _trace(self, index):
         return self.traces[index] if self.traces is not None else None
@@ -474,9 +636,19 @@ class _Scheduler:
                          worker=worker.process.pid,
                          queue_wait_ms=round(wait_ms, 3),
                          **self._trace_fields(index))
-                worker.dispatch(index, attempt, self.labels[index],
-                                self.items[index], self.timeout,
-                                trace=self._trace(index))
+                label = self.labels[index]
+                trace = self._trace(index)
+                worker.dispatch(
+                    index, attempt,
+                    (self.fn, self.plan_spec, index, attempt, label,
+                     self.items[index],
+                     trace.to_wire() if trace is not None else None),
+                    self.timeout)
+
+    def _replace(self, worker):
+        """Swap a dead or hung worker for a fresh one, in the pool and in
+        this sweep's borrowed list."""
+        self.workers[self.workers.index(worker)] = self.pool.replace(worker)
 
     def _wait_timeout(self, busy):
         if not self.timeout:
@@ -486,7 +658,7 @@ class _Scheduler:
             return None
         return max(0.0, min(deadlines) - time.monotonic())
 
-    def _collect(self, worker, workers, ctx):
+    def _collect(self, worker):
         """Consume one message (or the EOF of a dead worker)."""
         index, attempt = worker.task
         try:
@@ -495,7 +667,7 @@ class _Scheduler:
             # The worker died without reporting (hard crash).  Replace it
             # and account the in-flight attempt as lost.
             started = worker.dispatched_ts or time.time()
-            self._replace(worker, workers, ctx)
+            self._replace(worker)
             self._emit_dead_attempt(index, attempt, started, "lost")
             self._attempt_failed(
                 index, attempt, "WorkerDied",
@@ -532,7 +704,7 @@ class _Scheduler:
                   time.time() - started, outcome=outcome,
                   label=self.labels[index], attempt=attempt)
 
-    def _reap_timeouts(self, workers, ctx):
+    def _reap_timeouts(self, workers):
         if not self.timeout:
             return
         now = time.monotonic()
@@ -541,16 +713,12 @@ class _Scheduler:
                 continue
             index, attempt = worker.task
             started = worker.dispatched_ts or time.time()
-            self._replace(worker, workers, ctx)
+            self._replace(worker)
             self._emit_dead_attempt(index, attempt, started, "timeout")
             self._attempt_failed(
                 index, attempt, "Timeout",
                 f"cell exceeded {self.timeout:g}s; worker killed and "
                 "replaced", "", kind="timeout")
-
-    def _replace(self, worker, workers, ctx):
-        worker.kill()
-        workers[workers.index(worker)] = self._spawn(ctx)
 
     def _attempt_failed(self, index, attempt, error, text, trace,
                         kind="crash"):
@@ -711,7 +879,7 @@ def run_sweep(fn, items, jobs=None, retries=None, timeout=None, labels=None,
     if jobs <= 1 and not (timeout and requested > 1):
         return _serial_sweep(fn, items, labels, retries, fault_plan, sleep,
                              on_result, traces)
-    return _Scheduler(fn, items, labels, max(jobs, 1), retries, timeout,
+    return _Scheduler(fn, items, labels, requested, jobs, retries, timeout,
                       fault_plan, sleep, on_result, traces).run()
 
 

@@ -31,11 +31,9 @@ from repro.service.client import (
 )
 from repro.service.jobs import (
     DEFAULT_BATCH,
-    DEFAULT_BATCH_WINDOW_S,
     DEFAULT_BUDGET,
     DEFAULT_MAX_CELLS,
     SERVICE_BATCH_ENV,
-    SERVICE_BATCH_WINDOW_ENV,
     SERVICE_BUDGET_ENV,
     SERVICE_MAX_CELLS_ENV,
     AdmissionError,
@@ -66,7 +64,6 @@ __all__ = [
     "AdmissionError",
     "CellSpec",
     "DEFAULT_BATCH",
-    "DEFAULT_BATCH_WINDOW_S",
     "DEFAULT_BUDGET",
     "DEFAULT_MAX_CELLS",
     "MAX_REPETITIONS",
@@ -75,7 +72,6 @@ __all__ = [
     "PROFILE_NAMES",
     "RequestError",
     "SERVICE_BATCH_ENV",
-    "SERVICE_BATCH_WINDOW_ENV",
     "SERVICE_BUDGET_ENV",
     "SERVICE_HOST_ENV",
     "SERVICE_MAX_CELLS_ENV",

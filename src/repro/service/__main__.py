@@ -40,7 +40,7 @@ def _parse_args(argv):
                         help="bind port (default REPRO_SERVICE_PORT or "
                              "0 = ephemeral)")
     parser.add_argument("--jobs", type=int, default=None,
-                        help="scheduler workers per sweep "
+                        help="worker pool size for sweeps "
                              "(default REPRO_JOBS)")
     parser.add_argument("--smoke", action="store_true",
                         help="start, stream one tiny sweep twice "

@@ -9,12 +9,15 @@ thin shell over it).  One :class:`SweepService` owns:
 * a **warm probe** against the content-addressed result cache
   (:func:`repro.cache.lookup`) that serves memoized cells without
   touching the scheduler at all;
-* a **batcher** that coalesces cells admitted within a short window
-  (``REPRO_SERVICE_BATCH_WINDOW``) into one
+* a **batcher** that sweeps the pending cells the moment it wakes —
+  no window: dedupe comes from the in-flight table, and cells admitted
+  while a sweep runs simply ride the next one — as one
   :func:`~repro.harness.parallel.run_sweep` call of up to
-  ``REPRO_SERVICE_BATCH`` cells, riding the scheduler's existing
-  retry/timeout/fault machinery, with per-cell results streamed out of
-  the scheduler's ``on_result`` hook the moment each cell lands;
+  ``REPRO_SERVICE_BATCH`` cells on the process's long-lived worker pool
+  (whose workers keep their derived state between batches), riding the
+  scheduler's retry/timeout/fault machinery, with per-cell results
+  streamed out of the scheduler's ``on_result`` hook the moment each
+  cell lands;
 * **admission control** (``REPRO_SERVICE_MAX_CELLS`` outstanding cells
   server-wide) and **per-client budgets**
   (``REPRO_SERVICE_BUDGET`` in-flight cells per client id) — both reject
@@ -44,19 +47,19 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.cache import MISS, get_cache, lookup
-from repro.harness.parallel import run_sweep
+from repro.harness.parallel import run_sweep, shutdown_pool
 from repro.obs import (
-    SCHED, TraceContext, emit_span, env_float, env_int, events_enabled,
-    get_registry,
+    SCHED, TraceContext, emit_span, env_int, events_enabled, get_registry,
 )
 from repro.service.cells import run_cell_task
 from repro.service.requests import MEMO_KIND, canonicalize_request
 
-#: Max cells per scheduler sweep (one batch).
+#: Max cells per scheduler sweep (one batch).  A sweep streams each
+#: cell as it lands but returns only when its last cell has, and cells
+#: admitted meanwhile wait for the next one; the bound keeps a large
+#: backlog from becoming one sweep that every later request queues
+#: behind.
 SERVICE_BATCH_ENV = "REPRO_SERVICE_BATCH"
-
-#: Seconds the batcher waits for a burst to coalesce before sweeping.
-SERVICE_BATCH_WINDOW_ENV = "REPRO_SERVICE_BATCH_WINDOW"
 
 #: Server-wide cap on outstanding (queued + running) cells.
 SERVICE_MAX_CELLS_ENV = "REPRO_SERVICE_MAX_CELLS"
@@ -65,7 +68,6 @@ SERVICE_MAX_CELLS_ENV = "REPRO_SERVICE_MAX_CELLS"
 SERVICE_BUDGET_ENV = "REPRO_SERVICE_BUDGET"
 
 DEFAULT_BATCH = 64
-DEFAULT_BATCH_WINDOW_S = 0.02
 DEFAULT_MAX_CELLS = 1024
 DEFAULT_BUDGET = 256
 
@@ -108,14 +110,11 @@ class SweepJob:
 class SweepService:
     """Loop-bound job engine; create and drive it from one event loop."""
 
-    def __init__(self, jobs=None, batch_max=None, batch_window=None,
-                 max_cells=None, client_budget=None, sweep_tmp_age=3600.0):
+    def __init__(self, jobs=None, batch_max=None, max_cells=None,
+                 client_budget=None, sweep_tmp_age=3600.0):
         self.jobs = jobs
         self.batch_max = batch_max if batch_max is not None else \
             env_int(SERVICE_BATCH_ENV, DEFAULT_BATCH, minimum=1)
-        self.batch_window = batch_window if batch_window is not None else \
-            env_float(SERVICE_BATCH_WINDOW_ENV, DEFAULT_BATCH_WINDOW_S,
-                      minimum=0.0)
         self.max_cells = max_cells if max_cells is not None else \
             env_int(SERVICE_MAX_CELLS_ENV, DEFAULT_MAX_CELLS, minimum=0)
         self.client_budget = client_budget if client_budget is not None \
@@ -163,6 +162,7 @@ class SweepService:
         self._client_load.clear()
         self._cell_traces.clear()
         self._executor.shutdown(wait=True)
+        shutdown_pool()
 
     # -- submission ----------------------------------------------------------
 
@@ -308,12 +308,8 @@ class SweepService:
             await self._wake.wait()
             self._wake.clear()
             while self._pending:
-                if self.batch_window:
-                    await asyncio.sleep(self.batch_window)
                 batch = self._pending[:self.batch_max]
                 del self._pending[:len(batch)]
-                if not batch:
-                    break
                 await self._loop.run_in_executor(
                     self._executor, self._run_batch, batch)
 
@@ -321,8 +317,7 @@ class SweepService:
         """One scheduler sweep over a batch of cells (executor thread).
 
         Every cell is self-describing, so any mix of benchmarks,
-        toolchains, levels and profiles rides one sweep; the batch bound
-        exists to keep per-sweep worker lifetimes reasonable.  Each
+        toolchains, levels and profiles rides one sweep.  Each
         member's owning trace context rides the sweep (the scheduler
         ships it to the worker over the Pipe protocol) and additionally
         gets a ``service.batch`` membership span covering the sweep, so
@@ -393,7 +388,6 @@ class SweepService:
             "inflight_cells": len(self._inflight),
             "clients": dict(sorted(self._client_load.items())),
             "limits": {"batch": self.batch_max,
-                       "batch_window_s": self.batch_window,
                        "max_cells": self.max_cells,
                        "client_budget": self.client_budget},
             "counters": service,

@@ -6,7 +6,7 @@ import pytest
 
 from repro.compilers import CheerpCompiler, EmscriptenCompiler, LlvmX86Compiler
 from repro.env import DESKTOP, chrome_desktop
-from repro.harness import PageRunner
+from repro.harness import PageRunner, shutdown_pool
 from repro.harness.runner import wasm_host_imports
 from repro.wasm import WasmVM
 
@@ -49,6 +49,14 @@ int main() {
 
 #: Reference value of TINY_C's checksum, computed independently.
 TINY_C_CHECKSUM = 9.4375
+
+
+@pytest.fixture(autouse=True)
+def _stop_worker_pool():
+    """Stop the scheduler's worker pool after each test, so no test runs
+    in workers forked under another test's monkeypatches."""
+    yield
+    shutdown_pool()
 
 
 @pytest.fixture(scope="session")

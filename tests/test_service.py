@@ -3,10 +3,12 @@ dedupe, admission control, HTTP streaming, and the byte-equality contract
 between streamed result lines and the direct ``run_all.py --cells`` path."""
 
 import asyncio
+import contextlib
 import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -52,6 +54,19 @@ def service_env(tmp_path, monkeypatch):
     yield cache
     reset_registry()
     configure()
+
+
+@contextlib.contextmanager
+def held_executor(service):
+    """Block the service's executor thread for the duration: warm probes
+    and sweeps queue behind the hold, so cells admitted meanwhile stay
+    unsettled until the block exits."""
+    gate = threading.Event()
+    service._executor.submit(gate.wait)
+    try:
+        yield
+    finally:
+        gate.set()
 
 
 class TestCanonicalization:
@@ -169,19 +184,19 @@ class TestAdmissionControl:
 
     def test_client_budget_enforced_and_released(self, service_env):
         async def scenario():
-            service = SweepService(jobs=1, client_budget=1,
-                                   batch_window=30.0)  # hold cells pending
+            service = SweepService(jobs=1, client_budget=1)
             await service.start()
             try:
-                job = service.admit(dict(TINY_PAYLOAD, client="alice"))
-                with pytest.raises(AdmissionError, match="budget"):
-                    service.admit(dict(TINY_PAYLOAD, client="alice"))
-                # Another client has its own budget...
-                other = service.admit(dict(TINY_PAYLOAD, client="bob"))
-                other.close()
-                # ... and closing the job releases alice's.
-                job.close()
-                service.admit(dict(TINY_PAYLOAD, client="alice")).close()
+                with held_executor(service):   # hold cells pending
+                    job = service.admit(dict(TINY_PAYLOAD, client="alice"))
+                    with pytest.raises(AdmissionError, match="budget"):
+                        service.admit(dict(TINY_PAYLOAD, client="alice"))
+                    # Another client has its own budget...
+                    other = service.admit(dict(TINY_PAYLOAD, client="bob"))
+                    other.close()
+                    # ... and closing the job releases alice's.
+                    job.close()
+                    service.admit(dict(TINY_PAYLOAD, client="alice")).close()
             finally:
                 await service.stop()
 
@@ -189,9 +204,11 @@ class TestAdmissionControl:
 
     def test_stop_settles_stranded_futures(self, service_env):
         async def scenario():
-            service = SweepService(jobs=1, batch_window=30.0)
+            service = SweepService(jobs=1)
             await service.start()
-            job = service.admit(TINY_PAYLOAD)
+            with held_executor(service):   # hold the cell pending
+                job = service.admit(TINY_PAYLOAD)
+                await asyncio.sleep(0)     # its probe queues behind the hold
             await service.stop()
             status, info = job.futures[0].result()
             assert status == "failed"
@@ -207,7 +224,7 @@ class TestDedupe:
     def test_concurrent_identical_requests_share_one_execution(
             self, service_env):
         async def scenario():
-            service = SweepService(jobs=1, batch_window=0.01)
+            service = SweepService(jobs=1)
             await service.start()
             try:
                 # Admitted back-to-back on one loop turn: the second
@@ -241,7 +258,7 @@ class TestDedupe:
         reset_registry()
 
         async def scenario():
-            service = SweepService(jobs=1, batch_window=0.01)
+            service = SweepService(jobs=1)
             await service.start()
             try:
                 job = service.admit(TINY_PAYLOAD)
@@ -298,7 +315,7 @@ class TestWarmHotPath:
 
     def _admit_twice(self):
         async def scenario():
-            service = SweepService(jobs=1, batch_window=0.01)
+            service = SweepService(jobs=1)
             await service.start()
             try:
                 first = service.admit(self.WARM_PAYLOAD)
@@ -355,7 +372,7 @@ class TestHttpServer:
     def _run_server(self, scenario, **server_kwargs):
         async def drive():
             server = SweepServer(host="127.0.0.1", port=0, jobs=1,
-                                 batch_window=0.01, **server_kwargs)
+                                 **server_kwargs)
             await server.start()
             loop = asyncio.get_running_loop()
             try:
