@@ -39,8 +39,15 @@ Determinism contract (unchanged from the ``Pool.map`` era):
   one at a time so the longest-running benchmark never serialises a
   whole chunk.
 
+Execution path: the requested worker count alone picks it.  ``jobs=1``
+runs every cell in the calling process; ``jobs >= 2`` runs every cell in
+a pool worker, however few cells the sweep has, so a lone cell gets the
+same memory cap, crash isolation and ``cell_dispatch`` progress as the
+cells of a large sweep.  Both paths share one cell lifecycle (events,
+attempt accounting, ``on_result``, closing counters).
+
 Worker lifetime: each process has one worker pool, reused by every
-parallel sweep (``run_all.py``'s experiments and the service's batches
+parallel sweep (``run_all.py``'s experiments and the service's sweeps
 alike), so a worker keeps what it derived between sweeps: loaded
 modules and its artifact cache's memory layer, whose entries carry the
 ``Derived`` memos (prepared bodies, translator plans and compiled
@@ -546,35 +553,157 @@ atexit.register(shutdown_pool)
 # ---------------------------------------------------------------------------
 
 
-class _Scheduler:
-    def __init__(self, fn, items, labels, requested, jobs, retries, timeout,
-                 fault_plan, sleep, on_result=None, traces=None):
-        self.fn = fn
-        self.on_result = on_result
+class _Sweep:
+    """One sweep's cells and their lifecycle, shared by the in-process
+    path and the pool scheduler: dispatch and outcome events, attempt
+    accounting, the ``on_result`` hook and the closing counters."""
+
+    def __init__(self, items, labels, retries, on_result=None, traces=None):
         self.items = items
         self.labels = labels
-        self.traces = traces      # per-cell TraceContext (or None), aligned
-        self.requested = requested   # the pool's pinned worker count
-        self.jobs = jobs             # workers this sweep borrows
         self.retries = retries
+        self.on_result = on_result
+        self.traces = traces      # per-cell TraceContext (or None), aligned
+        self.values = [None] * len(items)
+        self.failures = {}
+        self.done = 0
+        self.start = time.monotonic()
+        self.enqueued_at = {}   # index -> monotonic time of re-enqueue
+
+    def trace(self, index):
+        return self.traces[index] if self.traces is not None else None
+
+    def trace_fields(self, index):
+        ctx = self.trace(index)
+        return ctx.fields() if ctx is not None else {}
+
+    def dispatched(self, index, attempt, worker):
+        """Attempt ``attempt`` of cell ``index`` starts on ``worker``."""
+        queued = self.enqueued_at.get(index, self.start)
+        wait_ms = (time.monotonic() - queued) * 1000.0
+        get_registry().hist_observe("sched.queue_wait_ms", wait_ms, SCHED)
+        if events_enabled():
+            emit("cell_dispatch", label=self.labels[index], index=index,
+                 attempt=attempt, worker=worker,
+                 queue_wait_ms=round(wait_ms, 3),
+                 **self.trace_fields(index))
+
+    def succeeded(self, index, attempt, value, worker):
+        self.values[index] = value
+        self.done += 1
+        get_registry().hist_observe("sched.attempts", attempt, SCHED)
+        if events_enabled():
+            emit("cell", label=self.labels[index], index=index,
+                 attempts=attempt, outcome="ok", worker=worker,
+                 **self.trace_fields(index))
+        self.notify(index, value, None)
+
+    def attempt_failed(self, index, attempt, error, text, trace,
+                        kind="crash"):
+        """Account one failed attempt.  Returns True when the cell has
+        retries left (the caller re-runs it after
+        :func:`backoff_delay`); otherwise records its
+        :class:`CellFailure`."""
+        reg = get_registry()
+        if kind == "timeout":
+            reg.counter_add("sched.timeouts", 1, SCHED)
+        elif kind == "lost":
+            reg.counter_add("sched.lost", 1, SCHED)
+        if attempt <= self.retries:
+            reg.counter_add("sched.retries", 1, SCHED)
+            self.enqueued_at[index] = time.monotonic()
+            return True
+        failure = self.failures[index] = CellFailure(
+            index=index, label=self.labels[index], error=error,
+            message=text, traceback=trace, attempts=attempt, kind=kind)
+        self.done += 1
+        reg.hist_observe("sched.attempts", attempt, SCHED)
+        if events_enabled():
+            emit("cell", label=self.labels[index], index=index,
+                 attempts=attempt, outcome=kind, error=error,
+                 **self.trace_fields(index))
+        self.notify(index, None, failure)
+        return False
+
+    def notify(self, index, value, failure):
+        """Per-cell completion callback (see :func:`run_sweep`); a broken
+        callback must not take the sweep down with it."""
+        if self.on_result is None:
+            return
+        try:
+            self.on_result(index, self.labels[index], value, failure)
+        except Exception:
+            pass
+
+    def finish(self):
+        failures = [self.failures[i] for i in sorted(self.failures)]
+        reg = get_registry()
+        reg.counter_add("sched.cells", len(self.items), SCHED)
+        reg.counter_add("sched.completed", len(self.items) - len(failures),
+                        SCHED)
+        # Register the retry counter even on clean sweeps so scrapers
+        # (the /metrics endpoint) always see it.
+        reg.counter_add("sched.retries", 0, SCHED)
+        if failures:
+            reg.counter_add("sched.failures", len(failures), SCHED)
+        return SweepResult(self.values, failures)
+
+
+def _serial_sweep(fn, items, labels, retries, fault_plan, sleep,
+                  on_result=None, traces=None):
+    """In-process reference path (``jobs=1``).  Same retry/injection
+    semantics; per-cell timeouts are not enforced (the scheduler cannot
+    kill its own process)."""
+    sweep = _Sweep(items, labels, retries, on_result, traces)
+    reg = get_registry()
+    pid = os.getpid()
+    for index, item in enumerate(items):
+        for attempt in range(1, retries + 2):
+            sweep.dispatched(index, attempt, pid)
+            # Same metric semantics as the worker path: a failed attempt
+            # rolls the registry back, so only completed attempts count.
+            snap = reg.snapshot()
+            try:
+                with span("sched.attempt", ctx=sweep.trace(index),
+                          parts=(attempt,), label=labels[index],
+                          attempt=attempt):
+                    if fault_plan is not None:
+                        fault_plan.apply(labels[index], attempt)
+                    value = fn(item)
+            except Exception as exc:
+                reg.restore(snap)
+                if sweep.attempt_failed(index, attempt,
+                                         type(exc).__name__, str(exc),
+                                         traceback.format_exc()):
+                    sleep(backoff_delay(attempt))
+                    continue
+            else:
+                sweep.succeeded(index, attempt, value, pid)
+            break
+    return sweep.finish()
+
+
+class _Scheduler(_Sweep):
+    def __init__(self, fn, items, labels, requested, retries, timeout,
+                 fault_plan, sleep, on_result=None, traces=None):
+        super().__init__(items, labels, retries, on_result, traces)
+        self.fn = fn
+        self.requested = requested   # the pool's pinned worker count
         self.timeout = timeout
         self.plan_spec = fault_plan.spec() if fault_plan else None
         self.sleep = sleep
-        self.values = [None] * len(items)
-        self.failures = {}
         self.queue = deque((index, 1) for index in range(len(items)))
         self.backoff = {}  # index -> seconds to wait before re-dispatch
-        self.done = 0
         self.metric_payloads = [None] * len(items)
-        self.enqueued_at = {}   # index -> monotonic time of (re-)enqueue
-        self.start = time.monotonic()
         self.pool = None
         self.workers = []
 
     def run(self):
         with _POOL_LOCK:
             self.pool = _pool(self.requested)
-            workers = self.workers = self.pool.borrow(self.jobs)
+            # A sweep borrows no more workers than it has cells.
+            workers = self.workers = self.pool.borrow(
+                min(self.requested, len(self.items)))
             try:
                 while self.done < len(self.items):
                     self._dispatch(workers)
@@ -594,7 +723,6 @@ class _Scheduler:
                 for worker in workers:
                     if worker.task is not None:
                         worker.kill()
-            failures = [self.failures[i] for i in sorted(self.failures)]
             # Merge the workers' metric diffs in *input* order: the
             # resulting registry state is independent of completion order
             # and identical to what the serial path accumulates.
@@ -602,22 +730,7 @@ class _Scheduler:
             for payload in self.metric_payloads:
                 if payload is not None:
                     reg.apply(payload)
-            reg.counter_add("sched.cells", len(self.items), SCHED)
-            reg.counter_add("sched.completed",
-                            len(self.items) - len(failures), SCHED)
-            # Register the retry counter even on clean sweeps so scrapers
-            # (the /metrics endpoint) always see it.
-            reg.counter_add("sched.retries", 0, SCHED)
-            if failures:
-                reg.counter_add("sched.failures", len(failures), SCHED)
-        return SweepResult(self.values, failures)
-
-    def _trace(self, index):
-        return self.traces[index] if self.traces is not None else None
-
-    def _trace_fields(self, index):
-        ctx = self._trace(index)
-        return ctx.fields() if ctx is not None else {}
+            return self.finish()
 
     def _dispatch(self, workers):
         for worker in workers:
@@ -626,22 +739,12 @@ class _Scheduler:
                 delay = self.backoff.pop(index, 0.0)
                 if delay:
                     self.sleep(delay)
-                queued = self.enqueued_at.get(index, self.start)
-                wait_ms = (time.monotonic() - queued) * 1000.0
-                get_registry().hist_observe("sched.queue_wait_ms", wait_ms,
-                                            SCHED)
-                if events_enabled():
-                    emit("cell_dispatch", label=self.labels[index],
-                         index=index, attempt=attempt,
-                         worker=worker.process.pid,
-                         queue_wait_ms=round(wait_ms, 3),
-                         **self._trace_fields(index))
-                label = self.labels[index]
-                trace = self._trace(index)
+                self.dispatched(index, attempt, worker.process.pid)
+                trace = self.trace(index)
                 worker.dispatch(
                     index, attempt,
-                    (self.fn, self.plan_spec, index, attempt, label,
-                     self.items[index],
+                    (self.fn, self.plan_spec, index, attempt,
+                     self.labels[index], self.items[index],
                      trace.to_wire() if trace is not None else None),
                     self.timeout)
 
@@ -669,34 +772,25 @@ class _Scheduler:
             started = worker.dispatched_ts or time.time()
             self._replace(worker)
             self._emit_dead_attempt(index, attempt, started, "lost")
-            self._attempt_failed(
-                index, attempt, "WorkerDied",
-                "worker process died while running this cell", "",
-                kind="lost")
+            self._failed(index, attempt, "WorkerDied",
+                         "worker process died while running this cell", "",
+                         kind="lost")
             return
         worker.task = None
         worker.deadline = None
         if message[0] == "ok":
-            self.values[index] = message[2]
             self.metric_payloads[index] = message[3]
-            self.done += 1
-            get_registry().hist_observe("sched.attempts", attempt, SCHED)
-            if events_enabled():
-                emit("cell", label=self.labels[index], index=index,
-                     attempts=attempt, outcome="ok",
-                     worker=worker.process.pid,
-                     **self._trace_fields(index))
-            self._notify(index, message[2], None)
+            self.succeeded(index, attempt, message[2], worker.process.pid)
         else:
             _tag, _index, error, text, trace = message
-            self._attempt_failed(index, attempt, error, text, trace)
+            self._failed(index, attempt, error, text, trace)
 
     def _emit_dead_attempt(self, index, attempt, started, outcome):
         """The worker running this attempt died (timeout kill or hard
         crash), so its ``sched.attempt`` span never closed.  Ids are
         deterministic, so the scheduler re-derives the same span id the
         worker would have emitted and closes the span on its behalf."""
-        cell_ctx = self._trace(index)
+        cell_ctx = self.trace(index)
         if cell_ctx is None:
             return
         span_ctx = cell_ctx.child("sched.attempt", attempt)
@@ -715,109 +809,17 @@ class _Scheduler:
             started = worker.dispatched_ts or time.time()
             self._replace(worker)
             self._emit_dead_attempt(index, attempt, started, "timeout")
-            self._attempt_failed(
+            self._failed(
                 index, attempt, "Timeout",
                 f"cell exceeded {self.timeout:g}s; worker killed and "
                 "replaced", "", kind="timeout")
 
-    def _attempt_failed(self, index, attempt, error, text, trace,
-                        kind="crash"):
-        reg = get_registry()
-        if kind == "timeout":
-            reg.counter_add("sched.timeouts", 1, SCHED)
-        elif kind == "lost":
-            reg.counter_add("sched.lost", 1, SCHED)
-        if attempt <= self.retries:
-            reg.counter_add("sched.retries", 1, SCHED)
+    def _failed(self, index, attempt, error, text, trace, kind="crash"):
+        """A failed attempt: queue the retry behind its backoff, or
+        record the failure."""
+        if self.attempt_failed(index, attempt, error, text, trace, kind):
             self.backoff[index] = backoff_delay(attempt)
-            self.enqueued_at[index] = time.monotonic()
             self.queue.append((index, attempt + 1))
-            return
-        self.failures[index] = CellFailure(
-            index=index, label=self.labels[index], error=error,
-            message=text, traceback=trace, attempts=attempt, kind=kind)
-        self.done += 1
-        reg.hist_observe("sched.attempts", attempt, SCHED)
-        if events_enabled():
-            emit("cell", label=self.labels[index], index=index,
-                 attempts=attempt, outcome=kind, error=error,
-                 **self._trace_fields(index))
-        self._notify(index, None, self.failures[index])
-
-    def _notify(self, index, value, failure):
-        """Per-cell completion callback (see :func:`run_sweep`); a broken
-        callback must not take the sweep down with it."""
-        if self.on_result is None:
-            return
-        try:
-            self.on_result(index, self.labels[index], value, failure)
-        except Exception:
-            pass
-
-
-def _serial_sweep(fn, items, labels, retries, fault_plan, sleep,
-                  on_result=None, traces=None):
-    """In-process reference path (``jobs=1``).  Same retry/injection
-    semantics; per-cell timeouts are not enforced (the scheduler cannot
-    kill its own process)."""
-    values = [None] * len(items)
-    failures = []
-    reg = get_registry()
-
-    def notify(index, value, failure):
-        if on_result is None:
-            return
-        try:
-            on_result(index, labels[index], value, failure)
-        except Exception:
-            pass
-
-    def trace_fields(index):
-        if traces is None or traces[index] is None:
-            return {}
-        return traces[index].fields()
-
-    for index, item in enumerate(items):
-        cell_ctx = traces[index] if traces is not None else None
-        for attempt in range(1, retries + 2):
-            # Same metric semantics as the worker path: a failed attempt
-            # rolls the registry back, so only completed attempts count.
-            snap = reg.snapshot()
-            try:
-                with span("sched.attempt", ctx=cell_ctx, parts=(attempt,),
-                          label=labels[index], attempt=attempt):
-                    if fault_plan is not None:
-                        fault_plan.apply(labels[index], attempt)
-                    values[index] = fn(item)
-                reg.hist_observe("sched.attempts", attempt, SCHED)
-                if events_enabled():
-                    emit("cell", label=labels[index], index=index,
-                         attempts=attempt, outcome="ok", worker=os.getpid(),
-                         **trace_fields(index))
-                notify(index, values[index], None)
-                break
-            except Exception as exc:
-                reg.restore(snap)
-                if attempt <= retries:
-                    reg.counter_add("sched.retries", 1, SCHED)
-                    sleep(backoff_delay(attempt))
-                    continue
-                failures.append(CellFailure(
-                    index=index, label=labels[index],
-                    error=type(exc).__name__, message=str(exc),
-                    traceback=traceback.format_exc(), attempts=attempt))
-                reg.hist_observe("sched.attempts", attempt, SCHED)
-                if events_enabled():
-                    emit("cell", label=labels[index], index=index,
-                         attempts=attempt, outcome="crash",
-                         error=type(exc).__name__, **trace_fields(index))
-                notify(index, None, failures[-1])
-    reg.counter_add("sched.cells", len(items), SCHED)
-    reg.counter_add("sched.completed", len(items) - len(failures), SCHED)
-    reg.counter_add("sched.retries", 0, SCHED)
-    if failures:
-        reg.counter_add("sched.failures", len(failures), SCHED)
-    return SweepResult(values, failures)
 
 
 def run_sweep(fn, items, jobs=None, retries=None, timeout=None, labels=None,
@@ -826,7 +828,7 @@ def run_sweep(fn, items, jobs=None, retries=None, timeout=None, labels=None,
 
     Returns a :class:`SweepResult`; never raises for cell failures.
     ``fn`` must be picklable (a module-level function or a
-    ``functools.partial`` over one) when the parallel path is taken.
+    ``functools.partial`` over one) when ``jobs >= 2``.
     ``labels`` names the cells for failure reports and fault injection
     (default: the item's index as a string).  ``sleep`` is injectable for
     tests; backoff sleeps only ever run in the scheduler process.
@@ -871,15 +873,12 @@ def run_sweep(fn, items, jobs=None, retries=None, timeout=None, labels=None,
         sleep = time.sleep
     if not items:
         return SweepResult([], [])
-    requested = jobs
-    jobs = min(jobs, len(items))
-    # Serial (in-process) execution is the reference path, but it cannot
-    # enforce timeouts; when the caller asked for workers *and* a timeout
-    # is armed, keep even a one-cell sweep on the worker path.
-    if jobs <= 1 and not (timeout and requested > 1):
+    # The requested worker count alone picks the path, never the sweep's
+    # size: a one-cell sweep at ``jobs >= 2`` still runs in a worker.
+    if jobs <= 1:
         return _serial_sweep(fn, items, labels, retries, fault_plan, sleep,
                              on_result, traces)
-    return _Scheduler(fn, items, labels, requested, jobs, retries, timeout,
+    return _Scheduler(fn, items, labels, jobs, retries, timeout,
                       fault_plan, sleep, on_result, traces).run()
 
 

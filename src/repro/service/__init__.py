@@ -3,9 +3,10 @@
 The service turns the batch measurement pipeline into a long-lived,
 request-driven one: clients POST experiment-matrix slices, the server
 canonicalizes them into cells, dedupes against in-flight work and the
-content-addressed result cache, batches the rest into scheduler sweeps,
-and streams per-cell JSONL results that are byte-identical to a direct
-``results/run_all.py --cells`` run of the same cells.
+content-addressed result cache, sweeps each request's misses on the
+process's worker pool, and streams per-cell JSONL results that are
+byte-identical to a direct ``results/run_all.py --cells`` run of the
+same cells.
 
 Layering: ``repro.service`` sits at the top of the stack (it may import
 anything in ``repro``); nothing else in ``repro`` may import it.  See
@@ -30,10 +31,8 @@ from repro.service.client import (
     request_sweep,
 )
 from repro.service.jobs import (
-    DEFAULT_BATCH,
     DEFAULT_BUDGET,
     DEFAULT_MAX_CELLS,
-    SERVICE_BATCH_ENV,
     SERVICE_BUDGET_ENV,
     SERVICE_MAX_CELLS_ENV,
     AdmissionError,
@@ -63,7 +62,6 @@ from repro.service.server import (
 __all__ = [
     "AdmissionError",
     "CellSpec",
-    "DEFAULT_BATCH",
     "DEFAULT_BUDGET",
     "DEFAULT_MAX_CELLS",
     "MAX_REPETITIONS",
@@ -71,7 +69,6 @@ __all__ = [
     "MEMO_KIND",
     "PROFILE_NAMES",
     "RequestError",
-    "SERVICE_BATCH_ENV",
     "SERVICE_BUDGET_ENV",
     "SERVICE_HOST_ENV",
     "SERVICE_MAX_CELLS_ENV",

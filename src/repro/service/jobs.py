@@ -1,4 +1,4 @@
-"""The sweep service's job engine: dedupe, batching, admission, budgets.
+"""The sweep service's job engine: dedupe, sweeps, admission, budgets.
 
 Transport-free core (the HTTP layer in :mod:`repro.service.server` is a
 thin shell over it).  One :class:`SweepService` owns:
@@ -9,15 +9,15 @@ thin shell over it).  One :class:`SweepService` owns:
 * a **warm probe** against the content-addressed result cache
   (:func:`repro.cache.lookup`) that serves memoized cells without
   touching the scheduler at all;
-* a **batcher** that sweeps the pending cells the moment it wakes —
-  no window: dedupe comes from the in-flight table, and cells admitted
-  while a sweep runs simply ride the next one — as one
-  :func:`~repro.harness.parallel.run_sweep` call of up to
-  ``REPRO_SERVICE_BATCH`` cells on the process's long-lived worker pool
-  (whose workers keep their derived state between batches), riding the
-  scheduler's retry/timeout/fault machinery, with per-cell results
-  streamed out of the scheduler's ``on_result`` hook the moment each
-  cell lands;
+* **one sweep per request**: the coroutine that probes a request's new
+  cells settles the warm ones and sweeps the misses itself, as one
+  :func:`~repro.harness.parallel.run_sweep` call on the process's
+  long-lived worker pool (whose workers keep their derived state
+  between sweeps) — no window and no queue of its own: dedupe comes
+  from the in-flight table, and the executor thread runs probes and
+  sweeps in admission order.  The sweep rides the scheduler's
+  retry/timeout/fault machinery, with per-cell results streamed out of
+  the scheduler's ``on_result`` hook the moment each cell lands;
 * **admission control** (``REPRO_SERVICE_MAX_CELLS`` outstanding cells
   server-wide) and **per-client budgets**
   (``REPRO_SERVICE_BUDGET`` in-flight cells per client id) — both reject
@@ -28,7 +28,7 @@ thin shell over it).  One :class:`SweepService` owns:
 * **distributed tracing**: every admitted request opens a deterministic
   :class:`~repro.obs.TraceContext` (ids derived from the request
   sequence number, client and cell keys — never wallclock), each cell a
-  child context.  Dedupe hits, warm-cache probes and batch membership
+  child context.  Dedupe hits, warm-cache probes and sweep membership
   emit link spans, and the scheduling context rides
   :func:`~repro.harness.parallel.run_sweep` to the workers, so one
   exported trace links request → cell → attempt → engine phase.
@@ -54,20 +54,12 @@ from repro.obs import (
 from repro.service.cells import run_cell_task
 from repro.service.requests import MEMO_KIND, canonicalize_request
 
-#: Max cells per scheduler sweep (one batch).  A sweep streams each
-#: cell as it lands but returns only when its last cell has, and cells
-#: admitted meanwhile wait for the next one; the bound keeps a large
-#: backlog from becoming one sweep that every later request queues
-#: behind.
-SERVICE_BATCH_ENV = "REPRO_SERVICE_BATCH"
-
 #: Server-wide cap on outstanding (queued + running) cells.
 SERVICE_MAX_CELLS_ENV = "REPRO_SERVICE_MAX_CELLS"
 
 #: Per-client cap on in-flight requested cells.
 SERVICE_BUDGET_ENV = "REPRO_SERVICE_BUDGET"
 
-DEFAULT_BATCH = 64
 DEFAULT_MAX_CELLS = 1024
 DEFAULT_BUDGET = 256
 
@@ -110,28 +102,24 @@ class SweepJob:
 class SweepService:
     """Loop-bound job engine; create and drive it from one event loop."""
 
-    def __init__(self, jobs=None, batch_max=None, max_cells=None,
-                 client_budget=None, sweep_tmp_age=3600.0):
+    def __init__(self, jobs=None, max_cells=None, client_budget=None,
+                 sweep_tmp_age=3600.0):
         self.jobs = jobs
-        self.batch_max = batch_max if batch_max is not None else \
-            env_int(SERVICE_BATCH_ENV, DEFAULT_BATCH, minimum=1)
         self.max_cells = max_cells if max_cells is not None else \
             env_int(SERVICE_MAX_CELLS_ENV, DEFAULT_MAX_CELLS, minimum=0)
         self.client_budget = client_budget if client_budget is not None \
             else env_int(SERVICE_BUDGET_ENV, DEFAULT_BUDGET, minimum=0)
         self.sweep_tmp_age = sweep_tmp_age
         self._inflight = {}        # cell key -> asyncio.Future
-        self._pending = []         # [CellSpec] awaiting the next batch
+        self._tasks = set()        # running per-request probe/sweep tasks
         self._client_load = {}     # client id -> in-flight requested cells
         self._outstanding = 0      # unique cells queued or running
         self._shard_cursor = 0
         self._request_seq = 0      # per-process request counter (trace ids)
-        self._batch_seq = 0        # per-process batch counter (trace ids)
+        self._sweep_seq = 0        # per-process sweep counter (trace ids)
         self._cell_traces = {}     # cell key -> owning TraceContext
         self.last_cells = ()       # cells of the last admitted request
         self._loop = None
-        self._wake = None
-        self._batcher = None
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-sweep")
 
@@ -139,17 +127,16 @@ class SweepService:
 
     async def start(self):
         self._loop = asyncio.get_running_loop()
-        self._wake = asyncio.Event()
-        self._batcher = asyncio.create_task(self._batch_loop())
 
     async def stop(self):
-        if self._batcher is not None:
-            self._batcher.cancel()
-            try:
-                await self._batcher
-            except asyncio.CancelledError:
-                pass
-            self._batcher = None
+        """Cancel every request's probe/sweep task, settle the cells they
+        leave as ``ServiceStopped``, and shut the executor down without
+        starting what it still has queued.  A sweep already running
+        finishes first (its late results find no future to settle)."""
+        tasks = list(self._tasks)
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
         for future in self._inflight.values():
             if not future.done():
                 future.set_result(("failed", {
@@ -157,11 +144,10 @@ class SweepService:
                     "message": "service shut down before the cell ran",
                     "kind": "lost", "attempts": 0}))
         self._inflight.clear()
-        self._pending.clear()
         self._outstanding = 0
         self._client_load.clear()
         self._cell_traces.clear()
-        self._executor.shutdown(wait=True)
+        self._executor.shutdown(wait=True, cancel_futures=True)
         shutdown_pool()
 
     # -- submission ----------------------------------------------------------
@@ -193,13 +179,6 @@ class SweepService:
         instead emits a ``service.dedupe`` link span pointing at the
         owning request's span."""
         request = canonicalize_request(payload)
-        self.last_cells = request.cells
-        self._count("requests")
-        self._request_seq += 1
-        root = TraceContext.root(
-            "request", self._request_seq, request.client,
-            *(spec.cell_key() for spec in request.cells))
-        self._count("cells.requested", request.cell_count)
         new_specs = [spec for spec in request.cells
                      if spec.cell_key() not in self._inflight]
         if self._outstanding + len(new_specs) > self.max_cells:
@@ -216,6 +195,15 @@ class SweepService:
                 f"in flight + {request.cell_count} requested > "
                 f"{self.client_budget} (REPRO_SERVICE_BUDGET)")
         self._client_load[request.client] = load + request.cell_count
+        # Only an admitted request counts, so the requested cells always
+        # break down into deduped + warm + swept.
+        self.last_cells = request.cells
+        self._count("requests")
+        self._count("cells.requested", request.cell_count)
+        self._request_seq += 1
+        root = TraceContext.root(
+            "request", self._request_seq, request.client,
+            *(spec.cell_key() for spec in request.cells))
 
         futures = []
         new_keys = []
@@ -230,7 +218,7 @@ class SweepService:
                 self._inflight[key] = future
                 self._outstanding += 1
                 self._cell_traces[key] = ctx
-                new_keys.append((key, spec))
+                new_keys.append((key, spec, future))
             elif events_enabled():
                 # The link span's id costs a sha256: derive it only when
                 # the span has somewhere to go.
@@ -246,36 +234,42 @@ class SweepService:
         if deduped:
             self._count("cells.deduped", deduped)
         if new_keys:
-            # Probe the result cache off-loop (the probe replays DET
-            # metrics; the executor serializes all registry access), then
-            # queue the misses for the batcher.
-            self._loop.create_task(self._admit_new(new_keys))
+            task = self._loop.create_task(self._run_new(new_keys))
+            self._tasks.add(task)
+            task.add_done_callback(self._tasks.discard)
         return SweepJob(self, request, futures, deduped,
-                        [key for key, _spec in new_keys],
+                        [key for key, _spec, _future in new_keys],
                         trace=root, cell_traces=cell_traces)
 
-    async def _admit_new(self, new_keys):
+    async def _run_new(self, new_keys):
+        """Probe a request's new cells against the result cache, settle
+        the warm ones and sweep the misses, both on the executor thread
+        (the probe replays DET metrics; the executor serializes all
+        registry access)."""
         try:
             probes = await self._loop.run_in_executor(
                 self._executor, self._probe_warm,
                 [(spec, self._cell_traces.get(key))
-                 for key, spec in new_keys])
+                 for key, spec, _future in new_keys])
+            misses = []
+            for (key, spec, _future), value in zip(new_keys, probes):
+                if value is MISS:
+                    misses.append(spec)
+                else:
+                    self._count("cells.warm")
+                    self._settle(key, ("warm", value))
+            if misses:
+                await self._loop.run_in_executor(
+                    self._executor, self._sweep, misses)
         except Exception as exc:   # defensive: never strand a future
-            for key, _spec in new_keys:
-                self._settle(key, ("failed", {
-                    "error": type(exc).__name__, "message": str(exc),
-                    "kind": "lost", "attempts": 0}))
-            return
-        queued = False
-        for (key, spec), value in zip(new_keys, probes):
-            if value is MISS:
-                self._pending.append(spec)
-                queued = True
-            else:
-                self._count("cells.warm")
-                self._settle(key, ("warm", value))
-        if queued:
-            self._wake.set()
+            lost = ("failed", {"error": type(exc).__name__,
+                               "message": str(exc), "kind": "lost",
+                               "attempts": 0})
+            for key, _spec, future in new_keys:
+                # A cell that already settled may be in flight again for
+                # a later request: settle only this request's futures.
+                if self._inflight.get(key) is future:
+                    self._settle(key, lost)
 
     @staticmethod
     def _probe_warm(pairs):
@@ -301,32 +295,24 @@ class SweepService:
             future.set_result(outcome)
             self._outstanding -= 1
 
-    # -- batching ------------------------------------------------------------
+    # -- sweeping ------------------------------------------------------------
 
-    async def _batch_loop(self):
-        while True:
-            await self._wake.wait()
-            self._wake.clear()
-            while self._pending:
-                batch = self._pending[:self.batch_max]
-                del self._pending[:len(batch)]
-                await self._loop.run_in_executor(
-                    self._executor, self._run_batch, batch)
-
-    def _run_batch(self, batch):
-        """One scheduler sweep over a batch of cells (executor thread).
+    def _sweep(self, specs):
+        """One scheduler sweep over one request's missed cells (executor
+        thread).
 
         Every cell is self-describing, so any mix of benchmarks,
-        toolchains, levels and profiles rides one sweep.  Each
-        member's owning trace context rides the sweep (the scheduler
-        ships it to the worker over the Pipe protocol) and additionally
-        gets a ``service.batch`` membership span covering the sweep, so
-        an exported trace shows which cells shared a batch."""
+        toolchains, levels and profiles rides one sweep.  Each cell's
+        owning trace context rides the sweep (the scheduler ships it to
+        the worker over the Pipe protocol) and additionally gets a
+        ``service.batch`` membership span covering the sweep, so an
+        exported trace shows which cells shared a sweep.  If the sweep
+        itself raises, :meth:`_run_new` settles the cells it left."""
         self._count("sweeps")
-        self._count("cells.swept", len(batch))
-        self._batch_seq += 1
-        batch_seq = self._batch_seq
-        keys = [spec.cell_key() for spec in batch]
+        self._count("cells.swept", len(specs))
+        self._sweep_seq += 1
+        sweep_seq = self._sweep_seq
+        keys = [spec.cell_key() for spec in specs]
         traces = [self._cell_traces.get(key) for key in keys]
         started = time.time()
         t0 = time.perf_counter()
@@ -342,23 +328,16 @@ class SweepService:
                                             outcome)
 
         try:
-            run_sweep(run_cell_task, [spec.as_tuple() for spec in batch],
-                      jobs=self.jobs, labels=[spec.label() for spec in batch],
+            run_sweep(run_cell_task, [spec.as_tuple() for spec in specs],
+                      jobs=self.jobs, labels=[spec.label() for spec in specs],
                       on_result=on_result, traces=traces)
-        except BaseException as exc:  # defensive: never strand a future
-            for key in keys:
-                self._loop.call_soon_threadsafe(self._settle, key, (
-                    "failed", {"error": type(exc).__name__,
-                               "message": str(exc), "kind": "lost",
-                               "attempts": 0}))
-            raise
         finally:
             duration = time.perf_counter() - t0
-            for spec, ctx in zip(batch, traces):
+            for spec, ctx in zip(specs, traces):
                 if ctx is not None:
-                    emit_span(ctx.child("service.batch", batch_seq),
+                    emit_span(ctx.child("service.batch", sweep_seq),
                               "service.batch", started, duration,
-                              batch=batch_seq, size=len(batch),
+                              batch=sweep_seq, size=len(specs),
                               cell=spec.label())
             self._sweep_one_shard()
 
@@ -384,11 +363,9 @@ class SweepService:
                    if name.startswith(("service.", "sched.", "cache."))}
         return {
             "outstanding_cells": self._outstanding,
-            "pending_cells": len(self._pending),
             "inflight_cells": len(self._inflight),
             "clients": dict(sorted(self._client_load.items())),
-            "limits": {"batch": self.batch_max,
-                       "max_cells": self.max_cells,
+            "limits": {"max_cells": self.max_cells,
                        "client_budget": self.client_budget},
             "counters": service,
             "store": get_cache().stats.as_dict(),

@@ -28,14 +28,15 @@ no frameworks, no threads per connection.  Endpoints:
     Liveness: ``{"ok": true}``.
 
 ``GET /stats``
-    Operational snapshot: outstanding/pending cells, client budgets,
-    ``service.*`` counters, artifact-store stats.
+    Operational snapshot: outstanding and in-flight cells, client
+    budgets, admission limits, ``service.*``/``sched.*``/``cache.*``
+    counters, artifact-store stats.
 
 ``GET /metrics``
     Prometheus text exposition (v0.0.4) of the metrics registry — every
     sample labelled with its stability tag (``det``/``sched``/``wall``)
     — plus operational gauges: artifact-store hit/miss counts and
-    outstanding/pending cells.
+    outstanding and in-flight cells.
 
 ``POST /shutdown``
     Graceful stop (enabled by default; disable with
@@ -242,7 +243,6 @@ class SweepServer:
         service = self.service
         extra = {
             "service.outstanding_cells": service._outstanding,
-            "service.pending_cells": len(service._pending),
             "service.inflight_cells": len(service._inflight),
         }
         for name, value in get_cache().stats.as_dict().items():

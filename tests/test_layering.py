@@ -5,6 +5,7 @@ the engine core (run ``python tools/check_layering.py`` standalone in CI).
 from __future__ import annotations
 
 import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -119,3 +120,20 @@ def test_typed_env_parses_must_use_envflags(tmp_path):
     assert [v.split(":")[:2] for v in violations] == [
         ["src/repro/harness/knobs.py", str(line)] for line in (4, 6, 8, 9)]
     assert all("envflags" in v for v in violations)
+
+
+def test_knob_table_lists_every_knob():
+    """Every quoted ``REPRO_*`` name the package, the benchmark scripts
+    and ``run_all.py`` read has a row in README's knob table, and every
+    row names a knob that still exists."""
+    root = Path(__file__).resolve().parent.parent
+    sources = [*(root / "src").rglob("*.py"),
+               *(root / "benchmarks").rglob("*.py"),
+               root / "results" / "run_all.py"]
+    quoted = re.compile(r"""["'](REPRO_[A-Z0-9_]+)["']""")
+    used = {name for path in sources
+            for name in quoted.findall(path.read_text(encoding="utf-8"))}
+    row = re.compile(r"^\| `(REPRO_[A-Z0-9_]+)` \|", re.MULTILINE)
+    documented = set(row.findall(
+        (root / "README.md").read_text(encoding="utf-8")))
+    assert used == documented

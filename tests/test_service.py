@@ -4,7 +4,9 @@ between streamed result lines and the direct ``run_all.py --cells`` path."""
 
 import asyncio
 import contextlib
+import gc
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -202,7 +204,11 @@ class TestAdmissionControl:
 
         self._drive(scenario())
 
-    def test_stop_settles_stranded_futures(self, service_env):
+    def test_stop_settles_stranded_futures(self, service_env, caplog):
+        """``stop`` settles a held cell as ``ServiceStopped`` and cancels
+        the request's probe/sweep task, so the cell is never swept once
+        its hold is released, and no task is left pending for the
+        garbage collector to find."""
         async def scenario():
             service = SweepService(jobs=1)
             await service.start()
@@ -210,12 +216,71 @@ class TestAdmissionControl:
                 job = service.admit(TINY_PAYLOAD)
                 await asyncio.sleep(0)     # its probe queues behind the hold
             await service.stop()
-            status, info = job.futures[0].result()
-            assert status == "failed"
-            assert info["error"] == "ServiceStopped"
             job.close()
+            return job
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            job = self._drive(scenario())
+            gc.collect()
+        status, info = job.futures[0].result()
+        assert status == "failed"
+        assert info["error"] == "ServiceStopped"
+        assert "sched.cells" not in get_registry().export([SCHED])
+        assert "Task was destroyed but it is pending" not in caplog.text
+
+    def test_sweep_that_raises_settles_its_cells(self, service_env,
+                                                 monkeypatch):
+        """A sweep that raises (rather than reporting a cell failure)
+        still settles every cell it was given, as lost."""
+        from repro.service import jobs
+
+        def broken(*_args, **_kwargs):
+            raise RuntimeError("scheduler broke")
+
+        monkeypatch.setattr(jobs, "run_sweep", broken)
+
+        async def scenario():
+            service = SweepService(jobs=1)
+            await service.start()
+            try:
+                job = service.admit(TINY_PAYLOAD)
+                outcomes = await asyncio.gather(*job.futures)
+                job.close()
+                return outcomes, service.stats()
+            finally:
+                await service.stop()
+
+        ((status, info),), stats = self._drive(scenario())
+        assert status == "failed"
+        assert (info["error"], info["kind"]) == ("RuntimeError", "lost")
+        assert stats["outstanding_cells"] == stats["inflight_cells"] == 0
+
+    def test_only_admitted_requests_count(self, service_env):
+        """A rejected request leaves ``service.requests`` and the
+        requested-cell count alone, so the requested cells break down
+        exactly into deduped + warm + swept."""
+        async def scenario():
+            service = SweepService(jobs=1, max_cells=1)
+            await service.start()
+            try:
+                with pytest.raises(AdmissionError, match="over capacity"):
+                    service.admit({"benchmarks": ["atax", "gemm"],
+                                   "sizes": ["S"], "repetitions": 1})
+                job = service.admit(TINY_PAYLOAD)
+                assert service.last_cells == job.request.cells
+                await asyncio.gather(*job.futures)
+                job.close()
+            finally:
+                await service.stop()
 
         self._drive(scenario())
+        counters = get_registry().export([SCHED])
+        assert counters["service.requests"] == 1
+        assert counters["service.rejected"] == 1
+        assert counters["service.cells.requested"] == 1
+        assert counters["service.cells.requested"] == sum(
+            counters.get(f"service.cells.{part}", 0)
+            for part in ("deduped", "warm", "swept"))
 
 
 class TestDedupe:
@@ -369,9 +434,9 @@ class TestWarmHotPath:
 
 
 class TestHttpServer:
-    def _run_server(self, scenario, **server_kwargs):
+    def _run_server(self, scenario, jobs=1, **server_kwargs):
         async def drive():
-            server = SweepServer(host="127.0.0.1", port=0, jobs=1,
+            server = SweepServer(host="127.0.0.1", port=0, jobs=jobs,
                                  **server_kwargs)
             await server.start()
             loop = asyncio.get_running_loop()
@@ -420,7 +485,7 @@ class TestHttpServer:
 
         health, stats, codes = self._run_server(scenario)
         assert health == {"ok": True}
-        assert stats["limits"]["batch"] >= 1
+        assert set(stats["limits"]) == {"max_cells", "client_budget"}
         assert "store" in stats and "counters" in stats
         assert codes == {"/nope": 404, "/sweep": 400}
 
@@ -514,6 +579,30 @@ class TestHttpServer:
             capture_output=True, timeout=570, env=env, cwd=str(ROOT))
         assert proc.returncode == 0, proc.stderr.decode()
         assert proc.stdout.splitlines() == results(stream_a)
+
+    @pytest.mark.parametrize("jobs,opt_levels", [
+        (1, ["O2"]), (2, ["O3"]), (2, ["O0", "O1"])])
+    def test_every_cold_cell_streams_dispatch_then_outcome(
+            self, service_env, jobs, opt_levels):
+        """Progress is the same whichever path a sweep takes: each cold
+        cell streams ``cell_dispatch`` then ``cell``, for a one-cell
+        request in-process (``jobs=1``) or in a worker (``jobs=2``) and
+        for each cell of a two-cell request."""
+        payload = dict(TINY_PAYLOAD, opt_levels=opt_levels, progress=True)
+
+        async def scenario(server, loop):
+            return await loop.run_in_executor(None, lambda: list(
+                request_lines(server.host, server.port, payload)))
+
+        stages = {}
+        for line in self._run_server(scenario, jobs=jobs):
+            record = json.loads(line)
+            if record["event"] == "progress":
+                stages.setdefault(record["label"], []).append(
+                    record["stage"])
+        cells = canonicalize_request(payload).cells
+        assert stages == {spec.label(): ["cell_dispatch", "cell"]
+                          for spec in cells}
 
     def test_shutdown_endpoint_stops_server(self, service_env):
         async def drive():

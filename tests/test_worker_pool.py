@@ -75,6 +75,17 @@ class TestReuse:
             {pid for _v, pid in first.values}
         assert os.getpid() not in {pid for _v, pid in first.values}
 
+    def test_one_cell_sweep_runs_in_a_worker(self, fresh):
+        """The requested worker count alone picks the path: one cell at
+        ``jobs=2`` runs in a pool worker, at ``jobs=1`` in-process."""
+        (value, pid), = run_sweep(_square_pid, [3], jobs=2).values
+        assert value == 9
+        assert pid != os.getpid()
+        assert _sched("sched.pool.spawned") == 1
+        (value, pid), = run_sweep(_square_pid, [3], jobs=1).values
+        assert value == 9
+        assert pid == os.getpid()
+
     def test_workers_fork_only_when_a_sweep_needs_them(self, fresh):
         """A small sweep forks only the workers it uses; a larger one at
         the same requested count adds the rest and reuses the first."""

@@ -22,7 +22,7 @@ Sections (each skipped gracefully when its metrics are absent):
   scheduler retry/timeout/lost counts (``cache.*`` / ``sched.*`` in the
   ``metrics_unstable`` section).
 * **Sweep service** — request/cell admission, dedupe and memo-warm
-  serves, scheduler batches and shard sweeps (``service.*`` counters in
+  serves, scheduler sweeps and shard maintenance (``service.*`` counters in
   the ``metrics_unstable`` section, recorded when the summary came from
   a serving process).
 
@@ -159,7 +159,7 @@ def _service_section(summary):
     if swept:
         sweeps = service.get("sweeps", 0)
         per = (swept / sweeps) if sweeps else 0.0
-        lines.append(f"batches: {sweeps:,} scheduler sweep(s), "
+        lines.append(f"sweeps: {sweeps:,} scheduler sweep(s), "
                      f"{per:.1f} cell(s)/sweep")
     if service.get("tmp_swept"):
         lines.append(f"shard maintenance: {service['tmp_swept']:,} "
