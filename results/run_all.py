@@ -95,6 +95,7 @@ if "--cells" in sys.argv:
     sys.exit(0)
 
 from repro.cache import get_cache
+from repro.experiments.common import health_lines
 from repro.experiments import (
     ExperimentContext, figure5_opt_levels, figure6_opt_levels_x86,
     table2_summary, compare_cheerp_emscripten, figure9_input_sizes,
@@ -109,7 +110,7 @@ out_dir = "results"
 
 ctx = ExperimentContext(repetitions=2)
 summary = {}
-print(f"scheduler: {ctx.jobs} job(s); compile cache at "
+print(f"scheduler: {ctx.jobs} job(s); artifact cache at "
       f"{get_cache().root}", flush=True)
 
 def save(name, result):
@@ -183,7 +184,8 @@ summary["metrics_wall"] = registry.export([WALL])
 with open(f"{out_dir}/summary.json", "w") as f:
     json.dump(summary, f, indent=2, default=str)
 get_cache().sweep_tmp()          # orphaned temp files from killed workers
-print(f"compile cache: {get_cache().stats}", flush=True)
+for line in health_lines():      # the registry's cache.* / sched.* counts
+    print(line, flush=True)
 
 if REPORT:
     import importlib.util

@@ -1,12 +1,14 @@
-"""Persistent content-addressed compile cache (see DESIGN.md).
+"""Persistent content-addressed artifact cache (see DESIGN.md).
 
 Every toolchain facade routes its ``compile_*`` entry points through the
-process-global :class:`ArtifactCache`: a key derived from the preprocessed
-source, defines, opt level, toolchain configuration, and pass pipeline
-addresses a pickled artifact under ``~/.cache/repro`` (override with
-``REPRO_CACHE_DIR``; disable the disk layer with ``REPRO_CACHE=0``).
-Repeat runs of the whole experiment apparatus then skip the frontend →
-IR-pass → backend pipeline entirely.
+process-global :class:`ArtifactCache` (:func:`get_cache`): a key derived
+from the preprocessed source, defines, opt level, toolchain
+configuration, and pass pipeline addresses a pickled artifact under
+``~/.cache/repro`` (override with ``REPRO_CACHE_DIR``; disable the disk
+layer with ``REPRO_CACHE=0``).  Repeat runs of the whole experiment
+apparatus then skip the frontend → IR-pass → backend pipeline entirely.
+The same store holds memoized results (:mod:`repro.cache.memo`) and the
+codegen tier's translation units (:mod:`repro.engine.codegen`).
 """
 
 from repro.cache.keys import cache_key, code_fingerprint
@@ -24,7 +26,6 @@ from repro.cache.store import (
     CACHE_ENV,
     CACHE_MEM_ENV,
     CACHE_VERSION,
-    CacheStats,
     configure,
     default_cache_root,
     get_cache,
@@ -37,7 +38,6 @@ __all__ = [
     "CACHE_ENV",
     "CACHE_MEM_ENV",
     "CACHE_VERSION",
-    "CacheStats",
     "MISS",
     "RESULT_CACHE_ENV",
     "cache_key",

@@ -23,9 +23,10 @@ import pickle
 import shutil
 import tempfile
 from collections import OrderedDict
-from dataclasses import dataclass, field
 
-from repro.obs import env_flag, env_int
+from repro.obs import (
+    SCHED, emit, env_flag, env_int, events_enabled, get_registry,
+)
 
 #: Environment variable naming the cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -62,42 +63,23 @@ def memory_cap_from_env():
     return env_int(CACHE_MEM_ENV, default=0, minimum=0)
 
 
-@dataclass
-class CacheStats:
-    """Observability counters: every ``get`` is a hit or a miss; ``stale``
-    counts the misses caused by an unusable on-disk entry (truncated file,
-    schema drift) that was evicted and recompiled."""
-
-    hits: int = 0
-    misses: int = 0
-    stale: int = 0
-    puts: int = 0
-    memory_hits: int = 0
-    disk_hits: int = 0
-    evictions: int = 0
-
-    def as_dict(self):
-        return {"hits": self.hits, "misses": self.misses,
-                "stale": self.stale, "puts": self.puts,
-                "memory_hits": self.memory_hits,
-                "disk_hits": self.disk_hits,
-                "evictions": self.evictions}
-
-    def __str__(self):
-        return (f"{self.hits} hits ({self.memory_hits} memory / "
-                f"{self.disk_hits} disk), {self.misses} misses "
-                f"({self.stale} stale), {self.puts} writes")
-
-
 class ArtifactCache:
-    """Two-layer (memory over disk) store for compiled artifacts.
+    """Two-layer (memory over disk) store for compiled artifacts,
+    memoized results and codegen translation units.
 
     The memory layer is an LRU bounded by ``memory_cap`` entries
     (``REPRO_CACHE_MEM``; 0 = unbounded).  Eviction only drops the
     in-process copy — the disk layer still serves the entry, so the
     hit/miss counters stay exact: an access after eviction is an honest
     ``disk_hit`` (or an honest miss with the disk layer off), never a
-    phantom."""
+    phantom.
+
+    Every get, put and eviction is counted once, in the metrics
+    registry's ``cache.*`` counters (``SCHED``): ``hits`` (split into
+    ``memory_hits`` / ``disk_hits``), ``misses`` (of which ``stale``
+    were caused by an unusable on-disk entry — truncated file, schema
+    drift — that was removed), ``puts`` and ``evictions``.  A sweep
+    folds its workers' counts into the parent's registry."""
 
     def __init__(self, root=None, disk=None, memory_cap=None):
         if disk is None:
@@ -108,7 +90,6 @@ class ArtifactCache:
         self.memory_cap = max(0, int(memory_cap))
         self.root = os.path.join(root or default_cache_root(),
                                  CACHE_VERSION)
-        self.stats = CacheStats()
         self._memory = OrderedDict()
 
     # -- lookup ---------------------------------------------------------------
@@ -128,37 +109,28 @@ class ArtifactCache:
         if self.memory_cap:
             while len(self._memory) > self.memory_cap:
                 self._memory.popitem(last=False)
-                self.stats.evictions += 1
+                get_registry().counter_add("cache.evictions", 1, SCHED)
+
+    def _hit(self, reg, key, layer):
+        reg.counter_add("cache.hits", 1, SCHED)
+        reg.counter_add(f"cache.{layer}_hits", 1, SCHED)
+        if events_enabled():
+            emit("cache", key=key, outcome=f"{layer}_hit")
 
     def get(self, key):
         """Return the cached artifact or ``None`` (a miss)."""
-        from repro.obs import SCHED, emit, events_enabled, get_registry
         reg = get_registry()
         artifact = self._memory.get(key)
         if artifact is not None:
             self._memory.move_to_end(key)
-            self.stats.hits += 1
-            self.stats.memory_hits += 1
-            reg.counter_add("cache.hits", 1, SCHED)
-            reg.counter_add("cache.memory_hits", 1, SCHED)
-            if events_enabled():
-                emit("cache", key=key, outcome="memory_hit")
+            self._hit(reg, key, "memory")
             return artifact
         if self.disk:
-            stale_before = self.stats.stale
             artifact = self._disk_get(key)
-            if self.stats.stale > stale_before:
-                reg.counter_add("cache.stale", 1, SCHED)
             if artifact is not None:
                 self._remember(key, artifact)
-                self.stats.hits += 1
-                self.stats.disk_hits += 1
-                reg.counter_add("cache.hits", 1, SCHED)
-                reg.counter_add("cache.disk_hits", 1, SCHED)
-                if events_enabled():
-                    emit("cache", key=key, outcome="disk_hit")
+                self._hit(reg, key, "disk")
                 return artifact
-        self.stats.misses += 1
         reg.counter_add("cache.misses", 1, SCHED)
         if events_enabled():
             emit("cache", key=key, outcome="miss")
@@ -174,19 +146,22 @@ class ArtifactCache:
         except Exception:
             # Truncated write, schema drift, unreadable pickle: the entry
             # is stale — evict it and let the caller recompile.
-            self.stats.stale += 1
+            get_registry().counter_add("cache.stale", 1, SCHED)
             try:
                 os.remove(path)
             except OSError:
                 pass
             return None
 
+    def forget(self):
+        """Drop the memory layer only (a fresh process over the same
+        disk store)."""
+        self._memory.clear()
+
     # -- store ----------------------------------------------------------------
 
     def put(self, key, artifact):
-        from repro.obs import SCHED, get_registry
         self._remember(key, artifact)
-        self.stats.puts += 1
         get_registry().counter_add("cache.puts", 1, SCHED)
         if not self.disk:
             return
@@ -261,7 +236,7 @@ class ArtifactCache:
     def clear(self):
         """Drop both layers; the versioned directory is removed wholesale
         (it only ever holds cache entries, so this is always safe)."""
-        self._memory.clear()
+        self.forget()
         shutil.rmtree(self.root, ignore_errors=True)
 
     def entry_count(self):

@@ -97,14 +97,16 @@ lives exactly as long as the code it runs.  The *bind*
 runs per engine: it builds ``ns``, calls the factory and counts the
 function as translated or declined.
 
-Persistent compile cache: generated source depends only on the prepared
-code and a handful of translation flags, never on instance state (state
-is handed to ``make`` through ``ns``), so translation units are
-content-addressed exactly like compiled artifacts.  Warm runs are served
-from the same disk store the compile cache uses (``src/repro/cache/``):
-the artifact key pins the source text and a ``marshal`` of the compiled
-code object, so a warm process skips both source generation and
-``compile()``.
+Persistent translation units: generated source depends only on the
+prepared code and a handful of translation flags, never on instance
+state (state is handed to ``make`` through ``ns``), so translation units
+are content-addressed exactly like compiled artifacts and kept in the
+same process-global store, :func:`repro.cache.get_cache`.  Its settings
+(``configure()``, ``REPRO_CACHE``, ``REPRO_CACHE_DIR``, the
+``REPRO_CACHE_MEM`` cap a sweep worker runs under) and its ``cache.*``
+counters therefore cover units too.  An entry pins the source text and a
+``marshal`` of the compiled code object, so a warm process skips both
+source generation and ``compile()``.
 """
 
 from __future__ import annotations
@@ -115,6 +117,7 @@ import marshal
 from typing import NamedTuple
 
 from repro.cache.derived import clear as clear_derived
+from repro.cache.store import get_cache
 from repro.obs import SCHED, get_registry
 from repro.obs.envflags import env_flag
 
@@ -732,30 +735,19 @@ def deopt_counter(engine):
 
 
 # ---------------------------------------------------------------------------
-# The translation-unit cache: the persistent artifact store (source +
-# marshalled code object).  The compiled ``make`` factory is memoized by
-# each translator on the function's ``plans``, beside the plan it was
-# built from, so it lives exactly as long as the code it runs.
-
-_STORE = None            # lazily built ArtifactCache (own stats, shared root)
-
-
-def _store():
-    global _STORE
-    if _STORE is None:
-        from repro.cache.store import ArtifactCache
-        _STORE = ArtifactCache()
-    return _STORE
-
+# The translation-unit cache: units (source + marshalled code object) live
+# in the process-global artifact store, beside compiled artifacts and
+# memoized results.  The compiled ``make`` factory is memoized by each
+# translator on the function's ``plans``, beside the plan it was built
+# from, so it lives exactly as long as the code it runs.
 
 def reset_cache():
     """Drop the in-process layers (tests: cold/warm differentials): the
-    store's memory layer and every value derived from program inputs
-    (:mod:`repro.cache.derived`: preprocessed sources, JS script
+    artifact store's memory layer and every value derived from program
+    inputs (:mod:`repro.cache.derived`: preprocessed sources, JS script
     templates, prepared Wasm bodies, translation plans and their
     compiled factories)."""
-    global _STORE
-    _STORE = None
+    get_cache().forget()
     clear_derived()
 
 
@@ -789,7 +781,7 @@ def load_factory(engine, key, build_source):
     """
     reg = get_registry()
     filename = f"<repro-codegen:{engine}:{key[:12]}>"
-    store = _store()
+    store = get_cache()
     entry = store.get(key)
     code = None
     source = None

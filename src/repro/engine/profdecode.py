@@ -74,6 +74,38 @@ _DECODERS = {"wasm": _wasm_decoder, "js": _js_decoder,
              "native": _native_decoder}
 
 
+def _function_tables(profile):
+    """``{fn: {cls: [count, Fraction cycles]}}``: one decode pass over
+    ``profile["ops"]``, the single loop both entry points total."""
+    decode = _DECODERS[profile["engine"]]()
+    tables = {}
+    for fname, cells in profile["ops"].items():
+        table = tables[fname] = {}
+        for key, count in cells.items():
+            cls, cost = decode(int(key))
+            slot = table.get(cls)
+            if slot is None:
+                slot = table[cls] = [0, Fraction(0)]
+            slot[0] += count
+            slot[1] += cost * count
+    return tables
+
+
+def _totals(tables):
+    totals = {}
+    for table in tables.values():
+        for cls, (count, cycles) in table.items():
+            agg = totals.setdefault(cls, [0, Fraction(0)])
+            agg[0] += count
+            agg[1] += cycles
+    return {cls: (c, cy) for cls, (c, cy) in sorted(totals.items())}
+
+
+def _as_floats(table):
+    return {cls: {"count": c, "cycles": float(cy)}
+            for cls, (c, cy) in sorted(table.items())}
+
+
 def decode_profile(profile):
     """``EngineProfile.to_dict()`` payload -> opclass attribution.
 
@@ -82,54 +114,21 @@ def decode_profile(profile):
     entry is ``{"count": int, "cycles": float}`` (cycles summed exactly
     before the single float conversion).
     """
-    decode = _DECODERS[profile["engine"]]()
-    functions = {}
-    totals = {}
-    total_count = 0
-    total_cycles = Fraction(0)
-    for fname, cells in profile["ops"].items():
-        table = {}
-        for key, count in cells.items():
-            cls, cost = decode(int(key))
-            slot = table.get(cls)
-            if slot is None:
-                slot = table[cls] = [0, Fraction(0)]
-            slot[0] += count
-            slot[1] += cost * count
-        for cls, (count, cycles) in table.items():
-            agg = totals.get(cls)
-            if agg is None:
-                agg = totals[cls] = [0, Fraction(0)]
-            agg[0] += count
-            agg[1] += cycles
-            total_count += count
-            total_cycles += cycles
-        functions[fname] = {
-            "calls": profile["calls"].get(fname, 0),
-            "opclasses": {cls: {"count": c, "cycles": float(cy)}
-                          for cls, (c, cy) in sorted(table.items())},
-        }
+    tables = _function_tables(profile)
+    totals = _totals(tables)
     return {
         "engine": profile["engine"],
-        "functions": functions,
-        "opclasses": {cls: {"count": c, "cycles": float(cy)}
-                      for cls, (c, cy) in sorted(totals.items())},
-        "total_count": total_count,
-        "total_cycles": float(total_cycles),
+        "functions": {fname: {"calls": profile["calls"].get(fname, 0),
+                              "opclasses": _as_floats(table)}
+                      for fname, table in tables.items()},
+        "opclasses": _as_floats(totals),
+        "total_count": sum(c for c, _ in totals.values()),
+        "total_cycles": float(sum((cy for _, cy in totals.values()),
+                                  Fraction(0))),
     }
 
 
 def opclass_fractions(profile):
     """Exact per-opclass ``{cls: (count, Fraction cycles)}`` totals —
     the registry feed (Fractions keep counter accumulation exact)."""
-    decode = _DECODERS[profile["engine"]]()
-    totals = {}
-    for cells in profile["ops"].values():
-        for key, count in cells.items():
-            cls, cost = decode(int(key))
-            slot = totals.get(cls)
-            if slot is None:
-                slot = totals[cls] = [0, Fraction(0)]
-            slot[0] += count
-            slot[1] += cost * count
-    return {cls: (c, cy) for cls, (c, cy) in sorted(totals.items())}
+    return _totals(_function_tables(profile))

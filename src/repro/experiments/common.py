@@ -51,13 +51,15 @@ def health_lines():
     if cache:
         lines.append(
             "cache health: {hits} hit(s) ({memory} memory / {disk} disk), "
-            "{misses} miss(es), {stale} stale, {puts} write(s)".format(
+            "{misses} miss(es), {stale} stale, {puts} write(s), "
+            "{evictions} eviction(s)".format(
                 hits=cache.get("hits", 0),
                 memory=cache.get("memory_hits", 0),
                 disk=cache.get("disk_hits", 0),
                 misses=cache.get("misses", 0),
                 stale=cache.get("stale", 0),
-                puts=cache.get("puts", 0)))
+                puts=cache.get("puts", 0),
+                evictions=cache.get("evictions", 0)))
     if sched:
         lines.append(
             "scheduler health: {cells} cell(s), {completed} completed, "

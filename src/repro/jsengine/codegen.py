@@ -71,7 +71,7 @@ they apply to emitted source:
 The generated source depends only on the bytecode and translation flags
 (JIT enablement, profiling) — instance state and the tier constants are
 bound by ``make(ns)`` — so translation units are served from the
-persistent compile cache (:mod:`repro.engine.codegen`), one per function
+persistent artifact cache (:mod:`repro.engine.codegen`), one per function
 across every engine configuration.
 """
 

@@ -62,7 +62,6 @@ def _det_delta(registry, snap):
 
 
 async def _smoke(args):
-    from repro.cache import get_cache
     from repro.obs import get_registry
     from repro.service.cells import direct_lines
     from repro.service.client import get_json, request_lines
@@ -88,22 +87,25 @@ async def _smoke(args):
         # workers' metrics in only after the last cell has streamed.
         registry = get_registry()
         executor = server.service._executor
+
+        def cache_hits():
+            return registry.export().get("cache.hits", 0)
+
         snap = await loop.run_in_executor(executor, registry.snapshot)
         cold = await loop.run_in_executor(None, stream)
-        cold_det, snap = await loop.run_in_executor(
+        cold_det, snap, hits_before = await loop.run_in_executor(
             executor, lambda: (_det_delta(registry, snap),
-                               registry.snapshot()))
-        hits_before = get_cache().stats.hits
+                               registry.snapshot(), cache_hits()))
         warm = await loop.run_in_executor(None, stream)
-        warm_det = await loop.run_in_executor(
-            executor, _det_delta, registry, snap)
+        warm_det, hits_after = await loop.run_in_executor(
+            executor, lambda: (_det_delta(registry, snap), cache_hits()))
         if not cold:
             print("smoke: no result lines streamed", flush=True)
             return 1
         if cold != warm:
             print("smoke: warm stream differs from cold stream", flush=True)
             return 1
-        if get_cache().stats.hits <= hits_before:
+        if hits_after <= hits_before:
             print("smoke: warm pass did not hit the result cache",
                   flush=True)
             return 1

@@ -368,5 +368,4 @@ class SweepService:
             "limits": {"max_cells": self.max_cells,
                        "client_budget": self.client_budget},
             "counters": service,
-            "store": get_cache().stats.as_dict(),
         }

@@ -29,13 +29,14 @@ no frameworks, no threads per connection.  Endpoints:
 
 ``GET /stats``
     Operational snapshot: outstanding and in-flight cells, client
-    budgets, admission limits, ``service.*``/``sched.*``/``cache.*``
-    counters, artifact-store stats.
+    budgets, admission limits, and the ``service.*``/``sched.*``/
+    ``cache.*`` counters (the artifact store's hits, misses, puts and
+    evictions, the sweep workers' merged in).
 
 ``GET /metrics``
     Prometheus text exposition (v0.0.4) of the metrics registry — every
-    sample labelled with its stability tag (``det``/``sched``/``wall``)
-    — plus operational gauges: artifact-store hit/miss counts and
+    sample labelled with its stability tag (``det``/``sched``/``wall``),
+    the ``cache.*`` counters among them — plus two operational gauges:
     outstanding and in-flight cells.
 
 ``POST /shutdown``
@@ -239,14 +240,12 @@ class SweepServer:
 
     async def _send_metrics(self, writer):
         """``GET /metrics``: Prometheus text rendering of the registry
-        plus store / scheduler health gauges."""
+        plus the outstanding / in-flight cell gauges."""
         service = self.service
         extra = {
             "service.outstanding_cells": service._outstanding,
             "service.inflight_cells": len(service._inflight),
         }
-        for name, value in get_cache().stats.as_dict().items():
-            extra[f"store.{name}"] = value
         text = render_prometheus(get_registry(), extra_gauges=extra)
         writer.write(_head(200, "text/plain; version=0.0.4"))
         writer.write(text.encode("utf-8"))

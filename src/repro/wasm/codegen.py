@@ -38,7 +38,7 @@ the instruction budget are all batched per block:
 The generated source depends only on the prepared code and translation
 flags — instance state (memory, globals, stats, call targets) is bound
 by ``make(ns)`` at instantiation — so translation units are served from
-the persistent compile cache (see :mod:`repro.engine.codegen`).
+the persistent artifact cache (see :mod:`repro.engine.codegen`).
 
 ``translate`` returns ``None`` (*declines*) when the static stack-depth
 analysis finds an inconsistent join; the VM then runs that function on

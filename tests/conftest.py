@@ -1,6 +1,7 @@
 """Shared fixtures: compilers, runners, and a tiny C program."""
 
 import math
+from collections import Counter
 
 import pytest
 
@@ -8,6 +9,7 @@ from repro.compilers import CheerpCompiler, EmscriptenCompiler, LlvmX86Compiler
 from repro.env import DESKTOP, chrome_desktop
 from repro.harness import PageRunner, shutdown_pool
 from repro.harness.runner import wasm_host_imports
+from repro.obs import get_registry
 from repro.wasm import WasmVM
 
 
@@ -49,6 +51,31 @@ int main() {
 
 #: Reference value of TINY_C's checksum, computed independently.
 TINY_C_CHECKSUM = 9.4375
+
+
+def cache_counts(snap):
+    """The artifact store's ``cache.*`` counter increments since registry
+    snapshot ``snap`` (``hits``, ``misses``, ``puts``, ...; 0 if
+    unmoved)."""
+    delta = get_registry().diff(snap)["counters"]
+    return Counter({name[len("cache."):]: ints
+                    for name, (_tag, ints, _frac) in delta.items()
+                    if name.startswith("cache.")})
+
+
+@pytest.fixture()
+def fresh_store(tmp_path):
+    """The process's artifact store (compiled artifacts, memoized results
+    and codegen translation units) on a fresh directory under
+    ``tmp_path``, with every in-process memo dropped; the default
+    (env-derived) store is restored afterwards."""
+    from repro.cache import configure
+    from repro.engine.codegen import reset_cache
+    store = configure(root=str(tmp_path), disk=True)
+    reset_cache()
+    yield store
+    reset_cache()
+    configure()
 
 
 @pytest.fixture(autouse=True)

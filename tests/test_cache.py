@@ -1,5 +1,6 @@
-"""Persistent content-addressed compile cache: hits, misses, invalidation,
-staleness, and disk persistence."""
+"""Persistent content-addressed artifact cache: hits, misses,
+invalidation, staleness, and disk persistence.  Counts are read from the
+metrics registry's ``cache.*`` counters."""
 
 import os
 import pickle
@@ -13,7 +14,8 @@ from repro.cache.store import CACHE_VERSION
 from repro.compilers import CheerpCompiler, EmscriptenCompiler, LlvmX86Compiler
 from repro.env import DESKTOP, chrome_desktop, firefox_desktop
 from repro.harness import PageRunner
-from tests.conftest import TINY_C
+from repro.obs import get_registry
+from tests.conftest import TINY_C, cache_counts
 
 OTHER_C = TINY_C.replace("s += y[i];", "s += 2.0 * y[i];")
 
@@ -27,6 +29,13 @@ def isolated_cache(tmp_path):
     configure()
 
 
+@pytest.fixture()
+def counts():
+    """``counts()``: the ``cache.*`` increments since the test began."""
+    snap = get_registry().snapshot()
+    return lambda: cache_counts(snap)
+
+
 def _pkl_files(cache):
     root = cache.root
     return [os.path.join(dirpath, name)
@@ -35,14 +44,14 @@ def _pkl_files(cache):
 
 
 class TestHitMiss:
-    def test_second_compile_hits_memory(self, isolated_cache):
+    def test_second_compile_hits_memory(self, isolated_cache, counts):
         compiler = CheerpCompiler()
         first = compiler.compile_wasm(TINY_C, name="tiny")
         second = compiler.compile_wasm(TINY_C, name="tiny")
         assert second is first
-        assert isolated_cache.stats.misses == 1
-        assert isolated_cache.stats.hits == 1
-        assert isolated_cache.stats.memory_hits == 1
+        assert counts()["misses"] == 1
+        assert counts()["hits"] == 1
+        assert counts()["memory_hits"] == 1
 
     def test_fresh_process_hits_disk(self, tmp_path):
         compiler = CheerpCompiler()
@@ -50,31 +59,32 @@ class TestHitMiss:
         first = compiler.compile_wasm(TINY_C, name="tiny")
         # A new ArtifactCache over the same directory models a fresh
         # process: its memory layer is empty, so the hit comes from disk.
-        warm = configure(root=str(tmp_path), disk=True)
+        configure(root=str(tmp_path), disk=True)
+        snap = get_registry().snapshot()
         second = compiler.compile_wasm(TINY_C, name="tiny")
         configure()
-        assert warm.stats.disk_hits == 1
+        assert cache_counts(snap)["disk_hits"] == 1
         assert second is not first
         assert second.binary == first.binary
         assert second.opt_level == first.opt_level
 
-    def test_all_artifact_kinds_cached(self, isolated_cache):
+    def test_all_artifact_kinds_cached(self, isolated_cache, counts):
         CheerpCompiler().compile_wasm(TINY_C, name="tiny")
         CheerpCompiler().compile_js(TINY_C, name="tiny")
         EmscriptenCompiler().compile_wasm(TINY_C, name="tiny")
         LlvmX86Compiler().compile(TINY_C, name="tiny")
-        assert isolated_cache.stats.puts == 4
+        assert counts()["puts"] == 4
         assert isolated_cache.entry_count() == 4
 
 
 class TestInvalidation:
-    def test_source_change_misses(self, isolated_cache):
+    def test_source_change_misses(self, isolated_cache, counts):
         compiler = CheerpCompiler()
         compiler.compile_wasm(TINY_C, name="tiny")
         compiler.compile_wasm(OTHER_C, name="tiny")
-        assert isolated_cache.stats.misses == 2
+        assert counts()["misses"] == 2
 
-    def test_comment_only_change_hits(self, isolated_cache):
+    def test_comment_only_change_hits(self, isolated_cache, counts):
         # The key hashes the *preprocessed* source, so an edit the
         # preprocessor strips away entirely does not invalidate.
         compiler = CheerpCompiler()
@@ -83,31 +93,31 @@ class TestInvalidation:
                                    "init();\n  kernel();/*cosmetic*/")
         assert commented != TINY_C
         compiler.compile_wasm(commented, name="tiny")
-        assert isolated_cache.stats.hits == 1
+        assert counts()["hits"] == 1
 
-    def test_defines_change_misses(self, isolated_cache):
+    def test_defines_change_misses(self, isolated_cache, counts):
         compiler = CheerpCompiler()
         compiler.compile_wasm(TINY_C, {"STEPS": 4}, name="tiny")
         compiler.compile_wasm(TINY_C, {"STEPS": 8}, name="tiny")
-        assert isolated_cache.stats.misses == 2
+        assert counts()["misses"] == 2
 
-    def test_opt_level_change_misses(self, isolated_cache):
+    def test_opt_level_change_misses(self, isolated_cache, counts):
         compiler = CheerpCompiler()
         compiler.compile_wasm(TINY_C, opt_level="O2", name="tiny")
         compiler.compile_wasm(TINY_C, opt_level="Oz", name="tiny")
-        assert isolated_cache.stats.misses == 2
+        assert counts()["misses"] == 2
 
-    def test_toolchain_config_change_misses(self, isolated_cache):
+    def test_toolchain_config_change_misses(self, isolated_cache, counts):
         CheerpCompiler(linear_heap_size=1 << 20).compile_wasm(
             TINY_C, name="tiny")
         CheerpCompiler(linear_heap_size=2 << 20).compile_wasm(
             TINY_C, name="tiny")
-        assert isolated_cache.stats.misses == 2
+        assert counts()["misses"] == 2
 
-    def test_toolchain_identity_separates(self, isolated_cache):
+    def test_toolchain_identity_separates(self, isolated_cache, counts):
         CheerpCompiler().compile_wasm(TINY_C, name="tiny")
         EmscriptenCompiler().compile_wasm(TINY_C, name="tiny")
-        assert isolated_cache.stats.misses == 2
+        assert counts()["misses"] == 2
 
 
 class TestStaleness:
@@ -119,22 +129,23 @@ class TestStaleness:
         (path,) = _pkl_files(cache)
         with open(path, "wb") as handle:
             handle.write(b"not a pickle")
+        snap = get_registry().snapshot()
         second = compiler.compile_wasm(TINY_C, name="tiny")
         configure()
-        assert cache.stats.stale == 1
-        assert cache.stats.misses == 1
+        assert cache_counts(snap)["stale"] == 1
+        assert cache_counts(snap)["misses"] == 1
         assert second.binary == first.binary
         # The corrupt entry was evicted and rewritten by the recompile.
         with open(path, "rb") as handle:
             assert pickle.load(handle).binary == first.binary
 
-    def test_clear_empties_store(self, isolated_cache):
+    def test_clear_empties_store(self, isolated_cache, counts):
         CheerpCompiler().compile_wasm(TINY_C, name="tiny")
         assert isolated_cache.entry_count() == 1
         isolated_cache.clear()
         assert isolated_cache.entry_count() == 0
         CheerpCompiler().compile_wasm(TINY_C, name="tiny")
-        assert isolated_cache.stats.misses == 2
+        assert counts()["misses"] == 2
 
 
 class TestConfiguration:
@@ -150,7 +161,7 @@ class TestConfiguration:
             monkeypatch.delenv("REPRO_CACHE_DIR")
             configure()
 
-    def test_disk_disable_env(self, tmp_path, monkeypatch):
+    def test_disk_disable_env(self, tmp_path, monkeypatch, counts):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         monkeypatch.setenv("REPRO_CACHE", "0")
         cache = configure()
@@ -159,7 +170,7 @@ class TestConfiguration:
             first = compiler.compile_wasm(TINY_C, name="tiny")
             assert compiler.compile_wasm(TINY_C, name="tiny") is first
             assert cache.entry_count() == 0      # nothing written to disk
-            assert cache.stats.hits == 1         # memory layer still on
+            assert counts()["hits"] == 1         # memory layer still on
         finally:
             monkeypatch.delenv("REPRO_CACHE_DIR")
             monkeypatch.delenv("REPRO_CACHE")
@@ -182,7 +193,13 @@ class TestResultMemoization:
     """Measurements are deterministic, so REPRO_RESULT_CACHE=1 memoizes
     them under the same store; the layer is opt-in and off by default."""
 
-    def test_off_by_default(self, isolated_cache, monkeypatch):
+    @pytest.fixture(autouse=True)
+    def _reference_tier(self, monkeypatch):
+        # The reference ladders store no translation units, so the put
+        # counts below are compiles and measurements only.
+        monkeypatch.setenv("REPRO_FAST_INTERP", "0")
+
+    def test_off_by_default(self, isolated_cache, counts, monkeypatch):
         monkeypatch.delenv(RESULT_CACHE_ENV, raising=False)
         artifact = CheerpCompiler().compile_wasm(TINY_C, name="tiny")
         runner = PageRunner(chrome_desktop(), DESKTOP, repetitions=1)
@@ -190,18 +207,19 @@ class TestResultMemoization:
         second = runner.run_wasm(artifact)
         assert second is not first           # measured live, twice
         assert second.times_ms == first.times_ms   # ... deterministically
-        assert isolated_cache.stats.puts == 1      # only the compile
+        assert counts()["puts"] == 1          # only the compile
 
-    def test_memoizes_when_enabled(self, isolated_cache, monkeypatch):
+    def test_memoizes_when_enabled(self, isolated_cache, counts,
+                                   monkeypatch):
         monkeypatch.setenv(RESULT_CACHE_ENV, "1")
         artifact = CheerpCompiler().compile_wasm(TINY_C, name="tiny")
         runner = PageRunner(chrome_desktop(), DESKTOP, repetitions=1)
         first = runner.run_wasm(artifact)
         second = runner.run_wasm(artifact)
         assert second is first               # memory-layer hit
-        assert isolated_cache.stats.puts == 2      # compile + measurement
+        assert counts()["puts"] == 2          # compile + measurement
 
-    def test_profile_separates_measurements(self, isolated_cache,
+    def test_profile_separates_measurements(self, isolated_cache, counts,
                                             monkeypatch):
         monkeypatch.setenv(RESULT_CACHE_ENV, "1")
         artifact = CheerpCompiler().compile_wasm(TINY_C, name="tiny")
@@ -210,12 +228,12 @@ class TestResultMemoization:
         firefox = PageRunner(firefox_desktop(), DESKTOP,
                              repetitions=1).run_wasm(artifact)
         assert firefox is not chrome
-        assert isolated_cache.stats.puts == 3      # compile + two profiles
+        assert counts()["puts"] == 3          # compile + two profiles
 
 class TestFailureSafety:
     """A failed or killed cell must never poison the result cache."""
 
-    def test_failed_compute_memoizes_nothing(self, isolated_cache,
+    def test_failed_compute_memoizes_nothing(self, isolated_cache, counts,
                                              monkeypatch):
         from repro.cache.memo import cached_result
         monkeypatch.setenv(RESULT_CACHE_ENV, "1")
@@ -229,7 +247,7 @@ class TestFailureSafety:
 
         with pytest.raises(RuntimeError):
             cached_result("test", ("k",), compute)
-        assert isolated_cache.stats.puts == 0
+        assert counts()["puts"] == 0
         # The retry recomputes and only then memoizes.
         assert cached_result("test", ("k",), compute) == 42
         assert len(calls) == 2

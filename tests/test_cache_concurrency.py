@@ -15,7 +15,8 @@ from repro.cache.memo import RESULT_CACHE_ENV, results_enabled
 from repro.cache.store import (
     CACHE_ENV, CACHE_MEM_ENV, disk_enabled_from_env, memory_cap_from_env,
 )
-from repro.obs import env_flag, env_int, parse_flag
+from repro.obs import env_flag, env_int, get_registry, parse_flag
+from tests.conftest import cache_counts
 
 OWN_PER_WORKER = 20
 
@@ -65,13 +66,14 @@ class TestConcurrentStore:
 
         # A fresh reader over the same directory sees every entry intact.
         reader = ArtifactCache(root=str(tmp_path), disk=True)
+        snap = get_registry().snapshot()
         for w in range(len(workers)):
             for i in range(OWN_PER_WORKER):
                 assert reader.get(_key(f"own-{w}-{i}")) == \
                     {"owner": w, "i": i}
         for j, key in enumerate(shared):
             assert reader.get(key) == {"shared": j}
-        assert reader.stats.misses == 0
+        assert cache_counts(snap)["misses"] == 0
         # sha256 keys spread across many two-hex-digit shard dirs, and no
         # worker leaked an in-flight temp file.
         assert len(reader.shards()) > 1
@@ -100,42 +102,46 @@ class TestConcurrentStore:
 
 class TestMemoryCap:
     def test_lru_evicts_cold_end_with_exact_stats(self, tmp_path):
+        snap = get_registry().snapshot()
         cache = ArtifactCache(root=str(tmp_path), disk=False, memory_cap=2)
         cache.put("aa" + "0" * 62, "A")
         cache.put("bb" + "0" * 62, "B")
         assert cache.get("aa" + "0" * 62) == "A"  # refresh A's recency
         cache.put("cc" + "0" * 62, "C")           # evicts B (coldest)
-        assert cache.stats.evictions == 1
+        assert cache_counts(snap)["evictions"] == 1
         assert cache.get("aa" + "0" * 62) == "A"
         assert cache.get("cc" + "0" * 62) == "C"
         # With the disk layer off the evicted entry is an honest miss.
         assert cache.get("bb" + "0" * 62) is None
-        assert cache.stats.hits == 3
-        assert cache.stats.memory_hits == 3
-        assert cache.stats.misses == 1
-        assert cache.stats.puts == 3
+        assert cache_counts(snap)["hits"] == 3
+        assert cache_counts(snap)["memory_hits"] == 3
+        assert cache_counts(snap)["misses"] == 1
+        assert cache_counts(snap)["puts"] == 3
 
     def test_evicted_entry_served_from_disk(self, tmp_path):
+        snap = get_registry().snapshot()
         cache = ArtifactCache(root=str(tmp_path), disk=True, memory_cap=1)
         cache.put("aa" + "0" * 62, "A")
         cache.put("bb" + "0" * 62, "B")           # evicts A from memory
-        assert cache.stats.evictions == 1
+        assert cache_counts(snap)["evictions"] == 1
         assert cache.get("aa" + "0" * 62) == "A"  # disk still serves it
-        assert cache.stats.disk_hits == 1
+        assert cache_counts(snap)["disk_hits"] == 1
         assert cache.get("aa" + "0" * 62) == "A"  # and it is resident again
-        assert cache.stats.memory_hits == 1
+        assert cache_counts(snap)["memory_hits"] == 1
         # Re-remembering A pushed B out (cap is 1) — B comes back from
         # disk too: the cap only ever shifts the memory/disk hit split.
         assert cache.get("bb" + "0" * 62) == "B"
-        assert cache.stats.disk_hits == 2
-        assert cache.stats.evictions == 3  # B's return pushed A out again
-        assert cache.stats.misses == 0
+        assert cache_counts(snap)["disk_hits"] == 2
+        # B's return pushed A out again.
+        assert cache_counts(snap)["evictions"] == 3
+        assert cache_counts(snap)["misses"] == 0
 
     def test_zero_cap_is_unbounded(self, tmp_path):
+        snap = get_registry().snapshot()
         cache = ArtifactCache(root=str(tmp_path), disk=False, memory_cap=0)
         for i in range(100):
             cache.put(_key(f"k{i}"), i)
-        assert cache.stats.evictions == 0
+        assert cache_counts(snap)["evictions"] == 0
         assert all(cache.get(_key(f"k{i}")) == i for i in range(100))
 
 

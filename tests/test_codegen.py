@@ -755,9 +755,13 @@ class TestJsGcPauseParity:
 # Factory lifetime: a compiled ``make`` factory is memoized beside its
 # plan on the function's ``plans``, so it lives exactly as long as the
 # artifact it was translated from — which ``REPRO_CACHE_MEM`` bounds.
+# The cap counts entries, and a program's translation units are entries
+# of the same store: each program here is one artifact and two units
+# (``main`` and the memory initializer).
 
 class TestFactoryLifetime:
-    CAP = 2
+    CAP = 2             # programs resident at once
+    UNITS = 2           # translation units per program
 
     def test_evicted_artifacts_free_their_factories(self, tmp_path,
                                                     monkeypatch):
@@ -770,8 +774,6 @@ class TestFactoryLifetime:
         from repro.wasm import WasmVM
         from repro.wasm import codegen as wcg
 
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_CACHE_MEM", str(self.CAP))
         _set_tier(monkeypatch, "codegen")
         factories = []
         load = wcg.load_factory
@@ -781,7 +783,8 @@ class TestFactoryLifetime:
             factories[-1].append(weakref.ref(factory))
             return factory
         monkeypatch.setattr(wcg, "load_factory", spy)
-        configure(root=str(tmp_path), disk=True)
+        configure(root=str(tmp_path), disk=True,
+                  memory_cap=self.CAP * (1 + self.UNITS))
         substrate.reset_cache()
         try:
             n_programs = self.CAP + 3
@@ -801,7 +804,8 @@ class TestFactoryLifetime:
                     module, wasm_host_imports([], None)).invoke("main")
             del module, inst
             gc.collect()
-            assert all(factories)
+            assert [len(refs) for refs in factories] == \
+                [self.UNITS] * n_programs
             alive = [[ref() is not None for ref in refs]
                      for refs in factories]
             evicted = n_programs - self.CAP
@@ -818,17 +822,75 @@ class TestFactoryLifetime:
 # code objects from the persistent store instead of re-emitting, and the
 # run it serves must replay identical DET counters.
 
-class TestColdWarmCache:
-    @pytest.fixture(autouse=True)
-    def _isolated(self, tmp_path, monkeypatch):
+class TestUnitsFollowTheStore:
+    """Translation units are entries of the process's one artifact
+    store, so ``configure()`` decides where they go, like every other
+    entry's."""
+
+    def _unit_keys(self, monkeypatch, name):
+        """Compile and run a wasm program on the codegen tier from cold
+        in-process memos; the keys of the units it loaded."""
+        from repro.compilers import CheerpCompiler
+        from repro.engine.hostlib import wasm_host_imports
+        from repro.wasm import WasmVM
+        from repro.wasm import codegen as wcg
+        from tests.conftest import TINY_C
+
+        _set_tier(monkeypatch, "codegen")
+        keys = []
+        load = wcg.load_factory
+
+        def spy(engine, key, build_source):
+            keys.append(key)
+            return load(engine, key, build_source)
+        monkeypatch.setattr(wcg, "load_factory", spy)
+        substrate.reset_cache()
+        module = CheerpCompiler().compile_wasm(TINY_C, name=name).module
+        WasmVM().instantiate(module,
+                             wasm_host_imports([], None)).invoke("main")
+        assert keys
+        return keys
+
+    def test_units_land_under_the_configured_root(self, tmp_path,
+                                                   monkeypatch):
+        from repro.cache import configure
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
+        store = configure(root=str(tmp_path / "configured"), disk=True)
+        try:
+            keys = self._unit_keys(monkeypatch, "unitroot")
+            assert all(os.path.isfile(os.path.join(
+                store.root, store.shard_of(key), key + ".pkl"))
+                for key in keys)
+            assert not (tmp_path / "env").exists()
+        finally:
+            monkeypatch.undo()
+            substrate.reset_cache()
+            configure()
+
+    def test_disk_off_writes_no_unit(self, tmp_path, monkeypatch):
+        from repro.cache import configure
+
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         monkeypatch.delenv("REPRO_CACHE", raising=False)
+        configure(disk=False)
+        try:
+            self._unit_keys(monkeypatch, "unitnodisk")
+            assert [path for path in tmp_path.rglob("*")
+                    if path.is_file()] == []
+        finally:
+            monkeypatch.undo()
+            substrate.reset_cache()
+            configure()
+
+
+class TestColdWarmCache:
+    @pytest.fixture(autouse=True)
+    def _isolated(self, fresh_store, monkeypatch):
         monkeypatch.setenv("REPRO_PROFILE", "1")
         _set_tier(monkeypatch, "codegen")
-        substrate.reset_cache()
         reset_registry()
         yield
-        substrate.reset_cache()
         reset_registry()
 
     def _measure(self, artifact):
@@ -1016,14 +1078,8 @@ console.log(t);
 """
 
 
+@pytest.mark.usefixtures("fresh_store")
 class TestJsUnitSharing:
-    @pytest.fixture(autouse=True)
-    def _isolated(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.delenv("REPRO_CACHE", raising=False)
-        substrate.reset_cache()
-        yield
-        substrate.reset_cache()
 
     def _run(self, monkeypatch, tier, config):
         from repro.jsengine.engine import JsEngine
@@ -1308,7 +1364,8 @@ class TestUnitNames:
 
     @pytest.mark.parametrize("variant", ["plain", "profile", "budget"])
     def test_run_reads_no_unbound_global(self, cheerp, llvm_x86,
-                                         monkeypatch, tmp_path, variant):
+                                         monkeypatch, fresh_store,
+                                         variant):
         from repro.engine.hostlib import wasm_host_imports
         from repro.jsengine import codegen as jcg
         from repro.jsengine.engine import JsEngine
@@ -1317,7 +1374,6 @@ class TestUnitNames:
         from repro.wasm import WasmVM
         from repro.wasm import codegen as wcg
 
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         if variant == "profile":
             monkeypatch.setenv("REPRO_PROFILE", "1")
         else:

@@ -122,6 +122,34 @@ def test_typed_env_parses_must_use_envflags(tmp_path):
     assert all("envflags" in v for v in violations)
 
 
+def test_only_the_store_module_builds_an_artifact_cache(tmp_path):
+    """Every entry goes through ``get_cache()``: a second
+    ``ArtifactCache`` anywhere but ``repro.cache.store`` — bare or
+    dotted, module-level or lazy — is flagged; importing or naming the
+    class is not."""
+    units = tmp_path / "harness" / "units.py"
+    units.parent.mkdir()
+    units.write_text(
+        "from repro.cache.store import ArtifactCache\n"
+        "_STORE = None\n"
+        "def _store():\n"
+        "    from repro import cache\n"
+        "    return ArtifactCache() if _STORE is None else \\\n"
+        "        cache.ArtifactCache(disk=False)\n"
+        "def is_store(obj):\n"
+        "    return isinstance(obj, ArtifactCache)\n")
+    store = tmp_path / "cache" / "store.py"
+    store.parent.mkdir()
+    store.write_text(
+        "class ArtifactCache:\n"
+        "    pass\n"
+        "_GLOBAL = ArtifactCache()\n")
+    violations = check_layering.check(src=tmp_path)
+    assert [v.split(":")[:2] for v in violations] == [
+        ["src/repro/harness/units.py", str(line)] for line in (5, 6)]
+    assert all("get_cache()" in v for v in violations)
+
+
 def test_knob_table_lists_every_knob():
     """Every quoted ``REPRO_*`` name the package, the benchmark scripts
     and ``run_all.py`` read has a row in README's knob table, and every

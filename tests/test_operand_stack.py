@@ -20,7 +20,6 @@ import warnings
 
 import pytest
 
-from repro.engine import codegen as substrate
 from repro.errors import TrapError
 
 TIERS = ("ref", "codegen")
@@ -37,17 +36,13 @@ def _stats_dict(stats):
 
 
 @pytest.fixture(autouse=True)
-def _isolated(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.delenv("REPRO_CACHE", raising=False)
+def _isolated(fresh_store, monkeypatch):
     monkeypatch.delenv("REPRO_PROFILE", raising=False)
-    substrate.reset_cache()
     # A SyntaxWarning while compiling a unit (``'str' is u_``, say) is a
     # translation bug: make it fail the test.
     with warnings.catch_warnings():
         warnings.simplefilter("error", SyntaxWarning)
         yield
-    substrate.reset_cache()
 
 
 def _spy_sources(monkeypatch, *modules):

@@ -486,7 +486,7 @@ class TestHttpServer:
         health, stats, codes = self._run_server(scenario)
         assert health == {"ok": True}
         assert set(stats["limits"]) == {"max_cells", "client_budget"}
-        assert "store" in stats and "counters" in stats
+        assert "counters" in stats
         assert codes == {"/nope": 404, "/sweep": 400}
 
     def test_http_429_on_admission_reject(self, service_env):
@@ -718,9 +718,11 @@ class TestTracing:
         # The retry counter is registered even on clean sweeps so
         # scrapers always see the series.
         assert 'repro_sched_retries{stability="sched"} 0' in text
-        # Store stats and scheduler-health gauges ride along.
-        assert "# TYPE repro_store_hits gauge" in text
-        assert "# TYPE repro_store_misses gauge" in text
+        # The artifact store's registry counters (the sweep workers'
+        # merged in) and the scheduler-health gauges ride along.
+        assert "# TYPE repro_cache_misses counter" in text
+        assert "# TYPE repro_cache_puts counter" in text
+        assert "repro_store_" not in text
         assert "repro_service_outstanding_cells 0" in text
         assert "repro_service_inflight_cells 0" in text
 

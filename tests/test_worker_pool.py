@@ -45,6 +45,28 @@ def _memory_cap(_item):
     return get_cache().memory_cap
 
 
+def _run_program(k):
+    """Compile and run one tiny C program (codegen tier by default)."""
+    from repro.compilers import CheerpCompiler
+    from repro.engine.hostlib import wasm_host_imports
+    from repro.wasm import WasmVM
+    source = (f"int main() {{ int s = 0; "
+              f"for (int i = 0; i < {k + 3}; i++) s = s + i * {k + 1}; "
+              f'printf("%d", s); return 0; }}')
+    module = CheerpCompiler().compile_wasm(source, name=f"cap{k}").module
+    WasmVM().instantiate(module, wasm_host_imports([], None)).invoke("main")
+    return os.getpid()
+
+
+def _resident(_item):
+    """The worker's memory-layer entries, and how many are codegen
+    translation units."""
+    memory = get_cache()._memory
+    units = sum(1 for entry in memory.values()
+                if isinstance(entry, tuple) and entry[:1] == ("codegen",))
+    return len(memory), units, os.getpid()
+
+
 def _sched(name):
     return get_registry().export([SCHED]).get(name, 0)
 
@@ -110,6 +132,19 @@ class TestReuse:
         monkeypatch.setenv("REPRO_CACHE_MEM", "7")
         configure(root=str(fresh / "cache"), disk=True)
         assert run_sweep(_memory_cap, [0, 1], jobs=2).values == [7, 7]
+
+    def test_worker_units_count_against_its_cap(self, fresh, monkeypatch):
+        """A worker's translation units share its one store's memory
+        layer, so its cap bounds them with its compiled artifacts."""
+        monkeypatch.delenv("REPRO_FAST_INTERP", raising=False)
+        monkeypatch.setenv("REPRO_CACHE_MEM", "4")
+        configure(root=str(fresh / "cache"), disk=True)
+        ran = set(run_sweep(_run_program, list(range(6)), jobs=2).values)
+        probes = run_sweep(_resident, [0, 1], jobs=2).values
+        assert all(size <= 4 for size, _units, _pid in probes)
+        assert any(pid in ran for _size, _units, pid in probes)
+        assert all(units > 0 for _size, units, pid in probes
+                   if pid in ran)
 
     def test_changed_jobs_respawns(self, fresh):
         run_sweep(_square_pid, [1, 2, 3], jobs=2)

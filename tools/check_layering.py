@@ -67,6 +67,12 @@ Enforced here:
   roots (``jsengine/gc.py``); asking CPython what is alive, or walking
   Python frames for roots, would make the modeled numbers depend on the
   interpreter's own bookkeeping again.
+* One artifact store per process: no module except
+  ``repro.cache.store`` constructs an ``ArtifactCache``.  Everything
+  else reaches the store through ``repro.cache.get_cache()``, so
+  ``configure()``, the ``REPRO_CACHE*`` knobs and a sweep worker's
+  memory cap cover every entry, and the registry's ``cache.*`` counters
+  see every get and put.
 * Typed environment knobs parse through ``repro.obs.envflags``
   (``env_int``/``env_float``/``env_flag``): outside that module, no
   ``int(…)``, ``float(…)`` or ``bool(…)`` may be applied to an
@@ -200,6 +206,15 @@ def _python_liveness(tree):
     return sorted(lines)
 
 
+def _store_constructions(tree):
+    """Line numbers of ``ArtifactCache(...)`` calls (bare or dotted)."""
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and (
+                       getattr(node.func, "id", None) == "ArtifactCache"
+                       or getattr(node.func, "attr", None)
+                       == "ArtifactCache")})
+
+
 def check(src=SRC):
     violations = []
     for path in sorted(src.rglob("*.py")):
@@ -212,6 +227,12 @@ def check(src=SRC):
                     f"src/repro/{rel}:{lineno}: typed parse of an "
                     f"environment read (use repro.obs.envflags "
                     f"env_int/env_float/env_flag)")
+        if rel.parts != ("cache", "store.py"):
+            for lineno in _store_constructions(tree):
+                violations.append(
+                    f"src/repro/{rel}:{lineno}: constructs an "
+                    f"ArtifactCache (use repro.cache.get_cache(); only "
+                    f"repro.cache.store builds the process's one store)")
         if layer == "jsengine":
             for lineno in _python_liveness(tree):
                 violations.append(

@@ -18,7 +18,7 @@ Sections (each skipped gracefully when its metrics are absent):
 * **Startup frontier** — digest of the E14 sweep when
   ``summary["startup_frontier"]`` is present: per host, the default
   policy's startup/steady point plus which tier policy wins each axis.
-* **Cache / scheduler health** — compile-cache hit rates and sweep
+* **Cache / scheduler health** — artifact-cache hit rates and sweep
   scheduler retry/timeout/lost counts (``cache.*`` / ``sched.*`` in the
   ``metrics_unstable`` section).
 * **Sweep service** — request/cell admission, dedupe and memo-warm
@@ -121,12 +121,14 @@ def _health_section(summary):
         probes = cache.get("hits", 0) + cache.get("misses", 0)
         rate = (100.0 * cache.get("hits", 0) / probes) if probes else 0.0
         lines.append(
-            f"compile cache: {cache.get('hits', 0):,} hit(s) "
+            f"artifact cache: {cache.get('hits', 0):,} hit(s) "
             f"({cache.get('memory_hits', 0):,} memory / "
             f"{cache.get('disk_hits', 0):,} disk), "
             f"{cache.get('misses', 0):,} miss(es), "
             f"{cache.get('stale', 0):,} stale, "
-            f"{cache.get('puts', 0):,} write(s) — {rate:.1f}% hit rate")
+            f"{cache.get('puts', 0):,} write(s), "
+            f"{cache.get('evictions', 0):,} eviction(s) — "
+            f"{rate:.1f}% hit rate")
     if sched:
         lines.append(
             f"scheduler: {sched.get('cells', 0):,} cell(s), "
