@@ -117,10 +117,11 @@ class ArtifactCache:
         if events_enabled():
             emit("cache", key=key, outcome=f"{layer}_hit")
 
-    def get(self, key):
-        """Return the cached artifact or ``None`` (a miss)."""
+    def get(self, key, memory=True):
+        """Return the cached artifact or ``None`` (a miss).  With
+        ``memory=False`` the memory layer is neither read nor filled."""
         reg = get_registry()
-        artifact = self._memory.get(key)
+        artifact = self._memory.get(key) if memory else None
         if artifact is not None:
             self._memory.move_to_end(key)
             self._hit(reg, key, "memory")
@@ -128,7 +129,8 @@ class ArtifactCache:
         if self.disk:
             artifact = self._disk_get(key)
             if artifact is not None:
-                self._remember(key, artifact)
+                if memory:
+                    self._remember(key, artifact)
                 self._hit(reg, key, "disk")
                 return artifact
         reg.counter_add("cache.misses", 1, SCHED)
@@ -160,8 +162,11 @@ class ArtifactCache:
 
     # -- store ----------------------------------------------------------------
 
-    def put(self, key, artifact):
-        self._remember(key, artifact)
+    def put(self, key, artifact, memory=True):
+        """Store ``artifact`` in both layers (``memory=False``: on disk
+        only)."""
+        if memory:
+            self._remember(key, artifact)
         get_registry().counter_add("cache.puts", 1, SCHED)
         if not self.disk:
             return

@@ -70,10 +70,14 @@ translator skeleton the three ``codegen.py`` files build on:
   only before a write to what they read and at block end.  Only
   trap-free, side-effect-free values are deferred, so no charge, trap,
   GC root or deopt moves;
+* :func:`block_successors` and :class:`LoopLayout`: the natural loops
+  of a function's blocks, which the emitter nests as ``while True``
+  loops, and how each jump is spelled in that shape;
 * :class:`FnEmitter`: the ``def make(ns): … def run(args): … return
   run`` wrapper, the ``bi``/``while True`` dispatch loop with its
-  ``try``/``finally``, jumps, trap guards, the per-block charge flush
-  (one :func:`emit_sum` per counter) and the profiler cells;
+  ``try``/``finally`` and a nested loop per region, jumps, trap guards,
+  the per-block charge flush (one :func:`emit_sum` per counter) and the
+  profiler cells;
 * the literal rules (:func:`literal`, :func:`literalizable`), the
   two's-complement wrap (:func:`emit_wrap`) and the
   ``interp.<engine>.codegen_*`` counters.
@@ -87,8 +91,9 @@ messages and unknown-op error types, the frame prologue, its ``ns``
 construction, and its own ``load_factory`` call.
 
 Plan and bind.  Each translator's ``translate`` is two halves.  The
-*plan* (supported-op check, :func:`block_ranges`, stack depths, constant
-tables, :func:`unit_key`) depends only on the code and the translation
+*plan* (supported-op check, :func:`block_ranges`, stack depths, the
+:class:`LoopLayout`, constant tables, :func:`unit_key`) depends only on
+the code and the translation
 flags, so it is memoized on the code's shared holder (``fn.plans``, a
 :class:`~repro.cache.derived.Derived`) and every engine that runs the
 same program reuses it, as does the ``make`` factory compiled from the
@@ -104,9 +109,10 @@ are content-addressed exactly like compiled artifacts and kept in the
 same process-global store, :func:`repro.cache.get_cache`.  Its settings
 (``configure()``, ``REPRO_CACHE``, ``REPRO_CACHE_DIR``, the
 ``REPRO_CACHE_MEM`` cap a sweep worker runs under) and its ``cache.*``
-counters therefore cover units too.  An entry pins the source text and a
-``marshal`` of the compiled code object, so a warm process skips both
-source generation and ``compile()``.
+counters therefore cover units too, except that with the disk layer on
+a unit skips the memory layer (:func:`load_factory`).  An entry pins the
+source text and a ``marshal`` of the compiled code object, so a warm
+process skips both source generation and ``compile()``.
 """
 
 from __future__ import annotations
@@ -213,6 +219,226 @@ def stack_depths(code, ranges, block_index, walk):
             return None
         max_d = max(max_d, peak)
     return entry, max_d
+
+
+def block_successors(code, ranges, block_index, branch_ops, no_fall_ops):
+    """The successor blocks of each block, in block order.
+
+    A block that ends in a branch (``branch_ops``; its target pc in slot
+    1) may go to the target; unless its last op is in ``no_fall_ops``
+    (an unconditional jump or a return) it may fall into the next block.
+    Function exit (a pc past the end) is not a successor.
+    """
+    n = len(code)
+    succs = []
+    for _start, end in ranges:
+        last = code[end - 1]
+        out = []
+        if last[0] in branch_ops and last[1] < n:
+            out.append(block_index[last[1]])
+        if last[0] not in no_fall_ops and end < n:
+            out.append(block_index[end])
+        succs.append(out)
+    return succs
+
+
+#: Deepest nesting of structured loops.  CPython refuses a function with
+#: more than 20 statically nested blocks: a unit's ``try``/``finally``
+#: and its top-level ``while`` take two, and a trap guard inside the
+#: innermost arm takes two more (its ``try`` and its handler).
+MAX_LOOP_DEPTH = 16
+
+#: How :meth:`LoopLayout.transfer` reaches a target arm: set ``bi`` and
+#: let the arms after this one test it, ``continue`` the innermost
+#: ``while``, or ``break`` out of it (the last two spelled as their
+#: statement).
+FALL, CONTINUE, BREAK = "fall", "continue", "break"
+
+
+def _reverse_postorder(succs):
+    """Blocks reachable from block 0, in reverse postorder."""
+    post, seen = [], {0}
+    stack = [(0, iter(succs[0]))]
+    while stack:
+        b, it = stack[-1]
+        for s in it:
+            if s not in seen:
+                seen.add(s)
+                stack.append((s, iter(succs[s])))
+                break
+        else:
+            stack.pop()
+            post.append(b)
+    return post[::-1]
+
+
+def _immediate_dominators(order, preds):
+    """``idom`` of every block in ``order`` (a reverse postorder from
+    block 0), by the Cooper–Harvey–Kennedy iteration."""
+    rank = {b: i for i, b in enumerate(order)}
+    idom = {order[0]: order[0]}
+    changed = True
+    while changed:
+        changed = False
+        for b in order[1:]:
+            new = None
+            for p in preds[b]:
+                if p not in idom:
+                    continue
+                if new is None:
+                    new = p
+                    continue
+                a = p
+                while a != new:
+                    while rank[a] > rank[new]:
+                        a = idom[a]
+                    while rank[new] > rank[a]:
+                        new = idom[new]
+            if idom.get(b) != new:
+                idom[b] = new
+                changed = True
+    return idom
+
+
+class LoopLayout:
+    """Where each block's arm sits in a unit: the loop regions the
+    emitter nests as ``while True`` loops, and how a jump between two
+    arms is spelled.
+
+    A region is a natural loop: a header ``h`` that dominates every
+    block of the loop, entered only through ``h``.  Regions nest; a
+    *chain* is the ``if bi == k`` arms of one ``while``: ``-1`` names the
+    top-level chain, a header names its region's.  A chain's arms are its
+    own blocks and one arm per child region (keyed by the child's
+    header), in :attr:`chains` order: a region's header first, then by
+    block index.  A jump to a later arm of the same chain falls forward
+    through the arms between; to an earlier one it ``continue``\\ s; out
+    of the chain it ``break``\\ s, and each enclosing ``while`` breaks on
+    (its chain's arms do not match) until one holds the target.  Where
+    that chain's target arm comes *before* the region the exit left,
+    :attr:`post` names it: a ``continue`` after that region's loop.
+
+    A region whose only ``continue`` target is its header (:attr:`bare`)
+    runs the header block at the top of its loop with no arm test.
+
+    Declined, left to the enclosing chain: a loop with no dominating
+    header (irreducible), and a loop nested deeper than
+    :data:`MAX_LOOP_DEPTH`.  :attr:`declined` counts both.
+    """
+
+    def __init__(self, succs):
+        n = len(succs)
+        order = _reverse_postorder(succs) if n else []
+        self.reach = frozenset(order)
+        preds = {b: [] for b in order}
+        for b in order:
+            for s in succs[b]:
+                preds[s].append(b)
+        idom = _immediate_dominators(order, preds) if n else {}
+        rank = {b: i for i, b in enumerate(order)}
+
+        def dominates(h, u):
+            while True:
+                if u == h:
+                    return True
+                if u == idom[u]:
+                    return False
+                u = idom[u]
+
+        latches, irreducible = {}, set()
+        for u in order:
+            for h in succs[u]:
+                if rank[h] > rank[u]:
+                    continue                  # not a retreating edge
+                if dominates(h, u):
+                    latches.setdefault(h, []).append(u)
+                else:
+                    irreducible.add(h)
+        bodies = {}
+        for h, srcs in latches.items():
+            body = {h}
+            work = [u for u in srcs if u != h]
+            body.update(work)
+            while work:
+                for p in preds[work.pop()]:
+                    if p not in body:
+                        body.add(p)
+                        work.append(p)
+            bodies[h] = frozenset(body)
+
+        # Outermost first, so a loop's parent is settled before it.
+        self.parent, depth = {}, {}
+        declined = len(irreducible)
+        for h in sorted(bodies, key=lambda h: (-len(bodies[h]), h)):
+            outer = [m for m in self.parent if h in bodies[m]]
+            p = min(outer, key=lambda m: len(bodies[m]), default=-1)
+            d = 1 + depth.get(p, 0)
+            if (p != -1 and not bodies[h] <= bodies[p]) \
+                    or d > MAX_LOOP_DEPTH:
+                declined += 1
+                continue
+            self.parent[h] = p
+            depth[h] = d
+        self.declined = declined
+        self.members = {h: bodies[h] for h in self.parent}
+        region_of = [-1] * n
+        for h in sorted(self.parent, key=depth.get):
+            for b in bodies[h]:
+                region_of[b] = h
+        self.region_of = region_of
+
+        arms = {-1: [], **{h: [] for h in self.parent}}
+        for b in range(n):
+            if region_of[b] != b:
+                arms[region_of[b]].append(b)
+        for h, p in self.parent.items():
+            arms[p].append(h)
+        self.chains = {c: tuple(([c] if c != -1 else []) + sorted(keys))
+                       for c, keys in arms.items()}
+        self._rank = {c: {k: i for i, k in enumerate(keys)}
+                      for c, keys in self.chains.items()}
+
+        post, targets = {}, {c: set() for c in self.chains}
+        for b in order:
+            for t in succs[b]:
+                how, region = self.transfer(b, t)
+                if how == CONTINUE:
+                    targets[region_of[b]].add(t)
+                elif region is not None:
+                    post.setdefault(region, set()).add(t)
+                    targets[self.parent[region]].add(t)
+        self.post = {h: tuple(sorted(ts)) for h, ts in post.items()}
+        self.bare = frozenset(h for h in self.parent if targets[h] <= {h})
+
+    @property
+    def loops(self):
+        """Number of structured regions."""
+        return len(self.parent)
+
+    def _arm(self, chain, t):
+        """The key of the arm of ``chain`` that holds block ``t``."""
+        x = self.region_of[t]
+        if x == chain:
+            return t
+        while self.parent[x] != chain:
+            x = self.parent[x]
+        return x
+
+    def transfer(self, b, t):
+        """How a jump from block ``b`` to block ``t`` is spelled:
+        ``(how, region)``.  ``how`` is :data:`FALL`, :data:`CONTINUE` or
+        :data:`BREAK`; for a break whose target arm comes before the
+        region it leaves in the chain that holds it, ``region`` is that
+        region (whose loop is followed by a ``continue`` on ``bi ==
+        t``), else ``None``."""
+        chain, child = self.region_of[b], None
+        while chain != -1 and t not in self.members[chain]:
+            child, chain = chain, self.parent[chain]
+        rank = self._rank[chain]
+        arm = self._arm(chain, t)
+        if child is None:
+            return (FALL if rank[arm] > rank[b] else CONTINUE), None
+        return BREAK, (child if rank[arm] < rank[child] else None)
 
 
 def class_deltas(classes):
@@ -504,10 +730,18 @@ class FnEmitter:
     The unit is ``make(ns)`` binding each ``ns`` name the body
     :meth:`use`\\ s, around ``run(args)``: the engine's prologue, then —
     inside ``try``/``finally`` — a ``while True`` loop over ``if bi == k``
-    arms, one per basic block.  A block counts its executions in a local
-    ``nb<k>``; the ``finally`` flushes the charges queued in
-    :attr:`block_counts` with one statement per counter, then the
-    profiler cells.
+    arms, one per basic block, which is the function's entry path.  Each
+    loop region of the :class:`LoopLayout` is one arm of its enclosing
+    chain, keyed by its header: a nested ``while True`` over the
+    region's own arms, ended by ``break`` when none matches.  Inside it
+    a back edge ``continue``\\ s the nested loop (a *bare* region runs
+    its header at the loop top, untested), a jump to a later arm of the
+    same chain sets ``bi`` and falls forward through the arms between,
+    and a jump out of the region sets ``bi`` and ``break``\\ s, so the
+    enclosing chains re-dispatch it.  Each block is emitted exactly once.
+    A block counts its executions in a local ``nb<k>``; the ``finally``
+    flushes the charges queued in :attr:`block_counts` with one statement
+    per counter, then the profiler cells.
 
     An engine subclass supplies ``emit_prologue`` (frame set-up),
     ``emit_block`` (one reachable block's arm), ``emit_exit`` (leave the
@@ -523,12 +757,16 @@ class FnEmitter:
     #: Parameters of the generated ``run``.
     run_params = "args"
 
-    def __init__(self, fn, code, ranges, block_index, profiling,
+    def __init__(self, fn, code, ranges, block_index, layout, profiling,
                  entry_depth=None, max_depth=0):
         self.fn = fn
         self.code = code
         self.ranges = ranges
         self.block_index = block_index
+        #: The :class:`LoopLayout` of the blocks, and the block whose arm
+        #: is being emitted (the source of its jumps).
+        self.layout = layout
+        self.cur = None
         self.profiling = profiling
         #: Stack machines: the static operand depth each reachable block
         #: is entered at (:func:`stack_depths`) and the deepest slot.
@@ -555,7 +793,7 @@ class FnEmitter:
         return -1 if pc >= len(self.code) else self.block_index[pc]
 
     def reachable(self, bi):
-        return self.entry_depth is None or bi in self.entry_depth
+        return bi in self.layout.reach
 
     # -- engine hooks -----------------------------------------------------
 
@@ -595,24 +833,47 @@ class FnEmitter:
             self.out.emit(f"fprof = {self.use('prof_frame')}"
                           f"({self.use('fn_name')})")
 
-    def emit_jump(self, tbi, fall_bi=None, depth=0):
-        """Transfer to block ``tbi`` (``-1``: leave the function with
-        ``depth`` operand slots live); falling into ``fall_bi``, the next
-        arm, needs no ``continue``."""
+    def emit_jump(self, tbi, depth=0):
+        """Transfer from the block being emitted to block ``tbi``
+        (``-1``: leave the function with ``depth`` operand slots live),
+        spelled as :meth:`LoopLayout.transfer` says.  Returns whether the
+        statements end control here; a jump that falls forward only sets
+        ``bi``, so it must be the last statement of its arm."""
+        layout = self.layout
         if tbi == -1:
             self.emit_exit(depth)
+            return True
+        how, _region = layout.transfer(self.cur, tbi)
+        if how == CONTINUE and layout.region_of[self.cur] in layout.bare:
+            self.out.emit("continue")     # to the header, run untested
+            return True
+        self.out.emit(f"bi = {tbi}")
+        if how == FALL:
+            return False
+        self.out.emit(how)
+        return True
+
+    def emit_branch(self, cond, tbi, fall_bi, depth=0, fall_depth=0):
+        """Go to block ``tbi`` when ``cond`` holds, else to ``fall_bi``
+        (each with its operand depth, as :meth:`emit_jump`)."""
+        out = self.out
+        out.emit(f"if {cond}:")
+        with out.block():
+            ends = self.emit_jump(tbi, depth)
+        if ends:
+            self.emit_jump(fall_bi, fall_depth)
         else:
-            self.out.emit(f"bi = {tbi}")
-            if tbi != fall_bi:
-                self.out.emit("continue")
+            out.emit("else:")
+            with out.block():
+                self.emit_jump(fall_bi, fall_depth)
 
     def emit_fall(self, fall_bi):
         """End a stack machine's block that has no terminator: write the
-        live entries out (unless the function ends here) and fall into
+        live entries out (unless the function ends here) and go on to
         block ``fall_bi``."""
         if fall_bi != -1:
             self.stack.flush()
-        self.emit_jump(fall_bi, fall_bi, len(self.stack))
+        self.emit_jump(fall_bi, len(self.stack))
 
     def guarded(self, body_lines, *rewind):
         """Emit trap-capable statements inside a guard that runs the
@@ -666,15 +927,49 @@ class FnEmitter:
 
     # -- the unit ---------------------------------------------------------
 
+    def emit_body(self, bi):
+        """The statements of block ``bi``, the source of the jumps they
+        emit."""
+        self.cur = bi
+        if self.reachable(bi):
+            self.emit_block(bi)
+        else:                             # CFG-unreachable: never entered
+            self.out.emit(f"raise {self.use(self.error_name)}"
+                          f"('codegen: entered unreachable block {bi}')")
+
     def emit_arm(self, bi):
+        self.out.emit(f"if bi == {bi}:")
+        with self.out.block():
+            self.emit_body(bi)
+
+    def emit_chain(self, chain):
+        """The arms of one chain (``-1``: the top level), in order."""
+        layout = self.layout
+        for key in layout.chains[chain]:
+            if key == chain and key in layout.bare:
+                self.emit_body(key)
+            elif key != chain and key in layout.chains:
+                self.emit_loop(key)
+            else:
+                self.emit_arm(key)
+
+    def emit_loop(self, header):
+        """The arm of the loop region headed by ``header``: its chain in a
+        nested ``while``, then the ``continue`` that re-dispatches an exit
+        to an earlier arm of the enclosing chain."""
         out = self.out
-        out.emit(f"if bi == {bi}:")
+        out.emit(f"if bi == {header}:")
         with out.block():
-            if self.reachable(bi):
-                self.emit_block(bi)
-            else:                         # CFG-unreachable: never entered
-                out.emit(f"raise {self.use(self.error_name)}"
-                         f"('codegen: entered unreachable block {bi}')")
+            out.emit("while True:")
+            with out.block():
+                self.emit_chain(header)
+                out.emit("break")
+            post = self.layout.post.get(header)
+            if post:
+                out.emit(f"if bi == {post[0]}:" if len(post) == 1
+                         else f"if bi in {post}:")
+                with out.block():
+                    out.emit("continue")
 
     def build(self):
         out = self.out
@@ -692,8 +987,7 @@ class FnEmitter:
                     body.emit("bi = 0")
                     body.emit("while True:")
                     with body.block():
-                        for bi in range(len(self.ranges)):
-                            self.emit_arm(bi)
+                        self.emit_chain(-1)
                         if self.dispatch_tail:
                             body.emit(self.dispatch_tail)
                 body.emit("finally:")
@@ -722,10 +1016,13 @@ def declined(engine):
     return None
 
 
-def translated(engine, n_blocks):
-    """Count one translated function of ``n_blocks`` blocks."""
+def translated(engine, n_blocks, layout):
+    """Count one translated function of ``n_blocks`` blocks, and the
+    loop regions its :class:`LoopLayout` structured and declined."""
     _count(engine, "functions")
     _count(engine, "blocks", n_blocks)
+    _count(engine, "loops", layout.loops)
+    _count(engine, "loops_declined", layout.declined)
 
 
 def deopt_counter(engine):
@@ -777,12 +1074,16 @@ def load_factory(engine, key, build_source):
     *and* ``compile``; a miss builds and stores both.  The factory is the
     module-level ``make`` function of the generated source; callers
     memoize it beside the unit's plan and invoke it once per engine
-    instance with the pre-bound namespace.
+    instance with the pre-bound namespace.  With the store's disk layer
+    on, units bypass its memory layer: the factory memo already keeps
+    what a unit is loaded for, and a unit in the memory layer would take
+    the place of a compiled artifact under a capped layer.
     """
     reg = get_registry()
     filename = f"<repro-codegen:{engine}:{key[:12]}>"
     store = get_cache()
-    entry = store.get(key)
+    memory = not store.disk
+    entry = store.get(key, memory)
     code = None
     source = None
     if isinstance(entry, tuple) and len(entry) == 4 \
@@ -798,7 +1099,8 @@ def load_factory(engine, key, build_source):
         reg.counter_add(f"interp.{engine}.codegen_cache_misses", 1, SCHED)
     if code is None:
         code = compile(source, filename, "exec")
-        store.put(key, (_TAG, SCHEMA_VERSION, source, marshal.dumps(code)))
+        store.put(key, (_TAG, SCHEMA_VERSION, source, marshal.dumps(code)),
+                  memory)
     namespace = {}
     exec(code, namespace)
     factory = namespace["make"]

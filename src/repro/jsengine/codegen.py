@@ -5,7 +5,8 @@ Python function: the operand stack is lowered to slot variables
 ``s0..sK`` (depths are static in compiler output; hand-built bytecode
 with inconsistent join depths makes the translator decline), locals to
 ``l0..lN``, and dispatch to a ``bi`` block index looping over
-``if bi == k`` arms.
+``if bi == k`` arms, each loop nested as a ``while True`` of its own
+(:class:`~repro.engine.codegen.LoopLayout`).
 
 Ops emit through the abstract operand stack
 (:class:`~repro.engine.codegen.OperandStack`): ``LOADL``, ``CONST``,
@@ -83,9 +84,9 @@ from typing import NamedTuple
 
 from repro.clibm import c_fmod
 from repro.engine.codegen import (
-    DECLINED, LOST_DISPATCH, UNKNOWN, FnEmitter, block_ranges,
-    class_deltas, declined, literal, literalizable, load_factory,
-    split_term, stack_depths, translated, unit_key,
+    DECLINED, LOST_DISPATCH, UNKNOWN, FnEmitter, LoopLayout, block_ranges,
+    block_successors, class_deltas, declined, literal, literalizable,
+    load_factory, split_term, stack_depths, translated, unit_key,
 )
 from repro.jsengine.bytecode import JS_OP_CLASS, JS_OP_COST, JS_OP_COST_OPT
 from repro.jsengine.values import (
@@ -105,6 +106,7 @@ __all__ = ["translate", "DECLINED"]
 
 _TERM_OPS = frozenset((27, 28, 29, 30, 31, 32, 33, 34, 44))
 _JUMPS = frozenset((27, 28, 29, 30))
+_NO_FALL = frozenset((27, 30, 33, 34))    # JMP / JBACK / RET / RETU
 
 #: Ops the translator handles.  ``COMMA`` (48) is absent by design: the
 #: compiler never emits it and the reference ladder has no arm for it
@@ -270,10 +272,10 @@ class _FnEmitter(FnEmitter):
     dispatch_tail = LOST_DISPATCH
     run_params = "args, rt"
 
-    def __init__(self, fn, code, ranges, block_index, entry_depth,
+    def __init__(self, fn, code, ranges, block_index, layout, entry_depth,
                  max_depth, jit_enabled, profiling, tier_names,
                  const_index):
-        super().__init__(fn, code, ranges, block_index, profiling,
+        super().__init__(fn, code, ranges, block_index, layout, profiling,
                          entry_depth, max_depth)
         self.jit_enabled = jit_enabled
         self.tier_names = tier_names
@@ -690,19 +692,16 @@ class _FnEmitter(FnEmitter):
             out.emit(f"cyc += c{op}")
             if v.value is not UNKNOWN:    # a constant: the branch is static
                 taken = js_truthy(v.value) == (op == 29)
-                self.emit_jump(self.bi_of(arg) if taken else fall_bi,
-                               fall_bi)
+                self.emit_jump(self.bi_of(arg) if taken else fall_bi)
                 return
-            out.emit(f"if {'' if op == 29 else 'not '}{self.truth(v)}:")
-            with out.block():
-                self.emit_jump(self.bi_of(arg))
-            self.emit_jump(fall_bi, fall_bi)
+            self.emit_branch(f"{'' if op == 29 else 'not '}{self.truth(v)}",
+                             self.bi_of(arg), fall_bi)
             return
         if op in (27, 30):
             st.flush()
             out.emit(f"cyc += c{op}")
         if op == 27:      # JMP
-            self.emit_jump(self.bi_of(arg), fall_bi)
+            self.emit_jump(self.bi_of(arg))
             return
         if op == 30:      # JBACK
             if self.jit_enabled:
@@ -714,7 +713,7 @@ class _FnEmitter(FnEmitter):
                         out.emit(f"{self.use('tier_up')}(fn)"
                                  "  # on-stack replacement")
                         self.emit_rebind()
-            self.emit_jump(self.bi_of(arg), fall_bi)
+            self.emit_jump(self.bi_of(arg))
             return
         # CALL / METHOD / NEWCALL
         is_method = op == 32
@@ -729,7 +728,7 @@ class _FnEmitter(FnEmitter):
                      f"({callee.src}, a_)")
             self.emit_rebind()
             self.emit_gc_check()
-            self.emit_jump(fall_bi, fall_bi)
+            self.emit_jump(fall_bi)
             return
         if is_method:
             out.emit(f"o_ = {callee.src}")
@@ -759,7 +758,7 @@ class _FnEmitter(FnEmitter):
                 out.emit(f"raise {self.use('err')}(repr(f_)"
                          f" + ' is not a function')")
         self.emit_gc_check()
-        self.emit_jump(fall_bi, fall_bi)
+        self.emit_jump(fall_bi)
 
     # -- whole blocks ---------------------------------------------------
 
@@ -820,6 +819,7 @@ class _Plan(NamedTuple):
     key: str
     ranges: list
     block_index: dict
+    layout: LoopLayout
     entry_depth: dict
     max_depth: int
     tier_names: tuple
@@ -860,7 +860,9 @@ def _plan(fn, jit_enabled, profiling):
 
     key = unit_key("js", (
         repr(code), len(fn.params), fn.num_locals, jit_enabled, profiling))
-    return _Plan(key, ranges, block_index, entry_depth, max_depth,
+    layout = LoopLayout(block_successors(code, ranges, block_index, _JUMPS,
+                                         _NO_FALL))
+    return _Plan(key, ranges, block_index, layout, entry_depth, max_depth,
                  tuple(_tier_names(code, profiling)), const_index,
                  tuple(consts))
 
@@ -888,8 +890,9 @@ def translate(fn, engine):
 
     def build_source():
         emitter = _FnEmitter(fn, fn.code, plan.ranges, plan.block_index,
-                             plan.entry_depth, plan.max_depth, jit_enabled,
-                             profiling, plan.tier_names, plan.const_index)
+                             plan.layout, plan.entry_depth, plan.max_depth,
+                             jit_enabled, profiling, plan.tier_names,
+                             plan.const_index)
         return emitter.build()
 
     factory = fn.plans.get(
@@ -918,7 +921,7 @@ def translate(fn, engine):
     if profiling:
         ns["fprof"] = engine._profile.frame(fn.name)
 
-    translated("js", len(plan.ranges))
+    translated("js", len(plan.ranges), plan.layout)
     return factory(ns)
 
 

@@ -3,7 +3,8 @@
 Emits each function's basic blocks as generated Python: registers become
 locals ``r0..rN``, the frame accumulators become locals ``cyc``/``ic``,
 and dispatch is the resumable ``bi`` if-chain of the shared skeleton
-(:class:`repro.engine.codegen.FnEmitter`).  The exactness rules of
+(:class:`repro.engine.codegen.FnEmitter`), each loop nested as a
+``while True`` of its own.  The exactness rules of
 :mod:`repro.engine.codegen` map onto emitted source directly:
 
 * **Cycles self-charge per op** — vector-marked instructions are charged
@@ -38,9 +39,10 @@ import struct as _struct
 from typing import NamedTuple
 
 from repro.engine.codegen import (
-    DECLINED, LOST_DISPATCH, M32, M64, S32, W32, FnEmitter, block_ranges,
-    class_deltas, declined, deopt_counter, emit_wrap, literal,
-    literalizable, load_factory, split_term, translated, unit_key,
+    DECLINED, LOST_DISPATCH, M32, M64, S32, W32, FnEmitter, LoopLayout,
+    block_ranges, block_successors, class_deltas, declined, deopt_counter,
+    emit_wrap, literal, literalizable, load_factory, split_term, translated,
+    unit_key,
 )
 from repro.errors import TrapError
 from repro.native.machine import (
@@ -143,6 +145,7 @@ _LOADS = frozenset(range(77, 83))
 _STORES = frozenset(range(83, 88))
 _TERM_OPS = frozenset((88, 89, 90, 91, 92, 93))   # JMP JZ JNZ CALL RET RETV
 _BRANCHES = frozenset((88, 89, 90))
+_NO_FALL = frozenset((88, 92, 93))                # JMP RET RETV
 
 #: Every opcode the translator handles: the inlined operator tables, the
 #: shifts, FDIV, the unary ops, the trap-guarded value functions, memory,
@@ -159,9 +162,9 @@ SUPPORTED_OPS = (set(_CMP_OPS) | set(_CMP_U32) | set(_CMP_U64)
 class _FnEmitter(FnEmitter):
     dispatch_tail = LOST_DISPATCH
 
-    def __init__(self, fn, code, ranges, block_index, budget_mode,
+    def __init__(self, fn, code, ranges, block_index, layout, budget_mode,
                  profiling):
-        super().__init__(fn, code, ranges, block_index, profiling)
+        super().__init__(fn, code, ranges, block_index, layout, profiling)
         self.budget_mode = budget_mode
         self.callees = {}        # call-target name -> cf_{i} local
 
@@ -345,13 +348,10 @@ class _FnEmitter(FnEmitter):
         out = self.out
         out.emit(f"cyc += {literal(charge)}")
         if op == 88:                      # JMP
-            self.emit_jump(self.bi_of(dst), fall_bi)
+            self.emit_jump(self.bi_of(dst))
         elif op in (89, 90):              # JZ / JNZ
             cond = f"r{a}" if op == 90 else f"not r{a}"
-            out.emit(f"if {cond}:")
-            with out.block():
-                self.emit_jump(self.bi_of(dst))
-            self.emit_jump(fall_bi, fall_bi)
+            self.emit_branch(cond, self.bi_of(dst), fall_bi)
         elif op == 91:                    # CALL: flush, zero, recurse
             name, arg_regs = a
             out.emit(f"{self.use('stats')}.cycles += cyc")
@@ -364,7 +364,7 @@ class _FnEmitter(FnEmitter):
                 out.emit(f"r{dst} = {call}")
             else:
                 out.emit(call)
-            self.emit_jump(fall_bi, fall_bi)
+            self.emit_jump(fall_bi)
         elif op == 93:                    # RETV: flush WITHOUT zeroing —
             # the finally flush runs again (reference double-count).
             out.emit(f"{self.use('stats')}.cycles += cyc")
@@ -416,7 +416,7 @@ class _FnEmitter(FnEmitter):
             self.emit_op(instr, classes, idx)
         fall_bi = self.bi_of(end)
         if term is None:
-            self.emit_jump(fall_bi, fall_bi)
+            self.emit_jump(fall_bi)
         else:
             self.emit_term(term, charges[-1], bi, fall_bi)
 
@@ -442,6 +442,7 @@ class _Plan(NamedTuple):
     key: str
     ranges: list
     block_index: dict
+    layout: LoopLayout
 
 
 def _plan(fn, budget_mode, profiling):
@@ -462,7 +463,9 @@ def _plan(fn, budget_mode, profiling):
     ranges, block_index = block_ranges(code, _TERM_OPS, _BRANCHES)
     key = unit_key("native", (
         repr(code), fn.nregs, budget_mode, profiling))
-    return _Plan(key, ranges, block_index)
+    layout = LoopLayout(block_successors(code, ranges, block_index,
+                                         _BRANCHES, _NO_FALL))
+    return _Plan(key, ranges, block_index, layout)
 
 
 def translate(fn, machine):
@@ -481,7 +484,7 @@ def translate(fn, machine):
 
     def build_source():
         emitter = _FnEmitter(fn, fn.code, plan.ranges, plan.block_index,
-                             budget_mode, profiling)
+                             plan.layout, budget_mode, profiling)
         return emitter.build()
 
     factory = fn.plans.get(
@@ -498,7 +501,7 @@ def translate(fn, machine):
         "u_d": _UNPACK_D, "u_i": _UNPACK_I,
         "u_q": _UNPACK_Q, "p_d": _PACK_D,
         "p_i": _PACK_I, "p_q": _PACK_Q,
-        "fdiv": _fdiv,
+        "fdiv": _fdiv, "TrapError": TrapError,
         "deopt": deopt_counter("native"),
         "callees": {name: functions[name] for name in functions},
     }
@@ -510,5 +513,5 @@ def translate(fn, machine):
     for op, f in _TRAP_UNVAL.items():
         ns[f"vf{op}"] = f
 
-    translated("native", len(plan.ranges))
+    translated("native", len(plan.ranges), plan.layout)
     return factory(ns)

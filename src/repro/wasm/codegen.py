@@ -5,7 +5,8 @@ generated Python function: the operand stack is lowered to local
 variables ``s0..sK`` (depths are static — the validator only branches at
 empty-stack statement boundaries, so every join has one depth), locals
 to ``l0..lN``, and dispatch to a resumable ``bi`` block index looping
-over ``if bi == k`` arms with straight-line bodies.
+over ``if bi == k`` arms with straight-line bodies, each ``loop`` nested
+as a ``while True`` of its own (:class:`~repro.engine.codegen.LoopLayout`).
 
 Ops emit through the abstract operand stack
 (:class:`~repro.engine.codegen.OperandStack`): ``local.get`` and
@@ -52,9 +53,9 @@ import struct as _struct
 from typing import NamedTuple
 
 from repro.engine.codegen import (
-    DECLINED, M32, M64, UNKNOWN, FnEmitter, block_ranges, class_deltas,
-    declined, deopt_counter, emit_wrap, literal, load_factory, split_term,
-    stack_depths, translated, unit_key,
+    DECLINED, M32, M64, UNKNOWN, FnEmitter, LoopLayout, block_ranges,
+    block_successors, class_deltas, declined, deopt_counter, emit_wrap,
+    literal, load_factory, split_term, stack_depths, translated, unit_key,
 )
 from repro.errors import TrapError, ValidationError
 from repro.wasm.instructions import OP_CLASS, OP_COST
@@ -191,6 +192,7 @@ _CONSTS = (31, 32, 33)
 _MARKERS = frozenset((1, 2, 3, 6))        # nop / block / loop / end
 _TERM_OPS = frozenset((4, 7, 8, 9, 10))   # if / br / br_if / return / call
 _BRANCHES = frozenset((4, 7, 8))          # if / br / br_if
+_NO_FALL = frozenset((7, 9))              # br / return
 
 #: Every opcode the translator handles.  ``ELSE`` (5) is absent by
 #: design: ``_prepare_body`` rewrites it to a resolved ``BR`` before
@@ -272,9 +274,9 @@ def _analyse(code, ranges, block_index, call_sigs):
 class _FnEmitter(FnEmitter):
     """Emits the generated unit for one prepared function."""
 
-    def __init__(self, fn, code, ranges, block_index, entry_depth,
+    def __init__(self, fn, code, ranges, block_index, layout, entry_depth,
                  max_depth, budget_mode, profiling, call_sigs):
-        super().__init__(fn, code, ranges, block_index, profiling,
+        super().__init__(fn, code, ranges, block_index, layout, profiling,
                          entry_depth, max_depth)
         self.budget_mode = budget_mode
         self.call_sigs = call_sigs
@@ -525,17 +527,14 @@ class _FnEmitter(FnEmitter):
                 cond = f"not {v.src}"
             else:
                 cond = v.test if v.negated else f"not ({v.test})"
-            out.emit(f"if {cond}:")
-            with out.block():
-                h = 0 if extra is None else extra
-                self.emit_jump(self.bi_of(arg),
-                               depth=min(d, h) if op == 8 else d)
-            self.emit_jump(fall_bi, fall_bi, d)
+            h = 0 if extra is None else extra
+            self.emit_branch(cond, self.bi_of(arg), fall_bi,
+                             min(d, h) if op == 8 else d, d)
         elif op == 7:                     # br
             st.flush()
             d = len(st)
             self.emit_jump(self.bi_of(arg),
-                           depth=d if extra is None else min(d, extra))
+                           d if extra is None else min(d, extra))
         else:                             # call
             kind, nargs, has_res = self.call_sigs[arg]
             arg_list = ", ".join(e.src for e in st.pop(nargs))
@@ -553,7 +552,7 @@ class _FnEmitter(FnEmitter):
                 target = self.use(f"fn_{arg}")
                 out.emit(f"{dst}{self.use('call')}({target}, "
                          f"[{arg_list}])")
-            self.emit_jump(fall_bi, fall_bi, len(st))
+            self.emit_jump(fall_bi, len(st))
 
     # -- whole blocks ---------------------------------------------------
 
@@ -614,6 +613,7 @@ class _Plan(NamedTuple):
     key: str
     ranges: list
     block_index: dict
+    layout: LoopLayout
     entry_depth: dict
     max_depth: int
     call_sigs: dict
@@ -647,7 +647,9 @@ def _plan(fn, inst, budget_mode, profiling):
         repr(code), repr(tuple(fn.local_types)), fn.num_params,
         bool(fn.results), budget_mode, profiling,
         repr(sorted(call_sigs.items()))))
-    return _Plan(key, ranges, block_index, entry_depth, max_depth,
+    layout = LoopLayout(block_successors(code, ranges, block_index,
+                                         _BRANCHES, _NO_FALL))
+    return _Plan(key, ranges, block_index, layout, entry_depth, max_depth,
                  call_sigs)
 
 
@@ -668,8 +670,8 @@ def translate(fn, inst):
 
     def build_source():
         emitter = _FnEmitter(fn, fn.code, plan.ranges, plan.block_index,
-                             plan.entry_depth, plan.max_depth, budget_mode,
-                             profiling, call_sigs)
+                             plan.layout, plan.entry_depth, plan.max_depth,
+                             budget_mode, profiling, call_sigs)
         return emitter.build()
 
     factory = fn.plans.get(
@@ -696,5 +698,5 @@ def translate(fn, inst):
         target = inst._funcs[arg][1]
         ns[f"host_{arg}" if kind == "host" else f"fn_{arg}"] = target
 
-    translated("wasm", len(plan.ranges))
+    translated("wasm", len(plan.ranges), plan.layout)
     return factory(ns)

@@ -1,6 +1,7 @@
 """Shared fixtures: compilers, runners, and a tiny C program."""
 
 import math
+import os
 from collections import Counter
 
 import pytest
@@ -61,6 +62,24 @@ def cache_counts(snap):
     return Counter({name[len("cache."):]: ints
                     for name, (_tag, ints, _frac) in delta.items()
                     if name.startswith("cache.")})
+
+
+def default_store_root():
+    """The root of the store ``configure()`` builds from the environment
+    as it is now: where the global store must point once a test that
+    moved it has ended."""
+    from repro.cache import CACHE_VERSION, default_cache_root
+    return os.path.join(default_cache_root(), CACHE_VERSION)
+
+
+@pytest.fixture()
+def store_restored():
+    """Fail a test that leaves the global artifact store anywhere but
+    the default root (request it before ``monkeypatch``, so its check
+    runs with the environment restored)."""
+    yield
+    from repro.cache import get_cache
+    assert get_cache().root == default_store_root()
 
 
 @pytest.fixture()

@@ -755,9 +755,9 @@ class TestJsGcPauseParity:
 # Factory lifetime: a compiled ``make`` factory is memoized beside its
 # plan on the function's ``plans``, so it lives exactly as long as the
 # artifact it was translated from — which ``REPRO_CACHE_MEM`` bounds.
-# The cap counts entries, and a program's translation units are entries
-# of the same store: each program here is one artifact and two units
-# (``main`` and the memory initializer).
+# The cap counts entries; with the disk layer on, a program's
+# translation units (two here: ``main`` and the memory initializer) stay
+# out of the memory layer, so each program is one entry, its artifact.
 
 class TestFactoryLifetime:
     CAP = 2             # programs resident at once
@@ -783,8 +783,7 @@ class TestFactoryLifetime:
             factories[-1].append(weakref.ref(factory))
             return factory
         monkeypatch.setattr(wcg, "load_factory", spy)
-        configure(root=str(tmp_path), disk=True,
-                  memory_cap=self.CAP * (1 + self.UNITS))
+        configure(root=str(tmp_path), disk=True, memory_cap=self.CAP)
         substrate.reset_cache()
         try:
             n_programs = self.CAP + 3
@@ -815,6 +814,53 @@ class TestFactoryLifetime:
         finally:
             substrate.reset_cache()
             configure()
+
+
+class TestUnitsSkipTheMemoryLayer:
+    """With the disk layer on, translation units are stored on disk
+    only, so a memory layer capped at N entries keeps N compiled
+    artifacts however many units their programs load."""
+
+    N = 3               # programs, each one artifact and two units
+
+    def test_capped_store_keeps_every_artifact(self, fresh_store, tmp_path,
+                                               monkeypatch):
+        from repro.cache import configure, get_cache
+        from repro.compilers import CheerpCompiler
+        from repro.engine.hostlib import wasm_host_imports
+        from repro.wasm import WasmVM
+        from tests.conftest import cache_counts
+
+        _set_tier(monkeypatch, "codegen")
+        store = configure(root=str(tmp_path), disk=True, memory_cap=self.N)
+        snap = get_registry().snapshot()
+        artifacts = []
+        for k in range(self.N):
+            source = (f"int main() {{ int s = 0; "
+                      f"for (int i = 0; i < {k + 3}; i++) "
+                      f"s = s + i * {k + 1}; "
+                      f'printf("%d", s); return 0; }}')
+            artifacts.append(CheerpCompiler().compile_wasm(
+                source, name=f"skip{k}"))
+            WasmVM().instantiate(artifacts[-1].module,
+                                 wasm_host_imports([], None)).invoke("main")
+        counts = cache_counts(snap)
+        assert store is get_cache()
+        assert counts["evictions"] == 0
+        resident = list(store._memory.values())
+        assert len(resident) == self.N
+        assert all(any(entry is artifact for entry in resident)
+                   for artifact in artifacts)
+        # The units were stored, on disk: a fresh process's worth of
+        # memos loads every one of them back from there.
+        substrate.reset_cache()
+        snap = get_registry().snapshot()
+        for artifact in artifacts:
+            WasmVM().instantiate(artifact.module,
+                                 wasm_host_imports([], None)).invoke("main")
+        exported = get_registry().diff(snap)["counters"]
+        assert exported["interp.wasm.codegen_cache_hits"][1] == 2 * self.N
+        assert "interp.wasm.codegen_cache_misses" not in exported
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ int main() {
 
 
 @pytest.fixture(autouse=True)
-def _fresh_registry():
+def _fresh_registry(store_restored):
     reset_registry()
     yield
     reset_registry()
@@ -95,19 +95,16 @@ def test_det_metrics_survive_flaky_retries():
     assert det_serial == det_parallel
 
 
-def test_det_metrics_identical_cold_vs_memo_warm(tmp_path, monkeypatch):
+def test_det_metrics_identical_cold_vs_memo_warm(fresh_store, monkeypatch):
     """With the result memoizer armed, a warm rerun serves measurements
     from the cache — and must still replay the same DET counters the
     cold run recorded (compile.pass counters ride the artifact, measure
     counters re-apply per run)."""
-    from repro import cache as repro_cache
     from repro.compilers import CheerpCompiler
     from repro.env import DESKTOP, chrome_desktop
     from repro.harness import PageRunner
 
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.setenv("REPRO_RESULT_CACHE", "1")
-    repro_cache.configure(root=str(tmp_path))
 
     def one_run():
         compiler = CheerpCompiler(linear_heap_size=1024 * 1024)
@@ -140,7 +137,6 @@ def test_det_metrics_identical_cold_vs_memo_warm(tmp_path, monkeypatch):
     assert det_cold == det_warm
     # And the warm run really was served from the caches.
     assert get_registry().export().get("cache.hits", 0) > 0
-    repro_cache.configure()      # restore a clean global cache
 
 
 def test_det_metrics_identical_across_interpreter_tiers(monkeypatch):
@@ -159,18 +155,15 @@ def test_det_metrics_identical_across_interpreter_tiers(monkeypatch):
     assert exports["0"] == exports["1"]
 
 
-def test_cached_result_replays_det_metrics(tmp_path, monkeypatch):
+def test_cached_result_replays_det_metrics(fresh_store, monkeypatch):
     """A memoized computation that records DET counters internally (the
     real-world app drivers, which compile inside ``compute``) replays
     exactly those counters on a warm serve — and only those: sched/wall
     entries reflect the actual (cached) execution."""
-    from repro import cache as repro_cache
     from repro.cache import cached_result
     from repro.obs import SCHED, WALL
 
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.setenv("REPRO_RESULT_CACHE", "1")
-    repro_cache.configure(root=str(tmp_path))
     calls = []
 
     def compute():
@@ -199,7 +192,6 @@ def test_cached_result_replays_det_metrics(tmp_path, monkeypatch):
     exported = get_registry().export()
     assert "app.cache_probes" not in exported
     assert "app.wall_ms" not in exported
-    repro_cache.configure()
 
 
 def test_report_tool_renders_summary(tmp_path):
@@ -231,6 +223,10 @@ def test_report_tool_renders_summary(tmp_path):
         "metrics_unstable": {
             "cache.hits": 5, "cache.misses": 2, "cache.puts": 2,
             "sched.cells": 4, "sched.completed": 4, "sched.retries": 1,
+            "interp.wasm.codegen_functions": 3,
+            "interp.wasm.codegen_blocks": 40,
+            "interp.wasm.codegen_loops": 5,
+            "interp.wasm.codegen_loops_declined": 1,
         },
         "metrics_wall": {"pass.dce.wall_ms": 1.25},
     }
@@ -253,6 +249,9 @@ def test_report_tool_renders_summary(tmp_path):
     assert "Cache / scheduler health" in out
     assert "71.4% hit rate" in out
     assert "1 retried attempt(s)" in out
+    assert "Interpreter (codegen tier)" in out
+    assert "wasm: 3 function(s) (40 blocks), 5 loop(s) structured, " \
+        "1 declined" in out
 
 
 def test_report_tool_degrades_without_metrics(tmp_path):

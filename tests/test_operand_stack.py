@@ -283,13 +283,13 @@ def _hazard_module():
     return module
 
 
-def _run_wasm(monkeypatch, tier, module, arg, budget=None):
+def _run_wasm(monkeypatch, tier, module, *args, budget=None):
     from repro.wasm import WasmVM
 
     _set_tier(monkeypatch, tier)
     inst = WasmVM(max_instructions=budget).instantiate(module)
     try:
-        result = ("ok", inst.invoke("f", arg))
+        result = ("ok", inst.invoke("f", *args))
     except TrapError as exc:
         result = ("trap", str(exc))
     return result, _stats_dict(inst.stats)
@@ -341,12 +341,37 @@ def test_wasm_budget_deopt_after_forwarded_code(monkeypatch):
     total = int(ref_stats["instructions"])
     reset_registry()
     for budget in range(1, total + 1):
-        runs = {tier: _run_wasm(monkeypatch, tier, module, 2, budget)
+        runs = {tier: _run_wasm(monkeypatch, tier, module, 2, budget=budget)
                 for tier in TIERS}
         assert runs["codegen"] == runs["ref"], budget
     deopts = get_registry().export([SCHED]).get("interp.wasm.codegen_deopts")
     reset_registry()
     assert deopts and deopts > 3
+
+
+@pytest.mark.parametrize("n", [20, 400])
+def test_wasm_budget_deopt_in_nested_loops(monkeypatch, n):
+    """Every budget short of the full run of a three-deep loop nest
+    (``tests/test_structured_loops.py``): the frame deopts from inside a
+    nested ``while`` — after multi-level exits (``n=20``) or a branch
+    from the innermost loop to the outer header (``n=400``) — with the
+    reference's stats and trap."""
+    from repro.obs import SCHED, get_registry, reset_registry
+    from tests.test_structured_loops import _nested_module
+
+    module = _nested_module()
+    (_kind, _value), ref_stats = _run_wasm(monkeypatch, "ref", module, n,
+                                           0)
+    total = int(ref_stats["instructions"])
+    reset_registry()
+    for budget in range(1, total + 1):
+        runs = {tier: _run_wasm(monkeypatch, tier, module, n, 0,
+                                budget=budget)
+                for tier in TIERS}
+        assert runs["codegen"] == runs["ref"], budget
+    deopts = get_registry().export([SCHED]).get("interp.wasm.codegen_deopts")
+    reset_registry()
+    assert deopts and deopts > total // 2
 
 
 # ---------------------------------------------------------------------------

@@ -72,16 +72,16 @@ def _sched(name):
 
 
 @pytest.fixture()
-def fresh(tmp_path, monkeypatch):
-    """A private cache directory, result memo off, a fresh registry."""
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+def fresh(store_restored, fresh_store, tmp_path, monkeypatch):
+    """A private store (``fresh_store``, rooted at the yielded
+    directory) with no pool forked before it, result memo off, a fresh
+    registry."""
     monkeypatch.setenv(RESULT_CACHE_ENV, "0")
-    configure(root=str(tmp_path / "cache"), disk=True)
+    shutdown_pool()
     reset_registry()
     yield tmp_path
     shutdown_pool()
     reset_registry()
-    configure()
 
 
 class TestReuse:
@@ -130,20 +130,21 @@ class TestReuse:
             [parallel.WORKER_CACHE_MEM] * 2
         assert get_cache().memory_cap == 0
         monkeypatch.setenv("REPRO_CACHE_MEM", "7")
-        configure(root=str(fresh / "cache"), disk=True)
+        configure(root=str(fresh), disk=True)
         assert run_sweep(_memory_cap, [0, 1], jobs=2).values == [7, 7]
 
-    def test_worker_units_count_against_its_cap(self, fresh, monkeypatch):
-        """A worker's translation units share its one store's memory
-        layer, so its cap bounds them with its compiled artifacts."""
+    def test_worker_units_skip_its_memory_layer(self, fresh, monkeypatch):
+        """With the disk layer on, a worker's translation units go to
+        disk only, so its capped memory layer holds compiled artifacts
+        and no unit takes an artifact's place."""
         monkeypatch.delenv("REPRO_FAST_INTERP", raising=False)
         monkeypatch.setenv("REPRO_CACHE_MEM", "4")
-        configure(root=str(fresh / "cache"), disk=True)
+        configure(root=str(fresh), disk=True)
         ran = set(run_sweep(_run_program, list(range(6)), jobs=2).values)
         probes = run_sweep(_resident, [0, 1], jobs=2).values
         assert all(size <= 4 for size, _units, _pid in probes)
         assert any(pid in ran for _size, _units, pid in probes)
-        assert all(units > 0 for _size, units, pid in probes
+        assert all(size > 0 and units == 0 for size, units, pid in probes
                    if pid in ran)
 
     def test_changed_jobs_respawns(self, fresh):
@@ -154,7 +155,7 @@ class TestReuse:
 
     def test_changed_cache_dir_respawns_and_writes_land_there(
             self, fresh, monkeypatch):
-        old = fresh / "cache"
+        old = fresh
         new = fresh / "other"
         first = run_sweep(_put, ["a" * 16, "b" * 16], jobs=2)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(new))

@@ -18,6 +18,11 @@ Sections (each skipped gracefully when its metrics are absent):
 * **Startup frontier** — digest of the E14 sweep when
   ``summary["startup_frontier"]`` is present: per host, the default
   policy's startup/steady point plus which tier policy wins each axis.
+* **Interpreter (codegen tier)** — per engine, the functions and
+  blocks translated, the loop regions structured as nested loops and
+  those declined, declined functions, budget deopts and translation-unit
+  cache hits/misses (``interp.<engine>.codegen_*`` counters in the
+  ``metrics_unstable`` section).
 * **Cache / scheduler health** — artifact-cache hit rates and sweep
   scheduler retry/timeout/lost counts (``cache.*`` / ``sched.*`` in the
   ``metrics_unstable`` section).
@@ -105,6 +110,31 @@ def _opclass_section(summary):
             share = (100.0 * cycles / total) if total else 0.0
             lines.append(f"{cls:<14} {_fmt(cycles):>16} "
                          f"{row.get('count', 0):>14,} {share:>6.1f}%")
+    return lines
+
+
+def _interp_section(summary):
+    unstable = summary.get("metrics_unstable", {})
+    engines = {}
+    for name, value in unstable.items():
+        engine, sep, what = name[len("interp."):].partition(".codegen_")
+        if name.startswith("interp.") and sep \
+                and isinstance(value, (int, float)):
+            engines.setdefault(engine, {})[what] = value
+    if not engines:
+        return []
+    lines = _rule("Interpreter (codegen tier)")
+    for engine in sorted(engines):
+        row = engines[engine]
+        lines.append(
+            f"{engine}: {row.get('functions', 0):,} function(s) "
+            f"({row.get('blocks', 0):,} blocks), "
+            f"{row.get('loops', 0):,} loop(s) structured, "
+            f"{row.get('loops_declined', 0):,} declined; "
+            f"{row.get('declined', 0):,} function(s) declined, "
+            f"{row.get('deopts', 0):,} budget deopt(s); units "
+            f"{row.get('cache_hits', 0):,} hit(s) / "
+            f"{row.get('cache_misses', 0):,} miss(es)")
     return lines
 
 
@@ -270,6 +300,7 @@ def render_report(summary):
         _frontier_section(summary),
         _pass_section(summary),
         _opclass_section(summary),
+        _interp_section(summary),
         _health_section(summary),
         _service_section(summary),
     ]
