@@ -1,12 +1,11 @@
 """Benchmark harness configuration.
 
 Each ``test_bench_*`` file regenerates one of the paper's tables/figures
-and prints it.  By default the representative QUICK_SET (15 of the 41
-benchmarks) is swept so `pytest benchmarks/ --benchmark-only` finishes in
-minutes; set ``REPRO_FULL=1`` to sweep all 41 (as ``results/run_all.py``
-does — its full-suite outputs are committed under ``results/``).
-``REPRO_QUICK=1`` wins over ``REPRO_FULL`` (the CI fast path); both are
-flags, so ``0``/``off`` mean off.  The persistent compile cache
+and prints it.  Here ``REPRO_QUICK`` defaults to on, so the
+representative QUICK_SET (15 of the 41 benchmarks) is swept and `pytest
+benchmarks/ --benchmark-only` finishes in minutes; ``REPRO_QUICK=0``
+sweeps all 41 (as ``results/run_all.py`` does — its full-suite outputs
+are committed under ``results/``).  The persistent compile cache
 (``REPRO_CACHE_DIR``) makes warm re-runs skip every compile.
 
 These suites assert *shape properties* of deterministic experiment
@@ -34,9 +33,7 @@ def _result_cache(monkeypatch):
 
 
 def _quick():
-    if env_flag("REPRO_QUICK"):
-        return True
-    return not env_flag("REPRO_FULL")
+    return env_flag("REPRO_QUICK", default=True)
 
 
 @pytest.fixture(scope="session")

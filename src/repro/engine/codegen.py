@@ -22,12 +22,13 @@ Two tiers, one knob::
 
 Exactness rules (each engine's translator documents how it applies them):
 
-1. **Integer counters batch freely.**  ``op_counts``, ``instructions``
-   and the instruction budget are integers; charging a block's total per
-   block entry is exact.  A trap guard subtracts the suffix (the
-   instructions after the trapping one), restoring the reference
-   ladder's charge-then-execute prefix: at a trap on instruction *k* the
-   reference has charged instructions ``0..k`` inclusive.
+1. **Integer counters batch freely.**  ``op_counts`` and
+   ``instructions`` are integers; charging a block's total per block
+   entry is exact.  A trap guard subtracts the suffix (the instructions
+   after the trapping one), restoring the reference ladder's
+   charge-then-execute prefix: at a trap on instruction *k* the
+   reference has charged instructions ``0..k`` inclusive.  One rewind,
+   :meth:`FnEmitter.emit_rewind`, serves the three engines.
 2. **Float cycle batching needs an exact grid.**  Summing per-op costs in
    a different order than the reference is only bit-identical when every
    addend is dyadic and the partial sums stay exactly representable.
@@ -41,11 +42,11 @@ Exactness rules (each engine's translator documents how it applies them):
    points.**  Frame-local accumulators are flushed exactly where the
    ladder flushes (JS function-call boundaries, native CALL/RETV), so
    ``performance.now()`` and friends read identical values mid-run.
-4. **Rare paths run on the oracle.**  When a block cannot be entered
-   under batched accounting (instruction budget smaller than the block),
-   the frame resumes in the reference loop at the block start; a JS
-   frame entered with the GC already over-trigger runs on the reference
-   loop from the start.  Both are exact by construction.
+4. **Rare paths run on the oracle.**  An engine built with an
+   instruction budget (``max_instructions``), a traced JS run and a JS
+   frame entered with the GC already over-trigger run on the reference
+   ladder from the start, which traps or collects at the exact
+   instruction by construction.  A unit is never left mid-frame.
 5. **Unknown opcodes fail loudly.**  The reference ladders fall through
    to a structured error at execution time; the translators refuse the
    whole function at translation time instead of silently mistranslating.
@@ -68,8 +69,8 @@ translator skeleton the three ``codegen.py`` files build on:
   copies are forwarded to the op that consumes them (and wasm
   comparisons deferred to the branch that tests them) and written out
   only before a write to what they read and at block end.  Only
-  trap-free, side-effect-free values are deferred, so no charge, trap,
-  GC root or deopt moves;
+  trap-free, side-effect-free values are deferred, so no charge, trap
+  or GC root moves;
 * :func:`block_successors` and :class:`LoopLayout`: the natural loops
   of a function's blocks, which the emitter nests as ``while True``
   loops, and how each jump is spelled in that shape;
@@ -86,9 +87,10 @@ Each engine keeps what is really its own, as :class:`FnEmitter`
 overrides and data: its operator tables and ``SUPPORTED_OPS``, the
 per-op flow of the depth analysis (with its own max-depth rule),
 ``emit_op``/``emit_term``, the charge model (wasm batches cycles per
-block; native and JS add ``cyc +=`` per op), the guard's rewind, trap
-messages and unknown-op error types, the frame prologue, its ``ns``
-construction, and its own ``load_factory`` call.
+block; native and JS add ``cyc +=`` per op, and native counts
+instructions in a frame-local ``ic``), trap messages and unknown-op
+error types, the frame prologue, its ``ns`` construction, and its own
+``load_factory`` call.
 
 Plan and bind.  Each translator's ``translate`` is two halves.  The
 *plan* (supported-op check, :func:`block_ranges`, stack depths, the
@@ -120,6 +122,7 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import marshal
+import math
 from typing import NamedTuple
 
 from repro.cache.derived import clear as clear_derived
@@ -619,8 +622,8 @@ class OperandStack:
     (``s<i> = <expr>``, after which it is held) only when the translator
     needs the slot itself: before a write to a variable the expression
     reads (:meth:`clobber`), and at the end of the block for every entry
-    still live (:meth:`flush`), so every successor, deopt and slot list
-    sees the same held slots as a translation without forwarding.
+    still live (:meth:`flush`), so every successor and slot list sees
+    the same held slots as a translation without forwarding.
 
     Only values whose evaluation cannot trap, has no side effect and
     reads nothing but locals and slots are deferred, so moving their
@@ -717,8 +720,8 @@ class OperandStack:
                 self.spill(i)
 
     def flush(self):
-        """Write out every live entry (block end: successors, deopts and
-        slot lists read held slots)."""
+        """Write out every live entry (block end: successors and slot
+        lists read held slots)."""
         for i in range(len(self.entries)):
             self.spill(i)
 
@@ -744,9 +747,9 @@ class FnEmitter:
     per counter, then the profiler cells.
 
     An engine subclass supplies ``emit_prologue`` (frame set-up),
-    ``emit_block`` (one reachable block's arm), ``emit_exit`` (leave the
-    function at a given operand depth) and ``emit_rewind`` (the charge
-    suffix a trap guard subtracts), and may extend ``emit_frame_entry``,
+    ``emit_block`` (one reachable block's arm) and ``emit_exit`` (leave
+    the function at a given operand depth), names its instruction
+    counter (:attr:`instr_counter`), and may extend ``emit_frame_entry``,
     ``emit_finally`` and ``emit_bindings``.
     """
 
@@ -756,6 +759,10 @@ class FnEmitter:
     dispatch_tail = ""
     #: Parameters of the generated ``run``.
     run_params = "args"
+    #: The counter a block charges its instruction count to, which a
+    #: trap guard rewinds: ``None`` for ``stats.instructions``, else the
+    #: name of a frame-local accumulator.
+    instr_counter = None
 
     def __init__(self, fn, code, ranges, block_index, layout, profiling,
                  entry_depth=None, max_depth=0):
@@ -804,9 +811,6 @@ class FnEmitter:
         raise NotImplementedError
 
     def emit_exit(self, depth):
-        raise NotImplementedError
-
-    def emit_rewind(self, *rewind):
         raise NotImplementedError
 
     def emit_frame_entry(self):
@@ -875,17 +879,40 @@ class FnEmitter:
             self.stack.flush()
         self.emit_jump(fall_bi, len(self.stack))
 
-    def guarded(self, body_lines, *rewind):
-        """Emit trap-capable statements inside a guard that runs the
-        engine's ``emit_rewind(*rewind)`` before the trap escapes."""
+    def emit_rewind(self, classes, idx, costs=()):
+        """Restore the reference ladder's charge prefix before a trap on
+        op ``idx`` of a block (op classes ``classes``) escapes: subtract
+        the batched charges of the ops after it.  ``costs`` are the ops'
+        cycle costs, given only by an engine that batches cycles per
+        block."""
         out = self.out
+        cyc_sfx = math.fsum(costs[idx + 1:])
+        n_sfx = len(classes) - (idx + 1)
+        if cyc_sfx:
+            out.emit(f"{self.use('stats')}.cycles -= {literal(cyc_sfx)}")
+        if n_sfx:
+            counter = self.instr_counter or \
+                f"{self.use('stats')}.instructions"
+            out.emit(f"{counter} -= {n_sfx}")
+        for ci, d in class_deltas(classes[idx + 1:]):
+            out.emit(f"{self.use('counts')}[{ci}] -= {d}")
+
+    def guarded(self, body_lines, classes, idx, costs=()):
+        """Emit trap-capable statements inside a guard that runs
+        :meth:`emit_rewind` before the trap escapes; a trap on the
+        block's last op has nothing to rewind, so it takes no guard."""
+        out = self.out
+        if idx + 1 >= len(classes):
+            for line in body_lines:
+                out.emit(line)
+            return
         out.emit("try:")
         with out.block():
             for line in body_lines:
                 out.emit(line)
         out.emit("except BaseException:")
         with out.block():
-            self.emit_rewind(*rewind)
+            self.emit_rewind(classes, idx, costs)
             out.emit("raise")
 
     def count_block(self, bi, classes, instructions=0, cycles=0.0):
@@ -897,8 +924,8 @@ class FnEmitter:
 
     def emit_flush(self):
         """Apply the per-block charges the dispatch loop accumulated.
-        Runs once, in the ``finally``, covering returns, deopt handoffs
-        and escaping traps alike.  Each counter gets one statement
+        Runs once, in the ``finally``, covering returns and escaping
+        traps alike.  Each counter gets one statement
         summing its per-block terms (integer adds commute); cycles, which
         only an engine on an exact grid batches, fold left in block
         order.  Profiler cells stay guarded per cell."""
@@ -1025,12 +1052,6 @@ def translated(engine, n_blocks, layout):
     _count(engine, "loops_declined", layout.declined)
 
 
-def deopt_counter(engine):
-    """The ``deopt`` callable a budget-mode unit calls on handing a frame
-    to the reference ladder."""
-    return lambda: _count(engine, "deopts")
-
-
 # ---------------------------------------------------------------------------
 # The translation-unit cache: units (source + marshalled code object) live
 # in the process-global artifact store, beside compiled artifacts and
@@ -1053,7 +1074,7 @@ def unit_key(engine, parts):
 
     ``parts`` must pin everything the emitted source depends on: the
     prepared code (its repr), and every translation flag folded into the
-    source (budget mode, profiling, JIT enablement).  The package
+    source (profiling, JIT enablement).  The package
     code fingerprint invalidates on any translator edit; the interpreter
     ``cache_tag`` scopes the marshalled code object to the bytecode
     format that produced it.

@@ -320,23 +320,6 @@ class _FnEmitter(FnEmitter):
             self.out.emit("stats.gc_pause_cycles += p_")
             self.out.emit("cyc += p_")
 
-    def emit_rewind(self, classes, idx):
-        n_sfx = len(classes) - (idx + 1)
-        if n_sfx:
-            self.out.emit(f"{self.use('stats')}.instructions -= {n_sfx}")
-        for ci, d in class_deltas(classes[idx + 1:]):
-            self.out.emit(f"{self.use('counts')}[{ci}] -= {d}")
-
-    def guarded(self, body_lines, classes, idx):
-        """Wrap raising statements in the integer-suffix rewind guard
-        (cycles self-charge, so only ``instructions``/``op_counts``
-        rewind); a trap on the block's last op has nothing to rewind."""
-        if idx + 1 >= len(classes):
-            for line in body_lines:
-                self.out.emit(line)
-            return
-        super().guarded(body_lines, classes, idx)
-
     # -- one straight-line op over the abstract stack ------------------
 
     def i32(self, x):

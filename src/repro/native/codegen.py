@@ -12,19 +12,17 @@ and dispatch is the resumable ``bi`` if-chain of the shared skeleton
   float batching would reorder the sum; every op emits its own
   ``cyc += c`` statement with the pre-scaled charge as a literal, so the
   float sum associates in the reference's left-fold order.  The integer
-  counters batch per block with literal rewind statements inside each
-  trap guard.
+  counters batch per block (instructions in the frame-local ``ic``),
+  and a trap guard rewinds their suffix.
 * **The RETV double-flush is intentional** — the reference ``RETV`` arm
   flushes the frame-local accumulators and returns *without zeroing
   them*, so the ``finally`` flush runs a second time.  The generated
   ``RETV`` arm flushes ``cyc``/``ic`` without zeroing and returns through
   the ``finally`` flush, duplicating the float addition bit for bit.
-* **Budget deopt** — ``machine.budget`` is shared across frames and
-  decremented per instruction by the reference.  A block entered with
-  fewer budget units than instructions materialises the register locals
-  back into a list and resumes the reference ladder mid-frame with the
-  pending unflushed accumulators; it traps at the exact instruction with
-  the exact partial stats.
+* **Budgets run on the ladder** — a machine built with
+  ``max_instructions`` never enters this tier: the reference ladder
+  decrements ``machine.budget`` per instruction and traps at the exact
+  instruction with the exact partial stats.
 
 Registers make this translator simpler than the Wasm one: there is no
 stack-depth analysis.  The one decline is a ``MOVI`` immediate the
@@ -40,9 +38,8 @@ from typing import NamedTuple
 
 from repro.engine.codegen import (
     DECLINED, LOST_DISPATCH, M32, M64, S32, W32, FnEmitter, LoopLayout,
-    block_ranges, block_successors, class_deltas, declined, deopt_counter,
-    emit_wrap, literal, literalizable, load_factory, split_term, translated,
-    unit_key,
+    block_ranges, block_successors, class_deltas, declined, emit_wrap,
+    literal, literalizable, load_factory, split_term, translated, unit_key,
 )
 from repro.errors import TrapError
 from repro.native.machine import (
@@ -161,11 +158,10 @@ SUPPORTED_OPS = (set(_CMP_OPS) | set(_CMP_U32) | set(_CMP_U64)
 
 class _FnEmitter(FnEmitter):
     dispatch_tail = LOST_DISPATCH
+    instr_counter = "ic"
 
-    def __init__(self, fn, code, ranges, block_index, layout, budget_mode,
-                 profiling):
+    def __init__(self, fn, code, ranges, block_index, layout, profiling):
         super().__init__(fn, code, ranges, block_index, layout, profiling)
-        self.budget_mode = budget_mode
         self.callees = {}        # call-target name -> cf_{i} local
 
     def callee(self, name):
@@ -176,17 +172,6 @@ class _FnEmitter(FnEmitter):
 
     def emit_exit(self, depth):
         self.out.emit("return None")
-
-    def emit_rewind(self, classes, idx):
-        """Integer rewind: cycles self-charge, so only the block-batched
-        instret / op-class / budget suffix is subtracted."""
-        n_sfx = len(classes) - (idx + 1)
-        if n_sfx:
-            self.out.emit(f"ic -= {n_sfx}")
-        for ci, d in class_deltas(classes[idx + 1:]):
-            self.out.emit(f"{self.use('counts')}[{ci}] -= {d}")
-        if self.budget_mode and n_sfx:
-            self.out.emit(f"{self.use('machine')}.budget += {n_sfx}")
 
     def emit_op(self, instr, classes, idx):
         op, dst, a, b, _vector = instr
@@ -389,20 +374,6 @@ class _FnEmitter(FnEmitter):
         classes = [int(N_OP_CLASS[int(i[0])]) for i in ops]
         charges = [N_COST[int(i[0])] * (VECTOR_COST_FACTOR if i[4]
                                         else 1.0) for i in ops]
-        if self.budget_mode:
-            out.emit(f"r_ = {self.use('machine')}.budget")
-            out.emit(f"if r_ < {len(ops)}:")
-            with out.block():
-                out.emit(f"{self.use('deopt')}()")
-                out.emit("_pc = cyc")
-                out.emit("_pi = ic")
-                out.emit("cyc = 0.0")
-                out.emit("ic = 0")
-                regs = ", ".join(f"r{i}" for i in range(self.fn.nregs))
-                out.emit(f"return {self.use('run_from')}"
-                         f"({self.use('fn')}, [{regs}], {start}, "
-                         f"_pc, _pi)")
-            out.emit(f"machine.budget = r_ - {len(ops)}")
         # ``ic`` stays eager, because the CALL and RETV flushes hand it
         # to the reference quirks; the op classes batch per block.
         out.emit(f"ic += {len(ops)}")
@@ -445,7 +416,7 @@ class _Plan(NamedTuple):
     layout: LoopLayout
 
 
-def _plan(fn, budget_mode, profiling):
+def _plan(fn, profiling):
     """Plan one function's translation; ``None`` when the translator
     declines it (a ``MOVI`` immediate it cannot literalise)."""
     code = fn.code
@@ -462,7 +433,7 @@ def _plan(fn, budget_mode, profiling):
             return None
     ranges, block_index = block_ranges(code, _TERM_OPS, _BRANCHES)
     key = unit_key("native", (
-        repr(code), fn.nregs, budget_mode, profiling))
+        repr(code), fn.nregs, profiling))
     layout = LoopLayout(block_successors(code, ranges, block_index,
                                          _BRANCHES, _NO_FALL))
     return _Plan(key, ranges, block_index, layout)
@@ -475,34 +446,30 @@ def translate(fn, machine):
     and its compiled factory are memoized on the program's function
     (``fn.plans``); the runner, which pre-binds this machine's state, is
     built every time."""
-    budget_mode = machine.budget is not None
     profiling = machine._profile is not None
-    plan = fn.plans.get((budget_mode, profiling),
-                        lambda: _plan(fn, budget_mode, profiling))
+    plan = fn.plans.get(profiling, lambda: _plan(fn, profiling))
     if plan is None:
         return declined("native")
 
     def build_source():
         emitter = _FnEmitter(fn, fn.code, plan.ranges, plan.block_index,
-                             plan.layout, budget_mode, profiling)
+                             plan.layout, profiling)
         return emitter.build()
 
     factory = fn.plans.get(
-        ("make", budget_mode, profiling),
+        ("make", profiling),
         lambda: load_factory("native", plan.key, build_source))
 
     functions = machine.program.functions
     ns = {
-        "machine": machine, "stats": machine.stats,
-        "counts": machine.stats.op_counts, "mem": machine.memory,
-        "fn": fn, "fn_name": fn.name, "run_from": machine._run_from,
+        "stats": machine.stats, "counts": machine.stats.op_counts,
+        "mem": machine.memory, "fn_name": fn.name,
         "run_": machine._run, "host": machine._host,
         "nan": float("nan"),
         "u_d": _UNPACK_D, "u_i": _UNPACK_I,
         "u_q": _UNPACK_Q, "p_d": _PACK_D,
         "p_i": _PACK_I, "p_q": _PACK_Q,
         "fdiv": _fdiv, "TrapError": TrapError,
-        "deopt": deopt_counter("native"),
         "callees": {name: functions[name] for name in functions},
     }
     ns["sqrt"] = _math.sqrt

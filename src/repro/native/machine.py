@@ -241,7 +241,9 @@ class _Machine:
             self.stats.compile_cycles += \
                 compile_model.compile_cycles(program_code_unit(program))
         self.budget = max_instructions
-        self._fast = fast_interp_enabled()
+        # A budgeted machine runs the reference ladder, which traps at
+        # the exact instruction with the exact stats.
+        self._fast = fast_interp_enabled() and max_instructions is None
         self._profile = new_profile("native")
         #: id(fn) → generated runner (or ``_codegen.DECLINED``); runners
         #: pre-bind this machine's stats/memory, so the cache is per
@@ -255,8 +257,6 @@ class _Machine:
         return self._run(fn, list(args))
 
     def _run(self, fn, args):
-        # Frame entry (the deopt resume goes through _run_from directly,
-        # so a deopted frame is not double-counted).
         if self._profile is not None:
             self._profile.call(fn.name)
         if self._fast:
@@ -268,14 +268,12 @@ class _Machine:
                 return cg(args)
         regs = [0] * fn.nregs
         regs[:len(args)] = args
-        return self._run_from(fn, regs, 0)
+        return self._run_from(fn, regs)
 
-    def _run_from(self, fn, regs, pc, cycles=0.0, instret=0):
+    def _run_from(self, fn, regs):
         """Reference interpreter loop — the differential oracle for the
-        codegen tier, which runs declined functions here from pc 0.
-        Resumable mid-frame: generated code deopts here (with its pending
-        unflushed accumulators) when the instruction budget cannot cover
-        a whole block."""
+        codegen tier, and where declined functions and budgeted machines
+        run."""
         import struct as _s
         code = fn.code
         n = len(code)
@@ -285,6 +283,9 @@ class _Machine:
         counts = stats.op_counts
         prof = self._profile
         fprof = prof.frame(fn.name) if prof is not None else None
+        pc = 0
+        cycles = 0.0
+        instret = 0
         try:
             while pc < n:
                 op, dst, a, b, vector = code[pc]

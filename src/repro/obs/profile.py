@@ -19,8 +19,9 @@ op.
 Granularity caveat: the codegen tier attributes a whole block once the
 block is entered, so a *trapping* block's ops after the trap are counted
 too (the reference ladder counts exactly up to the trap).  The measured
-benchmarks never trap; the wasm budget deopt is exact on both tiers
-because the deopt check precedes the block charge.
+benchmarks never trap, and an engine built with an instruction budget
+runs the reference ladder, so its profile is exact wherever the budget
+runs out.
 """
 
 from __future__ import annotations

@@ -20,20 +20,18 @@ with its values in ``s0..``.
 
 Exactness (the rules of :mod:`repro.engine.codegen` as they apply here).
 Wasm is the one engine whose whole charge stream lives on an exact
-0.25-cycle grid, so cycles, instruction counts, op-class counts *and*
-the instruction budget are all batched per block:
+0.25-cycle grid, so cycles, instruction counts and op-class counts are
+all batched per block:
 
 * block entry charges the batched cycle/instruction/op-class totals as
   folded literals (the ``math.fsum`` block total is exact at any
-  association) and decrements the budget by the block length;
+  association);
 * every trap point (loads/stores, div/rem, trunc, floor/ceil,
-  ``unreachable``) is wrapped in an explicit guard whose rewind
-  statements subtract the charge suffix before re-raising;
-* a block entered with fewer budget units than instructions deopts to
-  the reference ladder (``_run_from``) at the block start, materialising
-  the slot values back into real locals/stack lists (blocks are entered
-  with every value held in its slot, so forwarding never reaches a
-  deopt);
+  ``unreachable``) that is not its block's last op is wrapped in an
+  explicit guard whose rewind subtracts the charge suffix, cycles
+  included, before re-raising;
+* an instance built with ``max_instructions`` never enters this tier:
+  it runs the reference ladder, which traps at the exact instruction;
 * unknown opcodes fail loudly at translation with a structured error.
 
 The generated source depends only on the prepared code and translation
@@ -54,7 +52,7 @@ from typing import NamedTuple
 
 from repro.engine.codegen import (
     DECLINED, M32, M64, UNKNOWN, FnEmitter, LoopLayout, block_ranges,
-    block_successors, class_deltas, declined, deopt_counter, emit_wrap,
+    block_successors, class_deltas, declined, emit_wrap,
     literal, load_factory, split_term, stack_depths, translated, unit_key,
 )
 from repro.errors import TrapError, ValidationError
@@ -275,10 +273,9 @@ class _FnEmitter(FnEmitter):
     """Emits the generated unit for one prepared function."""
 
     def __init__(self, fn, code, ranges, block_index, layout, entry_depth,
-                 max_depth, budget_mode, profiling, call_sigs):
+                 max_depth, profiling, call_sigs):
         super().__init__(fn, code, ranges, block_index, layout, profiling,
                          entry_depth, max_depth)
-        self.budget_mode = budget_mode
         self.call_sigs = call_sigs
         self.results = bool(fn.results)
 
@@ -291,21 +288,6 @@ class _FnEmitter(FnEmitter):
             self.out.emit(f"return {self.stack[depth - 1].src}")
         else:
             self.out.emit("return 0")
-
-    def emit_rewind(self, costs, classes, idx):
-        """The charge-suffix rewind: restore the reference's charge
-        prefix 0..idx before the trap escapes."""
-        cyc_sfx = math.fsum(costs[idx + 1:])
-        n_sfx = len(costs) - (idx + 1)
-        if cyc_sfx:
-            self.out.emit(f"{self.use('stats')}.cycles -= "
-                          f"{literal(cyc_sfx)}")
-        if n_sfx:
-            self.out.emit(f"{self.use('stats')}.instructions -= {n_sfx}")
-        for ci, d in class_deltas(classes[idx + 1:]):
-            self.out.emit(f"{self.use('counts')}[{ci}] -= {d}")
-        if self.budget_mode and n_sfx:
-            self.out.emit(f"{self.use('inst')}._instr_budget += {n_sfx}")
 
     def _frame_lookup(self, base, offset, width):
         """Inline of ``LinearMemory._frame``: resolve ``base + offset``
@@ -371,7 +353,7 @@ class _FnEmitter(FnEmitter):
             out.emit(f"{st.slot()} = t_")
             return
         if op == 0:
-            self.emit_rewind(costs, classes, idx)
+            self.emit_rewind(classes, idx, costs)
             out.emit(f"raise {self.use('TrapError')}"
                      f"('unreachable executed')")
             return
@@ -420,7 +402,7 @@ class _FnEmitter(FnEmitter):
                 body.append(f"t_ = {v} & 65535")
                 body.append("f_[o_] = t_ & 255")
                 body.append("f_[o_ + 1] = t_ >> 8")
-            self.guarded(body, costs, classes, idx)
+            self.guarded(body, classes, idx, costs)
             return
         (v,) = st.pop()
         self.emit_unop(op, arg, v.src, st.slot(), costs, classes, idx)
@@ -462,7 +444,7 @@ class _FnEmitter(FnEmitter):
             out.emit(f"{r} = {self.use(f'vf{op}')}({a}, {b})")
         else:                             # _TRAP_BINOPS
             self.guarded([f"{r} = {self.use(f'vf{op}')}({a}, {b})"],
-                         costs, classes, idx)
+                         classes, idx, costs)
 
     def emit_unop(self, op, arg, t, r, costs, classes, idx):
         """Assign unary operator ``op`` (a load: ``arg`` is its offset)
@@ -485,7 +467,7 @@ class _FnEmitter(FnEmitter):
             out.emit(f"{r} = float({t} & {M32})")
         elif op in _TRAP_UNOPS:
             self.guarded([f"{r} = {self.use(f'vf{op}')}({t})"],
-                         costs, classes, idx)
+                         classes, idx, costs)
         elif op in _UNOPS:                # clz/ctz/popcnt, reinterprets
             out.emit(f"{r} = {self.use(f'vf{op}')}({t})")
         elif op in _LOAD_WIDTH:
@@ -503,7 +485,7 @@ class _FnEmitter(FnEmitter):
                 body.append(f"{r} = t_ - 256 if t_ >= 128 else t_")
             else:                         # 23: i32.load16_u
                 body.append(f"{r} = f_[o_] | (f_[o_ + 1] << 8)")
-            self.guarded(body, costs, classes, idx)
+            self.guarded(body, classes, idx, costs)
         else:
             raise ValidationError(
                 f"{self.fn.name}: unknown opcode {op} (codegen tier)")
@@ -573,16 +555,6 @@ class _FnEmitter(FnEmitter):
         costs = [OP_COST[op] for op, _a, _e in ops]
         classes = [int(OP_CLASS[op]) for op, _a, _e in ops]
         d = self.entry_depth[bi]
-        if self.budget_mode:
-            out.emit(f"r_ = {self.use('inst')}._instr_budget")
-            out.emit(f"if r_ < {len(ops)}:")
-            with out.block():
-                out.emit(f"{self.use('deopt')}()")
-                lo = ", ".join(f"l{i}" for i in range(self.fn.num_locals))
-                st = ", ".join(f"s{i}" for i in range(d))
-                out.emit(f"return {self.use('run_from')}"
-                         f"({self.use('fn')}, [{lo}], [{st}], {start})")
-            out.emit(f"inst._instr_budget = r_ - {len(ops)}")
         # Every wasm op cost is a dyadic rational and totals stay far
         # below 2**50, so the flush's ``blk_cycles * nb`` is the exact
         # float the eager per-block adds would have produced, and its
@@ -619,7 +591,7 @@ class _Plan(NamedTuple):
     call_sigs: dict
 
 
-def _plan(fn, inst, budget_mode, profiling):
+def _plan(fn, inst, profiling):
     """Plan one function's translation; ``None`` when the translator
     declines it."""
     code = fn.code
@@ -645,7 +617,7 @@ def _plan(fn, inst, budget_mode, profiling):
 
     key = unit_key("wasm", (
         repr(code), repr(tuple(fn.local_types)), fn.num_params,
-        bool(fn.results), budget_mode, profiling,
+        bool(fn.results), profiling,
         repr(sorted(call_sigs.items()))))
     layout = LoopLayout(block_successors(code, ranges, block_index,
                                          _BRANCHES, _NO_FALL))
@@ -660,10 +632,8 @@ def translate(fn, inst):
     plan and its compiled factory are memoized on the module's prepared
     code (``fn.plans``); the runner, which pre-binds this instance's
     state, is built every time."""
-    budget_mode = inst.max_instructions is not None
     profiling = inst._profile is not None
-    plan = fn.plans.get((budget_mode, profiling),
-                        lambda: _plan(fn, inst, budget_mode, profiling))
+    plan = fn.plans.get(profiling, lambda: _plan(fn, inst, profiling))
     if plan is None:
         return declined("wasm")
     call_sigs = plan.call_sigs
@@ -671,24 +641,23 @@ def translate(fn, inst):
     def build_source():
         emitter = _FnEmitter(fn, fn.code, plan.ranges, plan.block_index,
                              plan.layout, plan.entry_depth, plan.max_depth,
-                             budget_mode, profiling, call_sigs)
+                             profiling, call_sigs)
         return emitter.build()
 
     factory = fn.plans.get(
-        ("make", budget_mode, profiling),
+        ("make", profiling),
         lambda: load_factory("wasm", plan.key, build_source))
 
     ns = {
         "inst": inst, "stats": inst.stats, "counts": inst.stats.op_counts,
         "mem": inst.memory, "frame": inst.memory._frame,
         "frames_": inst.memory._frames,
-        "gvals": inst._global_values, "fn": fn, "fn_name": fn.name,
-        "run_from": inst._run_from, "call": inst._run,
+        "gvals": inst._global_values, "fn_name": fn.name,
+        "call": inst._run,
         "boundary": inst.boundary_cost, "TrapError": TrapError,
         "nan": math.nan, "sqrt": math.sqrt,
         "u_i32": UNPACK_I32, "u_i64": UNPACK_I64, "u_f64": UNPACK_F64,
         "p_u32": PACK_U32, "p_u64": PACK_U64, "p_f64": PACK_F64,
-        "deopt": deopt_counter("wasm"),
     }
     if inst._profile is not None:
         ns["prof_frame"] = inst._profile.frame

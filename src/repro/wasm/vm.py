@@ -182,7 +182,9 @@ class WasmInstance:
         self.boundary_cost = boundary_cost
         self.max_instructions = max_instructions
         self._instr_budget = max_instructions
-        self._fast = fast_interp_enabled()
+        # A budgeted instance runs the reference ladder, which traps at
+        # the exact instruction with the exact stats.
+        self._fast = fast_interp_enabled() and max_instructions is None
         self._profile = new_profile("wasm")
 
         imports = imports or {}
@@ -229,8 +231,6 @@ class WasmInstance:
         return self._run(prepared, list(args))
 
     def _run(self, fn, args):
-        # Frame entry (the deopt resume below goes through _run_from
-        # directly, so a deopted frame is not double-counted).
         if self._profile is not None:
             self._profile.call(fn.name)
         if self._fast:
@@ -241,15 +241,15 @@ class WasmInstance:
             if cg is not _codegen.DECLINED:
                 return cg(args)
         locals_ = args + [0.0 if t == "f64" else 0 for t in fn.local_types]
-        return self._run_from(fn, locals_, [], 0)
+        return self._run_from(fn, locals_)
 
-    def _run_from(self, fn, locals_, stack, pc):
+    def _run_from(self, fn, locals_):
         # Reference interpreter loop — the differential oracle for the
-        # codegen tier, which also deopts here (resuming mid-function at
-        # a block leader) when a block cannot be entered under batched
-        # budget accounting, and runs declined functions here from pc 0.
-        # Locals are a flat list: params then locals (zero-initialised,
-        # typed by fn.local_types).
+        # codegen tier, and where declined functions and budgeted
+        # instances run.  Locals are a flat list: params then locals
+        # (zero-initialised, typed by fn.local_types).
+        stack = []
+        pc = 0
         push = stack.append
         pop = stack.pop
         code = fn.code

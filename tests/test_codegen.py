@@ -1,8 +1,8 @@
 """Codegen-tier guarantees beyond the differential suites: the knob,
 dispatch completeness checked against the cost tables and the reference
 ladders, structured unknown-opcode errors, the decline path,
-budget-trap parity and budget-deopt resume mid-frame, GC-pause parity
-on the JS engine, the LinearMemory bounds edge, cold-vs-warm
+budget-trap parity (a budgeted engine runs the reference ladder),
+GC-pause parity on the JS engine, the LinearMemory bounds edge, cold-vs-warm
 compile-cache runs replaying identical DET counters, and the bench
 harness smoke mode.
 
@@ -480,8 +480,7 @@ def _compile(generate, source):
 
 class TestBudgetDifferential:
     """Instruction-budget exhaustion must trap at the same instruction
-    with the same partial stats under both tiers (the batched-accounting
-    reconstruction, including mid-block deopt to the reference loop)."""
+    with the same partial stats under both knob settings."""
 
     # Budgets chosen to land inside blocks, on block boundaries, and
     # barely past function entry.
@@ -529,9 +528,9 @@ class TestBudgetDifferential:
 
 
 # ---------------------------------------------------------------------------
-# Budget deopt: the generated code checks the remaining instruction
-# budget at block entry and bails to the per-op reference loop mid-frame
-# (``run_from``) when the block would overrun it.
+# Budgets: an engine built with ``max_instructions`` runs the reference
+# ladder under either knob setting, so it traps at the exact instruction;
+# without a budget the same program runs translated.
 
 BUDGET_C = """
 double buf[64];
@@ -575,35 +574,10 @@ class TestBudgetDeoptResume:
     def test_exact_budget_completes_without_deopt(self, cheerp, monkeypatch):
         total = self._instruction_count(cheerp, monkeypatch)
         runs = {}
-        reset_registry()
         for tier in TIERS:
             runs[tier] = self._run(cheerp, monkeypatch, tier, total)
-        exported = get_registry().export([SCHED])
-        reset_registry()
         assert runs["ref"][0][0] == "ok"
         assert runs["ref"] == runs["codegen"]
-        # An exact budget never enters a block short: no deopt taken.
-        assert exported.get("interp.wasm.codegen_deopts", 0) == 0
-
-    @pytest.mark.parametrize("shortfall", ["one", "half"])
-    def test_short_budget_traps_identically_after_deopt(
-            self, cheerp, monkeypatch, shortfall):
-        total = self._instruction_count(cheerp, monkeypatch)
-        budget = total - 1 if shortfall == "one" else total // 2
-        runs = {}
-        reset_registry()
-        for tier in TIERS:
-            runs[tier] = self._run(cheerp, monkeypatch, tier, budget)
-        exported = get_registry().export([SCHED])
-        reset_registry()
-        kind, message = runs["ref"][0]
-        assert kind == "trap" and "instruction budget exhausted" in message
-        # Identical trap point, stats (instructions, cycles, op_counts)
-        # and partial host output across both tiers: the generated
-        # frame handed its locals and operand stack to ``run_from``
-        # mid-frame and the reference loop finished the accounting.
-        assert runs["ref"] == runs["codegen"]
-        assert exported["interp.wasm.codegen_deopts"] > 0
 
     def test_budget_restored_between_invokes(self, cheerp, monkeypatch):
         # The same instance can be invoked again after a budget trap:
@@ -614,6 +588,61 @@ class TestBudgetDeoptResume:
             again = self._run(cheerp, monkeypatch, tier, total)
             assert first[0][0] == "ok"
             assert first[0] == again[0]
+
+
+def _budget_run_wasm(monkeypatch, tier, budget):
+    from repro.wasm import WasmVM
+    from tests.test_structured_loops import _nested_module
+
+    _set_tier(monkeypatch, tier)
+    inst = WasmVM(max_instructions=budget).instantiate(_nested_module())
+    try:
+        result = ("ok", inst.invoke("f", 20, 0))
+    except TrapError as exc:
+        result = ("trap", str(exc))
+    return (result, _stats_dict(inst.stats),
+            inst.memory.read_bytes(0, inst.memory.byte_size))
+
+
+def _budget_run_native(monkeypatch, tier, budget):
+    from repro.backends import generate_x86
+    from repro.native.machine import _Machine
+
+    _set_tier(monkeypatch, tier)
+    machine = _Machine(_compile(generate_x86, BUDGET_C),
+                       max_instructions=budget)
+    try:
+        result = ("ok", machine.call("main"))
+    except TrapError as exc:
+        result = ("trap", str(exc))
+    return result, _stats_dict(machine.stats), bytes(machine.memory)
+
+
+@pytest.mark.parametrize("engine", ["wasm", "native"])
+def test_budgeted_engine_runs_the_reference_ladder(monkeypatch, engine):
+    """Under ``REPRO_FAST_INTERP=1`` an engine built with a budget
+    translates nothing: a short budget traps with the reference's
+    message, stats and memory.  The same program without a budget runs
+    translated."""
+    run = {"wasm": _budget_run_wasm, "native": _budget_run_native}[engine]
+    functions = f"interp.{engine}.codegen_functions"
+    (kind, _value), ref_stats, _mem = run(monkeypatch, "ref", None)
+    assert kind == "ok"
+    total = int(ref_stats["instructions"])
+    reset_registry()
+    try:
+        # (Native's RETV counts a frame's last instructions twice, so
+        # its ``instructions`` overstate what a budget must cover.)
+        for budget in (1, total // 3, total // 2):
+            ref = run(monkeypatch, "ref", budget)
+            fast = run(monkeypatch, "codegen", budget)
+            assert ref[0] == ("trap", "instruction budget exhausted")
+            assert fast == ref, budget
+        assert get_registry().export([SCHED]).get(functions, 0) == 0
+        run(monkeypatch, "codegen", None)
+        assert get_registry().export([SCHED])[functions] > 0
+    finally:
+        reset_registry()
 
 
 # ---------------------------------------------------------------------------
@@ -1167,8 +1196,8 @@ class TestJsUnitSharing:
 
 
 # ---------------------------------------------------------------------------
-# The flush: one statement per counter, exact when blocks never ran,
-# when a trap escapes mid-frame and when the wasm frame deopts.
+# The flush: one statement per counter, exact when blocks never ran and
+# when a trap escapes mid-frame.
 
 FLUSH_C = r"""
 int g;
@@ -1213,35 +1242,25 @@ boom(5);
 
 
 class TestFlushExactness:
-    def _wasm(self, cheerp, monkeypatch, tier, budget):
+    def _wasm(self, cheerp, monkeypatch, tier):
         from repro.engine.hostlib import wasm_host_imports
         from repro.wasm import WasmVM
 
         _set_tier(monkeypatch, tier)
         artifact = cheerp.compile_wasm(FLUSH_C, name="cgflush")
         output = []
-        inst = WasmVM(max_instructions=budget).instantiate(
+        inst = WasmVM().instantiate(
             artifact.module, wasm_host_imports(output, None))
         with pytest.raises(TrapError) as info:
             inst.invoke("main")
         return str(info.value), output, _stats_dict(inst.stats)
 
-    @pytest.mark.parametrize("budget", [None, 700],
-                             ids=["trap", "budget-deopt"])
-    def test_wasm_dead_blocks_trap_and_deopt(self, cheerp, monkeypatch,
-                                             budget):
-        reset_registry()
-        runs = {tier: self._wasm(cheerp, monkeypatch, tier, budget)
+    def test_wasm_dead_blocks_and_trap(self, cheerp, monkeypatch):
+        runs = {tier: self._wasm(cheerp, monkeypatch, tier)
                 for tier in TIERS}
-        exported = get_registry().export([SCHED])
-        reset_registry()
         message, output, _stats = runs["ref"]
-        if budget is None:
-            assert message == "integer divide by zero"
-            assert output == [210]
-        else:
-            assert message == "instruction budget exhausted"
-            assert exported["interp.wasm.codegen_deopts"] > 0
+        assert message == "integer divide by zero"
+        assert output == [210]
         assert runs["ref"] == runs["codegen"]
 
     def test_native_dead_blocks_and_trap(self, llvm_x86, monkeypatch):
@@ -1290,7 +1309,7 @@ class TestFlushExactness:
                 return factory
             monkeypatch.setattr(mod, "load_factory", spy)
         substrate.reset_cache()
-        self._wasm(cheerp, monkeypatch, "codegen", None)
+        self._wasm(cheerp, monkeypatch, "codegen")
         _set_tier(monkeypatch, "codegen")
         with pytest.raises(TrapError):
             _Machine(llvm_x86.compile(FLUSH_C, name="cgflush").program
@@ -1408,7 +1427,7 @@ class TestUnitNames:
         walk(make)
         return missing
 
-    @pytest.mark.parametrize("variant", ["plain", "profile", "budget"])
+    @pytest.mark.parametrize("variant", ["plain", "profile"])
     def test_run_reads_no_unbound_global(self, cheerp, llvm_x86,
                                          monkeypatch, fresh_store,
                                          variant):
@@ -1424,7 +1443,6 @@ class TestUnitNames:
             monkeypatch.setenv("REPRO_PROFILE", "1")
         else:
             monkeypatch.delenv("REPRO_PROFILE", raising=False)
-        budget = 10 ** 6 if variant == "budget" else None
         _set_tier(monkeypatch, "codegen")
         sources = []
         for mod in (wcg, ncg, jcg):
@@ -1438,17 +1456,16 @@ class TestUnitNames:
         substrate.reset_cache()
         try:
             module = cheerp.compile_wasm(BUDGET_C, name="cgnames").module
-            WasmVM(max_instructions=budget).instantiate(
+            WasmVM().instantiate(
                 module, wasm_host_imports([], None)).invoke("main")
             program = llvm_x86.compile(BUDGET_C, name="cgnames").program
-            _Machine(program, max_instructions=budget).call("main")
+            _Machine(program).call("main")
             JsEngine().load_script(UNIT_JS)
         finally:
             substrate.reset_cache()
         assert {engine for engine, _src in sources} == \
             {"wasm", "native", "js"}
-        marker = {"plain": None, "profile": "fprof",
-                  "budget": "deopt"}[variant]
+        marker = {"plain": None, "profile": "fprof"}[variant]
         for engine, src in sources:
             assert self._unbound(src) == set(), (engine, src)
             with warnings.catch_warnings():

@@ -7,9 +7,9 @@ known (``engine/codegen.py``, :class:`OperandStack`).  These tests pin
 the hazards of that forwarding against the reference ladders (a local
 overwritten while its old value is still on the stack, a comparison
 whose operand is overwritten before its branch, a collection while
-forwarded entries are live, a budget deopt after forwarded code) and the
-shape of the generated source: forwarded values are written out only at
-block end, and a loop header's compare/eqz/br_if is one ``if``.
+forwarded entries are live) and the shape of the generated source:
+forwarded values are written out only at block end, and a loop header's
+compare/eqz/br_if is one ``if``.
 """
 
 from __future__ import annotations
@@ -203,7 +203,7 @@ def test_js_gc_with_forwarded_operands(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Wasm: forwarding hazards and budget deopts, ref vs codegen.
+# Wasm: forwarding hazards, ref vs codegen.
 
 def _hazard_module():
     """``f(p)`` over locals ``l1..l3`` (``l3`` keeps ``p``).  Each step
@@ -283,11 +283,11 @@ def _hazard_module():
     return module
 
 
-def _run_wasm(monkeypatch, tier, module, *args, budget=None):
+def _run_wasm(monkeypatch, tier, module, *args):
     from repro.wasm import WasmVM
 
     _set_tier(monkeypatch, tier)
-    inst = WasmVM(max_instructions=budget).instantiate(module)
+    inst = WasmVM().instantiate(module)
     try:
         result = ("ok", inst.invoke("f", *args))
     except TrapError as exc:
@@ -327,51 +327,6 @@ def test_wasm_comparison_chain(monkeypatch):
                 for tier in TIERS}
         assert runs["ref"][0][0] == "ok"
         assert runs["codegen"] == runs["ref"]
-
-
-def test_wasm_budget_deopt_after_forwarded_code(monkeypatch):
-    """Every budget short of the full run: the frame deopts at the start
-    of whichever block the budget runs out in — including the block
-    after the call, entered with the forwarded local written out — and
-    the reference loop finishes with identical stats and trap."""
-    from repro.obs import SCHED, get_registry, reset_registry
-
-    module = _hazard_module()
-    (_kind, _value), ref_stats = _run_wasm(monkeypatch, "ref", module, 2)
-    total = int(ref_stats["instructions"])
-    reset_registry()
-    for budget in range(1, total + 1):
-        runs = {tier: _run_wasm(monkeypatch, tier, module, 2, budget=budget)
-                for tier in TIERS}
-        assert runs["codegen"] == runs["ref"], budget
-    deopts = get_registry().export([SCHED]).get("interp.wasm.codegen_deopts")
-    reset_registry()
-    assert deopts and deopts > 3
-
-
-@pytest.mark.parametrize("n", [20, 400])
-def test_wasm_budget_deopt_in_nested_loops(monkeypatch, n):
-    """Every budget short of the full run of a three-deep loop nest
-    (``tests/test_structured_loops.py``): the frame deopts from inside a
-    nested ``while`` — after multi-level exits (``n=20``) or a branch
-    from the innermost loop to the outer header (``n=400``) — with the
-    reference's stats and trap."""
-    from repro.obs import SCHED, get_registry, reset_registry
-    from tests.test_structured_loops import _nested_module
-
-    module = _nested_module()
-    (_kind, _value), ref_stats = _run_wasm(monkeypatch, "ref", module, n,
-                                           0)
-    total = int(ref_stats["instructions"])
-    reset_registry()
-    for budget in range(1, total + 1):
-        runs = {tier: _run_wasm(monkeypatch, tier, module, n, 0,
-                                budget=budget)
-                for tier in TIERS}
-        assert runs["codegen"] == runs["ref"], budget
-    deopts = get_registry().export([SCHED]).get("interp.wasm.codegen_deopts")
-    reset_registry()
-    assert deopts and deopts > total // 2
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ outer loop, traps and JS OSR inside inner loops, native loops), the
 layout rules on hand-made control-flow graphs (irreducible loops and the
 nesting cap are declined region by region), and the source of the
 benchmark kernels: no innermost-loop back edge goes through the
-function's top-level ``bi`` chain.
+function's top-level ``bi`` chain, and every trap guard rewinds a
+charge suffix.
 """
 
 from __future__ import annotations
@@ -206,11 +207,11 @@ def _nested_module(trap=False):
     return module
 
 
-def _run_wasm(monkeypatch, tier, module, *args, budget=None):
+def _run_wasm(monkeypatch, tier, module, *args):
     from repro.wasm import WasmVM
 
     _set_tier(monkeypatch, tier)
-    inst = WasmVM(max_instructions=budget).instantiate(module)
+    inst = WasmVM().instantiate(module)
     try:
         result = ("ok", inst.invoke("f", *args))
     except TrapError as exc:
@@ -561,7 +562,9 @@ def _top_level_jumps(source):
     return top_targets, nested
 
 
-def test_kernel_inner_loops_do_not_dispatch_through_the_top(monkeypatch):
+def _kernel_units(monkeypatch):
+    """``(engine, layout, source)`` of every unit the kernels' XS cells
+    build."""
     from repro.jsengine import codegen as jcg
     from repro.native import codegen as ncg
     from repro.service.cells import run_cell
@@ -577,6 +580,11 @@ def test_kernel_inner_loops_do_not_dispatch_through_the_top(monkeypatch):
                               "chrome-desktop", 1))
     assert {engine for engine, _l, _s in built} == \
         {"wasm", "jsengine", "native"}
+    return built
+
+
+def test_kernel_inner_loops_do_not_dispatch_through_the_top(monkeypatch):
+    built = _kernel_units(monkeypatch)
     innermost_total = 0
     for engine, layout, source in built:
         assert layout.declined == 0, (engine, source)
@@ -587,3 +595,23 @@ def test_kernel_inner_loops_do_not_dispatch_through_the_top(monkeypatch):
         assert not innermost & set(top_targets), (engine, source)
         assert set(layout.parent) == set(nested), (engine, source)
     assert innermost_total > 100
+
+
+def test_kernel_units_have_one_rewind_and_no_budget_path(monkeypatch):
+    """Every trap guard of the kernels' units rewinds something (a trap on
+    a block's last op takes no guard), and no unit reaches for a
+    budget or hands its frame to the reference ladder."""
+    guards = 0
+    for engine, _layout, source in _kernel_units(monkeypatch):
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                assert node.id not in ("run_from", "deopt"), (engine, source)
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in ("_instr_budget", "budget"), \
+                    (engine, source)
+            if isinstance(node, ast.ExceptHandler):
+                guards += 1
+                assert not (len(node.body) == 1
+                            and isinstance(node.body[0], ast.Raise)), \
+                    (engine, source)
+    assert guards > 100

@@ -10,7 +10,10 @@ Two layers of measurement, written to ``BENCH_interp.json``:
   so both tiers must also agree on every cycle/op-count — the run
   asserts that before it times anything.  A full run then gates the
   codegen tier's speedup over the reference ladder per engine
-  (``SPEEDUP_FLOOR``).
+  (``SPEEDUP_FLOOR``, on the ratio of the best times).  Each round
+  times both tiers back to back; its own reference-over-codegen ratio
+  is recorded (``round_speedups``) and their median and range printed,
+  so the spread of the ratio is on record beside the best-of one.
 * **sweep** — a cold (result-memoizer off, compile cache warm) pass of
   the golden quick-sweep slice (``table2_summary`` over the tier-1
   benchmark subset), timed under both knob settings.
@@ -30,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -154,16 +158,19 @@ def micro_bench(reps, repeats):
         runner()                  # translate + compile outside the clock
         seconds = {tier: float("inf") for tier in TIERS}
         observed = {}
+        ratios = []
         # The host's effective CPU speed drifts over a run; timing every
         # tier inside each round (instead of tier-by-tier) keeps the
         # speedup ratios honest under that drift.
         for _ in range(repeats):
+            took = {}
             for tier in TIERS:
                 _set_tier(tier)
                 t0 = time.perf_counter()
                 observed[tier] = runner()
-                seconds[tier] = min(seconds[tier],
-                                    time.perf_counter() - t0)
+                took[tier] = time.perf_counter() - t0
+                seconds[tier] = min(seconds[tier], took[tier])
+            ratios.append(took["reference"] / took["codegen"])
         if observed["codegen"] != observed["reference"]:
             raise SystemExit(
                 f"bench: {name} tiers disagree on observable stats:\n"
@@ -174,11 +181,14 @@ def micro_bench(reps, repeats):
             "codegen_s": round(seconds["codegen"], 6),
             "codegen_speedup": round(
                 seconds["reference"] / seconds["codegen"], 3),
+            "round_speedups": [round(r, 3) for r in ratios],
             "stats_identical": True,
         }
         print(f"micro/{name}: ref {seconds['reference']:.3f}s  "
               f"codegen {seconds['codegen']:.3f}s  "
-              f"({out[name]['codegen_speedup']:.2f}x)", flush=True)
+              f"({out[name]['codegen_speedup']:.2f}x; per round median "
+              f"{statistics.median(ratios):.2f}x, range "
+              f"{min(ratios):.2f}-{max(ratios):.2f}x)", flush=True)
     return out
 
 
@@ -256,8 +266,8 @@ def main(argv=None):
         "micro": micro,
         "sweep": sweep,
         # Codegen translation counters from the metrics registry:
-        # per-engine translated functions/blocks, budget deopts taken,
-        # declines, and compile-cache hits/misses.
+        # per-engine translated functions/blocks, loops, declines, and
+        # compile-cache hits/misses.
         "interp_metrics": _interp_metrics(),
     }
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")

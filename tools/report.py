@@ -20,8 +20,8 @@ Sections (each skipped gracefully when its metrics are absent):
   policy's startup/steady point plus which tier policy wins each axis.
 * **Interpreter (codegen tier)** — per engine, the functions and
   blocks translated, the loop regions structured as nested loops and
-  those declined, declined functions, budget deopts and translation-unit
-  cache hits/misses (``interp.<engine>.codegen_*`` counters in the
+  those declined, declined functions and translation-unit cache
+  hits/misses (``interp.<engine>.codegen_*`` counters in the
   ``metrics_unstable`` section).
 * **Cache / scheduler health** — artifact-cache hit rates and sweep
   scheduler retry/timeout/lost counts (``cache.*`` / ``sched.*`` in the
@@ -131,8 +131,7 @@ def _interp_section(summary):
             f"({row.get('blocks', 0):,} blocks), "
             f"{row.get('loops', 0):,} loop(s) structured, "
             f"{row.get('loops_declined', 0):,} declined; "
-            f"{row.get('declined', 0):,} function(s) declined, "
-            f"{row.get('deopts', 0):,} budget deopt(s); units "
+            f"{row.get('declined', 0):,} function(s) declined; units "
             f"{row.get('cache_hits', 0):,} hit(s) / "
             f"{row.get('cache_misses', 0):,} miss(es)")
     return lines
