@@ -41,34 +41,30 @@ Determinism contract (unchanged from the ``Pool.map`` era):
 
 Execution path: the requested worker count alone picks it.  ``jobs=1``
 runs every cell in the calling process; ``jobs >= 2`` runs every cell in
-a pool worker, however few cells the sweep has, so a lone cell gets the
-same memory cap, crash isolation and ``cell_dispatch`` progress as the
-cells of a large sweep.  Both paths share one cell lifecycle (events,
-attempt accounting, ``on_result``, closing counters).
+a pool worker, however few cells the sweep has.  Both paths share one
+cell lifecycle (events, attempt accounting, ``on_result``, closing
+counters), and every attempt records its metrics into a scratch registry
+that is folded in only if the attempt succeeds.
 
-Worker lifetime: each process has one worker pool, reused by every
-parallel sweep (``run_all.py``'s experiments and the service's sweeps
-alike), so a worker keeps what it derived between sweeps: loaded
-modules and its artifact cache's memory layer, whose entries carry the
-``Derived`` memos (prepared bodies, translator plans and compiled
-factories) of the programs it ran.  That layer is capped at
-:data:`WORKER_CACHE_MEM` entries unless ``REPRO_CACHE_MEM`` sets a cap,
-so the artifacts a worker keeps stay bounded however long it lives.  It
-keeps no metric state: each attempt records into an emptied registry
-and ships that diff home.  Each task carries its own callable and fault
-plan, so sweeps of different ``fn``s share the workers; idle workers
-take cells from the head of the queue.  Workers are forked only when a
-sweep needs them: a sweep borrows ``min(jobs, cells)`` of them, so the
-pool grows to the requested count only once a sweep that large has run.
-The pool is pinned to the requested worker count and the ``REPRO_*``
-environment it was forked under; a sweep that asks for a different
-count, or runs under a different environment, replaces it.  It is
-never used across ``fork`` (the owner pid is checked), a worker that
-dies, hangs or is still busy when a sweep ends early is killed and
-replaced, and :func:`shutdown_pool` stops it (at exit, and from the
-service's ``stop``).  A forked worker first neutralizes every socket it
-inherited except its task pipe: a serving parent's client connections
-and listener, and the other workers' pipes.
+One queue per process: the process's worker pool holds the only queue,
+served by one daemon pool thread.  Every parallel sweep (``run_all.py``'s
+experiments and the service's requests alike) enqueues its cells as
+``(sweep, index, attempt)`` tasks; the thread hands each to whichever
+worker is idle, forking a worker only when a cell is queued, none is
+idle and the pool is below its pinned count.  Between dispatch turns it
+runs the in-process calls submitted to it (:func:`submit_call`: the
+service's warm probes and ``jobs=1`` sweeps), one at a time.  A worker
+keeps what it derived between cells: loaded modules and its artifact
+cache's memory layer (capped at :data:`WORKER_CACHE_MEM` entries unless
+``REPRO_CACHE_MEM`` sets a cap), whose entries carry the ``Derived``
+memos of the programs it ran.  The pool is pinned to the requested
+worker count and the ``REPRO_*`` environment it was forked under; a
+sweep that asks for another pin gets a new pool while the old one
+drains.  It is never used across ``fork`` (the owner pid is checked); a
+worker that dies, hangs, or is busy with a sweep that ended early is
+killed, and a later cell forks its replacement; :func:`shutdown_pool`
+stops the pool (at exit, and from the service's ``stop``).  A forked
+worker first neutralizes every socket it inherited except its task pipe.
 
 Fault injection: a :class:`FaultPlan` (or the ``REPRO_FAULT_INJECT``
 environment variable) deterministically crashes, hangs, or flakes
@@ -79,21 +75,24 @@ scheduler's recovery behavior without patching benchmark code.
 from __future__ import annotations
 
 import atexit
+import contextlib
 import multiprocessing
 import os
+import socket
 import stat
 import threading
 import time
 import traceback
 from collections import deque
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from multiprocessing import connection as _mpc
 
 from repro.cache import get_cache
 from repro.errors import SweepError
 from repro.obs import (
-    SCHED, TraceContext, emit, emit_span, env_float, env_int,
-    events_enabled, get_registry, span,
+    SCHED, MetricsRegistry, TraceContext, emit, emit_span, env_float,
+    env_int, events_enabled, get_registry, recording_into, span,
 )
 
 #: Environment variable selecting the worker count.  Unset: one worker per
@@ -330,27 +329,36 @@ class SweepResult:
 # ---------------------------------------------------------------------------
 
 
+def _attempt(fn, item, label, attempt, plan, ctx):
+    """Run one attempt of a cell into a scratch registry; returns
+    ``(value, metrics)``, its diff.  A sweep folds ``metrics`` in only on
+    success, so a failed attempt leaves no count or registered name
+    behind and never touches what other threads record meanwhile.  The
+    attempt runs in a ``sched.attempt`` span under ``ctx`` (activated, so
+    engine phase events nest under it) whose deterministic id the pool
+    re-derives if it kills the worker running it."""
+    scratch = MetricsRegistry()
+    snap = scratch.snapshot()
+    with recording_into(scratch), span(
+            "sched.attempt", ctx=ctx, parts=(attempt,), label=label,
+            attempt=attempt):
+        if plan is not None:
+            plan.apply(label, attempt)
+        value = fn(item)
+    return value, scratch.diff(snap)
+
+
 def _worker_main(conn):
     """Worker loop: receive ``(fn, plan_spec, index, attempt, label,
-    item, trace)`` tasks, run ``fn(item)``, report ``("ok", index, value,
-    metrics)`` or ``("err", index, ...)``.  ``metrics`` is the registry
-    diff the attempt produced, recorded into an emptied registry so no
-    earlier task or sweep leaves residue in it; the scheduler applies the
-    per-cell diffs in *input* order so the merged registry is
-    byte-identical to a serial run.  A failed attempt ships nothing, so
-    retried flakes leave no metric residue.  ``plan_spec`` is the sweep's
-    :class:`FaultPlan` spec (or ``None``).  ``trace`` is an optional
-    :class:`~repro.obs.TraceContext` wire tuple: when present the attempt
-    runs inside a ``sched.attempt`` span (activated, so engine phase
-    events nest under it) whose deterministic id the scheduler can
-    re-derive if it has to kill this worker.  The worker never dies on a
-    cell exception — only on EOF/sentinel or when the scheduler kills
-    it."""
+    item, trace)`` tasks, run the :func:`_attempt`, report ``("ok",
+    index, value, metrics)`` or ``("err", index, ...)``.  ``trace`` is an
+    optional :class:`~repro.obs.TraceContext` wire tuple.  The worker
+    never dies on a cell exception — only on EOF/sentinel or when the
+    pool kills it."""
     _detach_from_parent(conn)
     cache = get_cache()
     if not cache.memory_cap:
         cache.memory_cap = WORKER_CACHE_MEM
-    reg = get_registry()
     while True:
         try:
             task = conn.recv()
@@ -359,16 +367,12 @@ def _worker_main(conn):
         if task is None:
             return
         fn, plan_spec, index, attempt, label, item, trace = task
-        ctx = TraceContext.from_wire(trace)
-        reg.reset()
-        snap = reg.snapshot()
         try:
-            with span("sched.attempt", ctx=ctx, parts=(attempt,),
-                      label=label, attempt=attempt):
-                if plan_spec:
-                    FaultPlan(plan_spec).apply(label, attempt)
-                value = fn(item)
-            message = ("ok", index, value, reg.diff(snap))
+            value, metrics = _attempt(
+                fn, item, label, attempt,
+                FaultPlan(plan_spec) if plan_spec else None,
+                TraceContext.from_wire(trace))
+            message = ("ok", index, value, metrics)
         except BaseException as exc:
             message = ("err", index, type(exc).__name__, str(exc),
                        traceback.format_exc())
@@ -385,14 +389,15 @@ def _worker_main(conn):
 def _detach_from_parent(conn):
     """Drop what a forked worker inherited but must not hold.
 
-    The pool lock was held when the worker forked, so a cell that itself
-    sweeps gets a fresh one.  Every inherited socket except the task pipe
-    is replaced by ``/dev/null``: a client connection left open here
-    would keep a served response from ever ending, and the listener and
-    the other workers' pipes would outlive their owners.  The
-    descriptors are overwritten rather than closed because inherited
-    socket objects still own their numbers, and closing a number that a
-    later ``open`` reuses would close the wrong file."""
+    The pool lock may have been held when the worker forked, so a cell
+    that itself sweeps gets a fresh one.  Every inherited socket except
+    the task pipe is replaced by ``/dev/null``: a client connection left
+    open here would keep a served response from ever ending, and the
+    listener, the pool's wake-up pair and the other workers' pipes would
+    outlive their owners.  The descriptors are overwritten rather than
+    closed because inherited socket objects still own their numbers, and
+    closing a number that a later ``open`` reuses would close the wrong
+    file."""
     global _POOL_LOCK
     _POOL_LOCK = threading.Lock()
     try:
@@ -431,18 +436,17 @@ class _Worker:
                                    daemon=True)
         self.process.start()
         child.close()
-        self.task = None           # (index, attempt) while busy
+        self.task = None           # (sweep, index, attempt) while busy
         self.deadline = None       # monotonic kill time while busy
         self.dispatched_ts = None  # epoch time of the in-flight dispatch
 
-    def dispatch(self, index, attempt, task, timeout):
-        """Send ``task`` (see :func:`_worker_main`) for attempt
-        ``attempt`` of cell ``index``."""
-        self.task = (index, attempt)
+    def dispatch(self, task, message, timeout):
+        """Send ``message`` (see :func:`_worker_main`) for ``task``."""
+        self.task = task
         self.deadline = (time.monotonic() + timeout) if timeout else None
         self.dispatched_ts = time.time()
         try:
-            self.conn.send(task)
+            self.conn.send(message)
         except (BrokenPipeError, ConnectionResetError):
             pass   # it died idle: its EOF reports the attempt as lost
 
@@ -468,107 +472,52 @@ class _Worker:
         self.kill()
 
 
-class _Pool:
-    """The process's workers, reused by every parallel sweep.  ``pin``
-    is the requested worker count and the ``REPRO_*`` environment they
-    are forked under; ``owner`` the pid that forks them.  Workers are
-    forked on demand, up to the pinned count."""
-
-    def __init__(self, pin):
-        self.pin = pin
-        self.owner = os.getpid()
-        self.ctx = _pool_context()
-        self.workers = []
-
-    def borrow(self, count):
-        """The first ``count`` workers (at most the pinned count), forking
-        the missing ones and replacing any that died since they last
-        ran."""
-        while len(self.workers) < count:
-            self.workers.append(self.spawn())
-        for worker in self.workers[:count]:
-            if not worker.process.is_alive():
-                self.replace(worker)
-        return self.workers[:count]
-
-    def spawn(self):
-        get_registry().counter_add("sched.pool.spawned", 1, SCHED)
-        return _Worker(self.ctx)
-
-    def replace(self, worker):
-        """Kill ``worker`` and put a fresh one in its slot; returns the
-        new one."""
-        worker.kill()
-        fresh = self.spawn()
-        self.workers[self.workers.index(worker)] = fresh
-        return fresh
-
-    def shutdown(self):
-        for worker in self.workers:
-            worker.shutdown()
-        self.workers = []
-
-
-_POOL = None
-_POOL_LOCK = threading.Lock()
-
-
-def _pool(size):
-    """The pool for sweeps that request ``size`` workers (call it
-    holding ``_POOL_LOCK``).
-
-    The existing pool is kept when this process forked it for the same
-    count and ``REPRO_*`` environment (a worker reads its knobs once
-    inherited, so a changed cache dir or flag needs fresh workers)."""
-    global _POOL
-    pin = (size, tuple(sorted(
-        (key, value) for key, value in os.environ.items()
-        if key.startswith("REPRO_"))))
-    pool = _POOL
-    if pool is not None and pool.owner != os.getpid():
-        pool = None        # inherited across fork: the parent's workers
-    elif pool is not None and pool.pin != pin:
-        pool.shutdown()
-        pool = None
-    if pool is None:
-        pool = _POOL = _Pool(pin)
-    return pool
-
-
-def shutdown_pool():
-    """Stop this process's worker pool, if it has one.  Runs at exit;
-    the next parallel sweep forks a new pool."""
-    global _POOL
-    with _POOL_LOCK:
-        pool, _POOL = _POOL, None
-        if pool is not None and pool.owner == os.getpid():
-            pool.shutdown()
-
-
-atexit.register(shutdown_pool)
-
-
 # ---------------------------------------------------------------------------
-# The scheduler
+# Sweeps
 # ---------------------------------------------------------------------------
 
 
 class _Sweep:
     """One sweep's cells and their lifecycle, shared by the in-process
-    path and the pool scheduler: dispatch and outcome events, attempt
-    accounting, the ``on_result`` hook and the closing counters."""
+    path and the pool: dispatch and outcome events, attempt accounting,
+    the ``on_result`` hook and the closing counters.  On the pool, each
+    attempt is a ``(sweep, index, attempt)`` task and the sweep ends once
+    its last cell lands (or an error ends it early); ``then`` runs on the
+    pool thread at that point."""
 
-    def __init__(self, items, labels, retries, on_result=None, traces=None):
-        self.items = items
+    def __init__(self, fn, items, labels=None, retries=None, timeout=None,
+                 fault_plan=None, sleep=None, on_result=None, traces=None):
+        self.fn = fn
+        self.items = items = list(items)
+        if labels is None:
+            labels = [str(index) for index in range(len(items))]
+        else:
+            labels = [str(label) for label in labels]
+            if len(labels) != len(items):
+                raise ValueError("labels must align with items")
+        if traces is not None:
+            traces = list(traces)
+            if len(traces) != len(items):
+                raise ValueError("traces must align with items")
         self.labels = labels
-        self.retries = retries
-        self.on_result = on_result
         self.traces = traces      # per-cell TraceContext (or None), aligned
+        self.retries = default_retries() if retries is None else retries
+        self.timeout = default_cell_timeout() if timeout is None else timeout
+        self.fault_plan = FaultPlan.from_env() if fault_plan is None \
+            else fault_plan
+        self.plan_spec = self.fault_plan.spec() if self.fault_plan else None
+        self.sleep = time.sleep if sleep is None else sleep
+        self.on_result = on_result
         self.values = [None] * len(items)
         self.failures = {}
         self.done = 0
         self.start = time.monotonic()
         self.enqueued_at = {}   # index -> monotonic time of re-enqueue
+        self.backoff = {}       # index -> seconds to wait before re-dispatch
+        self.metric_payloads = [None] * len(items)
+        self.then = None
+        self.ended = False
+        self.error = None       # what ended the sweep early, if anything
 
     def trace(self, index):
         return self.traces[index] if self.traces is not None else None
@@ -599,7 +548,7 @@ class _Sweep:
         self.notify(index, value, None)
 
     def attempt_failed(self, index, attempt, error, text, trace,
-                        kind="crash"):
+                       kind="crash"):
         """Account one failed attempt.  Returns True when the cell has
         retries left (the caller re-runs it after
         :func:`backoff_delay`); otherwise records its
@@ -636,8 +585,15 @@ class _Sweep:
             pass
 
     def finish(self):
-        failures = [self.failures[i] for i in sorted(self.failures)]
+        """Merge the workers' metric diffs in *input* order (the
+        resulting registry state is independent of completion order and
+        identical to what the serial path accumulates) and close the
+        sweep."""
         reg = get_registry()
+        for payload in self.metric_payloads:
+            if payload is not None:
+                reg.apply(payload)
+        failures = [self.failures[i] for i in sorted(self.failures)]
         reg.counter_add("sched.cells", len(self.items), SCHED)
         reg.counter_add("sched.completed", len(self.items) - len(failures),
                         SCHED)
@@ -649,177 +605,321 @@ class _Sweep:
         return SweepResult(self.values, failures)
 
 
-def _serial_sweep(fn, items, labels, retries, fault_plan, sleep,
-                  on_result=None, traces=None):
+def _serial_sweep(sweep):
     """In-process reference path (``jobs=1``).  Same retry/injection
-    semantics; per-cell timeouts are not enforced (the scheduler cannot
-    kill its own process)."""
-    sweep = _Sweep(items, labels, retries, on_result, traces)
-    reg = get_registry()
+    semantics and the same per-attempt metrics as a worker; per-cell
+    timeouts are not enforced (the process cannot kill itself)."""
     pid = os.getpid()
-    for index, item in enumerate(items):
-        for attempt in range(1, retries + 2):
+    for index, item in enumerate(sweep.items):
+        for attempt in range(1, sweep.retries + 2):
             sweep.dispatched(index, attempt, pid)
-            # Same metric semantics as the worker path: a failed attempt
-            # rolls the registry back, so only completed attempts count.
-            snap = reg.snapshot()
             try:
-                with span("sched.attempt", ctx=sweep.trace(index),
-                          parts=(attempt,), label=labels[index],
-                          attempt=attempt):
-                    if fault_plan is not None:
-                        fault_plan.apply(labels[index], attempt)
-                    value = fn(item)
+                value, metrics = _attempt(
+                    sweep.fn, item, sweep.labels[index], attempt,
+                    sweep.fault_plan, sweep.trace(index))
             except Exception as exc:
-                reg.restore(snap)
                 if sweep.attempt_failed(index, attempt,
-                                         type(exc).__name__, str(exc),
-                                         traceback.format_exc()):
-                    sleep(backoff_delay(attempt))
+                                        type(exc).__name__, str(exc),
+                                        traceback.format_exc()):
+                    sweep.sleep(backoff_delay(attempt))
                     continue
             else:
+                get_registry().apply(metrics)
                 sweep.succeeded(index, attempt, value, pid)
             break
     return sweep.finish()
 
 
-class _Scheduler(_Sweep):
-    def __init__(self, fn, items, labels, requested, retries, timeout,
-                 fault_plan, sleep, on_result=None, traces=None):
-        super().__init__(items, labels, retries, on_result, traces)
-        self.fn = fn
-        self.requested = requested   # the pool's pinned worker count
-        self.timeout = timeout
-        self.plan_spec = fault_plan.spec() if fault_plan else None
-        self.sleep = sleep
-        self.queue = deque((index, 1) for index in range(len(items)))
-        self.backoff = {}  # index -> seconds to wait before re-dispatch
-        self.metric_payloads = [None] * len(items)
-        self.pool = None
+# ---------------------------------------------------------------------------
+# The pool: one queue per process
+# ---------------------------------------------------------------------------
+
+
+class _Pool:
+    """The process's one queue, its workers and the thread serving both
+    (see "One queue per process" above).  ``pin`` is the requested
+    worker count and ``REPRO_*`` environment; ``owner`` the pid that
+    forks the workers."""
+
+    def __init__(self, pin):
+        self.pin = pin
+        self.owner = os.getpid()
+        self.ctx = _pool_context()
+        self.workers = []
+        self.cells = deque()     # (sweep, index, attempt) awaiting a worker
+        self.calls = deque()     # (future, fn, args) awaiting the thread
+        self.lock = threading.Lock()
+        self.stopping = None     # "drain" or "now" once asked to stop
+        self.wake, self.woken = socket.socketpair()
+        self.wake.setblocking(False)
+        self.thread = threading.Thread(target=self._serve, daemon=True,
+                                       name="repro-pool")
+        self.thread.start()
+
+    def _put(self, queue, tasks):
+        with self.lock:
+            if self.stopping == "now":
+                raise RuntimeError("the worker pool was shut down")
+            queue.extend(tasks)
+            with contextlib.suppress(BlockingIOError):   # one is pending
+                self.wake.send(b"\0")
+
+    def submit(self, sweep):
+        self._put(self.cells, [(sweep, index, 1)
+                               for index in range(len(sweep.items))])
+
+    def call(self, fn, *args):
+        future = Future()
+        self._put(self.calls, [(future, fn, args)])
+        return future
+
+    def stop(self, drain=False):
+        """Stop at once, or with ``drain`` once all queued work has run;
+        waits for the thread unless called on it."""
+        with self.lock:
+            if self.stopping != "now":
+                self.stopping = "drain" if drain else "now"
+                with contextlib.suppress(BlockingIOError):
+                    self.wake.send(b"\0")
+        if threading.current_thread() is not self.thread:
+            self.thread.join()
+
+    def _serve(self):
+        try:
+            while True:
+                self._dispatch()
+                with self.lock:   # in place: a put may hold the deque
+                    calls = list(self.calls)
+                    self.calls.clear()
+                for future, fn, args in calls:
+                    if future.set_running_or_notify_cancel():
+                        try:
+                            future.set_result(fn(*args))
+                        except BaseException as exc:
+                            future.set_exception(exc)
+                busy = [w for w in self.workers if w.task is not None]
+                with self.lock:
+                    if self.stopping == "now" or (
+                            self.stopping and not busy and not self.cells
+                            and not self.calls):
+                        return
+                if not busy:   # idle: the cheapest wait for more work
+                    self.woken.recv(4096)
+                    continue
+                deadlines = [w.deadline for w in busy if w.deadline]
+                ready = _mpc.wait(
+                    [self.woken, *(w.conn for w in busy)],
+                    max(0.0, min(deadlines) - time.monotonic())
+                    if deadlines else None)
+                if self.woken in ready:
+                    self.woken.recv(4096)
+                now = time.monotonic()
+                for worker in busy:
+                    if worker.conn in ready:
+                        self._collect(worker)
+                    elif worker.task and worker.deadline \
+                            and now >= worker.deadline:
+                        self._emit_dead_attempt(
+                            worker, "timeout", "Timeout",
+                            f"cell exceeded {worker.task[0].timeout:g}s; "
+                            "worker killed and replaced")
+        finally:
+            self._close()
+
+    def _close(self):
+        """Cancel the calls left, end the sweeps still running (killing
+        their workers) and stop the other workers."""
+        with self.lock:
+            self.stopping = "now"
+            cells, calls = list(self.cells), list(self.calls)
+            self.wake.close()
+            self.woken.close()
+        for future, _fn, _args in calls:
+            future.cancel()
+        stopped = RuntimeError("the worker pool was shut down")
+        for sweep in {task[0] for task in cells} | {
+                w.task[0] for w in self.workers if w.task is not None}:
+            self._end(sweep, stopped)
+        for worker in self.workers:
+            worker.shutdown()
         self.workers = []
 
-    def run(self):
-        with _POOL_LOCK:
-            self.pool = _pool(self.requested)
-            # A sweep borrows no more workers than it has cells.
-            workers = self.workers = self.pool.borrow(
-                min(self.requested, len(self.items)))
+    def _dispatch(self):
+        """Hand queued cells to idle workers, in queue order."""
+        while True:
+            with self.lock:
+                if not self.cells:
+                    return
+                task = self.cells.popleft()
+            sweep, index, attempt = task
+            if sweep.ended:
+                continue
             try:
-                while self.done < len(self.items):
-                    self._dispatch(workers)
-                    busy = [w for w in workers if w.task is not None]
-                    if not busy:
-                        break  # defensive: nothing queued, nothing running
-                    ready = _mpc.wait([w.conn for w in busy],
-                                      timeout=self._wait_timeout(busy))
-                    for worker in busy:
-                        if worker.conn in ready:
-                            self._collect(worker)
-                    self._reap_timeouts(workers)
-            finally:
-                # A sweep ending early (an exception or an interrupt)
-                # kills the workers it left busy, so no stale reply can
-                # reach a later sweep; the next sweep replaces them.
-                for worker in workers:
-                    if worker.task is not None:
-                        worker.kill()
-            # Merge the workers' metric diffs in *input* order: the
-            # resulting registry state is independent of completion order
-            # and identical to what the serial path accumulates.
-            reg = get_registry()
-            for payload in self.metric_payloads:
-                if payload is not None:
-                    reg.apply(payload)
-            return self.finish()
-
-    def _dispatch(self, workers):
-        for worker in workers:
-            if worker.task is None and self.queue:
-                index, attempt = self.queue.popleft()
-                delay = self.backoff.pop(index, 0.0)
+                worker = self._idle()
+                if worker is None:
+                    with self.lock:
+                        self.cells.appendleft(task)
+                    return
+                delay = sweep.backoff.pop(index, 0.0)
                 if delay:
-                    self.sleep(delay)
-                self.dispatched(index, attempt, worker.process.pid)
-                trace = self.trace(index)
-                worker.dispatch(
-                    index, attempt,
-                    (self.fn, self.plan_spec, index, attempt,
-                     self.labels[index], self.items[index],
-                     trace.to_wire() if trace is not None else None),
-                    self.timeout)
+                    sweep.sleep(delay)
+                sweep.dispatched(index, attempt, worker.process.pid)
+                trace = sweep.trace(index)
+                worker.dispatch(task, (
+                    sweep.fn, sweep.plan_spec, index, attempt,
+                    sweep.labels[index], sweep.items[index],
+                    trace.to_wire() if trace is not None else None),
+                    sweep.timeout)
+            except BaseException as exc:
+                self._end(sweep, exc)
 
-    def _replace(self, worker):
-        """Swap a dead or hung worker for a fresh one, in the pool and in
-        this sweep's borrowed list."""
-        self.workers[self.workers.index(worker)] = self.pool.replace(worker)
+    def _idle(self):
+        """An idle live worker (dropping dead ones), else a fresh one
+        below the pinned count, else ``None``."""
+        for worker in list(self.workers):
+            if worker.task is None:
+                if worker.process.is_alive():
+                    return worker
+                self._drop(worker)
+        if len(self.workers) < self.pin[0]:
+            get_registry().counter_add("sched.pool.spawned", 1, SCHED)
+            self.workers.append(_Worker(self.ctx))
+            return self.workers[-1]
+        return None
 
-    def _wait_timeout(self, busy):
-        if not self.timeout:
-            return None
-        deadlines = [w.deadline for w in busy if w.deadline is not None]
-        if not deadlines:
-            return None
-        return max(0.0, min(deadlines) - time.monotonic())
+    def _drop(self, worker):
+        """Kill ``worker``; a later cell forks its replacement."""
+        worker.kill()
+        self.workers.remove(worker)
 
     def _collect(self, worker):
-        """Consume one message (or the EOF of a dead worker)."""
-        index, attempt = worker.task
+        """Consume one reply (or the EOF of a dead worker)."""
+        sweep, index, attempt = task = worker.task
         try:
             message = worker.conn.recv()
-        except (EOFError, OSError):
-            # The worker died without reporting (hard crash).  Replace it
-            # and account the in-flight attempt as lost.
-            started = worker.dispatched_ts or time.time()
-            self._replace(worker)
-            self._emit_dead_attempt(index, attempt, started, "lost")
-            self._failed(index, attempt, "WorkerDied",
-                         "worker process died while running this cell", "",
-                         kind="lost")
-            return
+        except (EOFError, OSError):   # it died without reporting
+            return self._emit_dead_attempt(
+                worker, "lost", "WorkerDied",
+                "worker process died while running this cell")
+        except Exception as exc:   # the reply does not unpickle here
+            message = ("err", index, type(exc).__name__, str(exc),
+                       traceback.format_exc())
         worker.task = None
         worker.deadline = None
         if message[0] == "ok":
-            self.metric_payloads[index] = message[3]
-            self.succeeded(index, attempt, message[2], worker.process.pid)
+            sweep.metric_payloads[index] = message[3]
+            sweep.succeeded(index, attempt, message[2], worker.process.pid)
+            self._landed(sweep)
         else:
             _tag, _index, error, text, trace = message
-            self._failed(index, attempt, error, text, trace)
+            self._failed(task, error, text, trace)
 
-    def _emit_dead_attempt(self, index, attempt, started, outcome):
-        """The worker running this attempt died (timeout kill or hard
-        crash), so its ``sched.attempt`` span never closed.  Ids are
-        deterministic, so the scheduler re-derives the same span id the
-        worker would have emitted and closes the span on its behalf."""
-        cell_ctx = self.trace(index)
-        if cell_ctx is None:
-            return
-        span_ctx = cell_ctx.child("sched.attempt", attempt)
-        emit_span(span_ctx, "sched.attempt", started,
-                  time.time() - started, outcome=outcome,
-                  label=self.labels[index], attempt=attempt)
+    def _emit_dead_attempt(self, worker, kind, error, text):
+        """``worker`` died (``lost``) or is killed for its deadline
+        (``timeout``) mid-attempt: drop it and fail the attempt.  Its
+        ``sched.attempt`` span never closed; ids are deterministic, so
+        the pool re-derives the span id and closes it on its behalf."""
+        sweep, index, attempt = task = worker.task
+        started = worker.dispatched_ts or time.time()
+        self._drop(worker)
+        ctx = sweep.trace(index)
+        if ctx is not None:
+            emit_span(ctx.child("sched.attempt", attempt), "sched.attempt",
+                      started, time.time() - started, outcome=kind,
+                      label=sweep.labels[index], attempt=attempt)
+        self._failed(task, error, text, "", kind)
 
-    def _reap_timeouts(self, workers):
-        if not self.timeout:
-            return
-        now = time.monotonic()
-        for worker in workers:
-            if worker.task is None or now < worker.deadline:
-                continue
-            index, attempt = worker.task
-            started = worker.dispatched_ts or time.time()
-            self._replace(worker)
-            self._emit_dead_attempt(index, attempt, started, "timeout")
-            self._failed(
-                index, attempt, "Timeout",
-                f"cell exceeded {self.timeout:g}s; worker killed and "
-                "replaced", "", kind="timeout")
-
-    def _failed(self, index, attempt, error, text, trace, kind="crash"):
+    def _failed(self, task, error, text, trace, kind="crash"):
         """A failed attempt: queue the retry behind its backoff, or
         record the failure."""
-        if self.attempt_failed(index, attempt, error, text, trace, kind):
-            self.backoff[index] = backoff_delay(attempt)
-            self.queue.append((index, attempt + 1))
+        sweep, index, attempt = task
+        if sweep.attempt_failed(index, attempt, error, text, trace, kind):
+            sweep.backoff[index] = backoff_delay(attempt)
+            with self.lock:
+                self.cells.append((sweep, index, attempt + 1))
+        else:
+            self._landed(sweep)
+
+    def _landed(self, sweep):
+        if sweep.done == len(sweep.items):
+            self._end(sweep)
+
+    def _end(self, sweep, error=None):
+        """``sweep`` is over (its last cell landed, or ``error`` ended it
+        early): kill the workers still busy with it, so no stale reply
+        outlives it, skip its queued cells and run its ``then``."""
+        if sweep.ended:
+            return
+        sweep.ended, sweep.error = True, error
+        for worker in list(self.workers):
+            if worker.task is not None and worker.task[0] is sweep:
+                self._drop(worker)
+        try:
+            sweep.then()
+        except Exception:
+            pass   # a broken callback must not stop the pool
+
+
+_POOL = None
+_POOL_LOCK = threading.Lock()   # guards _POOL, never held over a sweep
+
+
+def _pool(size):
+    """This process's pool for ``size`` workers.  The existing pool is
+    kept when this process forked it for the same count and ``REPRO_*``
+    environment (a worker reads its knobs once inherited, so a changed
+    cache dir or flag needs fresh workers); otherwise a new one takes
+    its place and the old one drains."""
+    global _POOL
+    pin = (size, tuple(sorted(
+        (key, value) for key, value in os.environ.items()
+        if key.startswith("REPRO_"))))
+    with _POOL_LOCK:
+        old = _POOL
+        if old is not None and old.owner == os.getpid() and old.pin == pin:
+            return old
+        pool = _POOL = _Pool(pin)
+    if old is not None and old.owner == os.getpid():
+        old.stop(drain=True)
+    return pool
+
+
+def shutdown_pool():
+    """Stop this process's worker pool, if it has one: cells still
+    running are killed and their sweeps end with an error.  Runs at exit;
+    the next parallel sweep starts a new pool."""
+    global _POOL
+    with _POOL_LOCK:
+        pool, _POOL = _POOL, None
+    if pool is not None and pool.owner == os.getpid():
+        pool.stop()
+
+
+atexit.register(shutdown_pool)
+
+
+def submit_call(fn, *args, jobs=None):
+    """Run ``fn(*args)`` on the pool thread, one call at a time in
+    submission order; returns a :class:`concurrent.futures.Future`.
+    Calls fork nothing, so any live pool of this process serves them
+    (re-deriving the pin costs more than a warm probe); ``jobs`` sizes
+    the pool started when there is none."""
+    pool = _POOL
+    if pool is None or pool.owner != os.getpid() or pool.stopping:
+        pool = _pool(default_jobs() if jobs is None else jobs)
+    return pool.call(fn, *args)
+
+
+def submit_sweep(fn, items, on_done, jobs=None, **options):
+    """Queue a non-empty sweep's cells on the pool and return at once
+    (``options`` are :func:`run_sweep`'s).  ``on_done(outcome)`` runs on
+    the pool thread once the last cell lands, with the
+    :class:`SweepResult` (metrics merged in input order) or the
+    exception that ended the sweep early."""
+    sweep = _Sweep(fn, items, **options)
+    sweep.then = lambda: on_done(
+        sweep.finish() if sweep.error is None else sweep.error)
+    _pool(default_jobs() if jobs is None else jobs).submit(sweep)
 
 
 def run_sweep(fn, items, jobs=None, retries=None, timeout=None, labels=None,
@@ -831,16 +931,14 @@ def run_sweep(fn, items, jobs=None, retries=None, timeout=None, labels=None,
     ``functools.partial`` over one) when ``jobs >= 2``.
     ``labels`` names the cells for failure reports and fault injection
     (default: the item's index as a string).  ``sleep`` is injectable for
-    tests; backoff sleeps only ever run in the scheduler process.
+    tests; backoff sleeps only ever run in the scheduling process.
 
     ``on_result(index, label, value, failure)`` — when given — is called
-    in the scheduler process the moment a cell finishes (exhausting its
-    retries counts as finishing, with ``failure`` set and ``value``
-    ``None``).  The sweep service streams per-cell results to clients
-    from this hook instead of waiting for the whole sweep; note the
-    cell's worker metrics are only merged into the registry when the
-    sweep completes, so the hook must not read cell metrics.  A raising
-    callback is ignored.
+    in the scheduling process (on the pool thread at ``jobs >= 2``) the
+    moment a cell finishes, exhausting its retries included (``failure``
+    set, ``value`` ``None``).  Cell metrics are merged only when the
+    sweep completes, so the hook must not read them.  A raising callback
+    is ignored.
 
     ``traces`` — when given — aligns one
     :class:`~repro.obs.TraceContext` (or ``None``) with each item: the
@@ -850,36 +948,29 @@ def run_sweep(fn, items, jobs=None, retries=None, timeout=None, labels=None,
     over the task pipe.  Without ``traces`` the sweep is byte-identical
     to the untraced scheduler.
     """
-    items = list(items)
-    if labels is None:
-        labels = [str(index) for index in range(len(items))]
-    else:
-        labels = [str(label) for label in labels]
-        if len(labels) != len(items):
-            raise ValueError("labels must align with items")
-    if traces is not None:
-        traces = list(traces)
-        if len(traces) != len(items):
-            raise ValueError("traces must align with items")
+    sweep = _Sweep(fn, items, labels, retries, timeout, fault_plan, sleep,
+                   on_result, traces)
+    if not sweep.items:
+        return SweepResult([], [])
     if jobs is None:
         jobs = default_jobs()
-    if retries is None:
-        retries = default_retries()
-    if timeout is None:
-        timeout = default_cell_timeout()
-    if fault_plan is None:
-        fault_plan = FaultPlan.from_env()
-    if sleep is None:
-        sleep = time.sleep
-    if not items:
-        return SweepResult([], [])
     # The requested worker count alone picks the path, never the sweep's
     # size: a one-cell sweep at ``jobs >= 2`` still runs in a worker.
     if jobs <= 1:
-        return _serial_sweep(fn, items, labels, retries, fault_plan, sleep,
-                             on_result, traces)
-    return _Scheduler(fn, items, labels, jobs, retries, timeout,
-                      fault_plan, sleep, on_result, traces).run()
+        return _serial_sweep(sweep)
+    landed = threading.Event()
+    sweep.then = landed.set
+    pool = _pool(jobs)
+    pool.submit(sweep)
+    try:
+        landed.wait()
+    except BaseException as exc:   # interrupted: end the sweep early
+        with contextlib.suppress(RuntimeError):
+            pool.call(pool._end, sweep, exc)
+        raise
+    if sweep.error is not None:
+        raise sweep.error
+    return sweep.finish()
 
 
 def parallel_map(fn, items, jobs=None):

@@ -33,8 +33,8 @@ from repro.obs.events import (
     EVENTS_ENV, add_listener, emit, events_enabled, remove_listener,
 )
 from repro.obs.metrics import (
-    DET, SCHED, WALL, MetricsRegistry, get_registry, render_prometheus,
-    reset_registry,
+    DET, SCHED, WALL, MetricsRegistry, get_registry, recording_into,
+    render_prometheus, reset_registry,
 )
 from repro.obs.profile import (
     PROFILE_ENV, EngineProfile, new_profile, profile_enabled,
@@ -70,6 +70,7 @@ __all__ = [
     "remove_listener",
     "new_profile",
     "profile_enabled",
+    "recording_into",
     "render_prometheus",
     "reset_registry",
     "span",

@@ -33,10 +33,15 @@ Worker processes ship their increments home as :meth:`diff` payloads
 (plain ints and tuples, so they pickle exactly) which the parent folds
 in with :meth:`apply` — see ``repro.harness.parallel``.  ``apply`` is
 atomic: it validates the whole payload before folding any of it in.
+One lock covers recording, snapshot/diff/apply and export: a server's
+event loop counts requests while its pool thread merges cell metrics.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import threading
 from bisect import bisect_right
 
 DET = "det"
@@ -123,6 +128,7 @@ class MetricsRegistry:
         self._counters = {}
         self._hists = {}
         self._stability = {}
+        self._lock = threading.Lock()
 
     # -- registration ----------------------------------------------------
 
@@ -148,59 +154,56 @@ class MetricsRegistry:
     # -- recording -------------------------------------------------------
 
     def counter_add(self, name, value, stability=DET):
-        self._tag(name, stability)
-        counter = self._counters.get(name)
-        if counter is None:
-            counter = self._counters[name] = Counter()
-        counter.add(value)
+        with self._lock:
+            self._tag(name, stability)
+            counter = self._counters.get(name)
+            if counter is None:
+                counter = self._counters[name] = Counter()
+            counter.add(value)
 
     def hist_observe(self, name, value, stability=DET,
                      bounds=DEFAULT_BOUNDS):
-        self._tag(name, stability)
-        hist = self._hists.get(name)
-        if hist is None:
-            hist = self._hists[name] = Histogram(bounds)
-        hist.observe(value)
+        with self._lock:
+            self._tag(name, stability)
+            hist = self._hists.get(name)
+            if hist is None:
+                hist = self._hists[name] = Histogram(bounds)
+            hist.observe(value)
 
     # -- snapshot / diff / merge ----------------------------------------
 
     def snapshot(self):
-        """Opaque copy of the full state (pair with :meth:`restore` or
-        :meth:`diff`)."""
-        return (
-            {n: (c.ints, c.frac) for n, c in self._counters.items()},
-            {n: (h.bounds, list(h.counts)) for n, h in self._hists.items()},
-            dict(self._stability),
-        )
-
-    def restore(self, snap):
-        counters, hists, stability = snap
-        self._counters = {n: Counter(i, f) for n, (i, f) in counters.items()}
-        self._hists = {n: Histogram(b, c) for n, (b, c) in hists.items()}
-        self._stability = dict(stability)
+        """Opaque copy of the full state (pair with :meth:`diff`)."""
+        with self._lock:
+            return (
+                {n: (c.ints, c.frac) for n, c in self._counters.items()},
+                {n: (h.bounds, list(h.counts))
+                 for n, h in self._hists.items()},
+            )
 
     def diff(self, snap):
         """Pickleable increment relative to ``snap`` — everything added
         since the snapshot was taken, mergeable with :meth:`apply`."""
-        counters, hists, _ = snap
-        dcounters = {}
-        for name, c in self._counters.items():
-            base = counters.get(name)
-            base_i, base_f = base if base is not None else (0, 0)
-            di, df = c.ints - base_i, c.frac - base_f
-            # A newly registered counter ships even at zero delta: a
-            # zero-valued counter (e.g. a pass that ran but rewrote
-            # nothing) must appear in the merged export exactly as it
-            # would after a serial run.
-            if di or df or base is None:
-                dcounters[name] = (self._stability[name], di, df)
-        dhists = {}
-        for name, h in self._hists.items():
-            base = hists.get(name, (h.bounds, [0] * len(h.counts)))[1]
-            delta = [a - b for a, b in zip(h.counts, base)]
-            if any(delta):
-                dhists[name] = (self._stability[name], h.bounds, delta)
-        return {"counters": dcounters, "hists": dhists}
+        counters, hists = snap
+        with self._lock:
+            dcounters = {}
+            for name, c in self._counters.items():
+                base = counters.get(name)
+                base_i, base_f = base if base is not None else (0, 0)
+                di, df = c.ints - base_i, c.frac - base_f
+                # A newly registered counter ships even at zero delta: a
+                # zero-valued counter (e.g. a pass that ran but rewrote
+                # nothing) must appear in the merged export exactly as it
+                # would after a serial run.
+                if di or df or base is None:
+                    dcounters[name] = (self._stability[name], di, df)
+            dhists = {}
+            for name, h in self._hists.items():
+                base = hists.get(name, (h.bounds, [0] * len(h.counts)))[1]
+                delta = [a - b for a, b in zip(h.counts, base)]
+                if any(delta):
+                    dhists[name] = (self._stability[name], h.bounds, delta)
+            return {"counters": dcounters, "hists": dhists}
 
     def apply(self, payload):
         """Fold a :meth:`diff` payload in.  Counter and bucket addition
@@ -213,41 +216,42 @@ class MetricsRegistry:
         the registry untouched.  Only entries that change something are
         then folded in: zero counter deltas touch nothing beyond
         registering a name the registry has not seen yet."""
-        known = self._stability
-        tags = {}                 # names this payload registers
-        counters = payload["counters"]
-        for name, (stability, di, df) in counters.items():
-            if known.get(name) != stability:
+        with self._lock:
+            known = self._stability
+            tags = {}                 # names this payload registers
+            counters = payload["counters"]
+            for name, (stability, di, df) in counters.items():
+                if known.get(name) != stability:
+                    self._check_tag(name, stability, tags)
+                if type(di) is not int or type(df) is not int:
+                    raise ValueError(f"counter {name!r} delta is not int")
+            hists = payload["hists"]
+            for name, (stability, bounds, delta) in hists.items():
                 self._check_tag(name, stability, tags)
-            if type(di) is not int or type(df) is not int:
-                raise ValueError(f"counter {name!r} delta is not int")
-        hists = payload["hists"]
-        for name, (stability, bounds, delta) in hists.items():
-            self._check_tag(name, stability, tags)
-            hist = self._hists.get(name)
-            width = len(hist.counts) if hist is not None \
-                else len(bounds) + 1
-            if len(delta) != width or \
-                    any(type(d) is not int for d in delta):
-                raise ValueError(f"histogram {name!r} delta is malformed")
+                hist = self._hists.get(name)
+                width = len(hist.counts) if hist is not None \
+                    else len(bounds) + 1
+                if len(delta) != width or \
+                        any(type(d) is not int for d in delta):
+                    raise ValueError(f"histogram {name!r} delta is malformed")
 
-        known.update(tags)
-        for name, (_, di, df) in counters.items():
-            counter = self._counters.get(name)
-            if counter is None:
-                self._counters[name] = Counter(di, df)
-                continue
-            if di:
-                counter.ints += di
-            if df:
-                counter.frac += df
-        for name, (_, bounds, delta) in hists.items():
-            hist = self._hists.get(name)
-            if hist is None:
-                hist = self._hists[name] = Histogram(bounds)
-            for i, d in enumerate(delta):
-                hist.counts[i] += d
-        return self
+            known.update(tags)
+            for name, (_, di, df) in counters.items():
+                counter = self._counters.get(name)
+                if counter is None:
+                    self._counters[name] = Counter(di, df)
+                    continue
+                if di:
+                    counter.ints += di
+                if df:
+                    counter.frac += df
+            for name, (_, bounds, delta) in hists.items():
+                hist = self._hists.get(name)
+                if hist is None:
+                    hist = self._hists[name] = Histogram(bounds)
+                for i, d in enumerate(delta):
+                    hist.counts[i] += d
+            return self
 
     # -- export ----------------------------------------------------------
 
@@ -260,20 +264,22 @@ class MetricsRegistry:
         if stabilities is not None:
             stabilities = frozenset(stabilities)
         out = {}
-        for name in sorted(self._stability):
-            if stabilities is not None and \
-                    self._stability[name] not in stabilities:
-                continue
-            if name in self._counters:
-                out[name] = self._counters[name].value
-            elif name in self._hists:
-                out[name] = self._hists[name].value
+        with self._lock:
+            for name in sorted(self._stability):
+                if stabilities is not None and \
+                        self._stability[name] not in stabilities:
+                    continue
+                if name in self._counters:
+                    out[name] = self._counters[name].value
+                elif name in self._hists:
+                    out[name] = self._hists[name].value
         return out
 
     def reset(self):
-        self._counters.clear()
-        self._hists.clear()
-        self._stability.clear()
+        with self._lock:
+            self._counters.clear()
+            self._hists.clear()
+            self._stability.clear()
 
 
 def _prom_name(name):
@@ -305,24 +311,25 @@ def render_prometheus(registry, extra_gauges=None):
         lines.append(f"{name}{{{rendered}}} {text}" if rendered
                      else f"{name} {text}")
 
-    for name in sorted(registry._stability):
-        stability = registry._stability[name]
-        prom = _prom_name(name)
-        labels = {"stability": stability}
-        if name in registry._counters:
-            lines.append(f"# TYPE {prom} counter")
-            sample(prom, labels, registry._counters[name].value)
-        elif name in registry._hists:
-            hist = registry._hists[name]
-            lines.append(f"# TYPE {prom} histogram")
-            cumulative = 0
-            for bound, count in zip(hist.bounds, hist.counts):
-                cumulative += count
-                sample(prom + "_bucket", {**labels, "le": str(bound)},
-                       cumulative)
-            cumulative += hist.counts[-1]
-            sample(prom + "_bucket", {**labels, "le": "+Inf"}, cumulative)
-            sample(prom + "_count", labels, cumulative)
+    with registry._lock:
+        for name in sorted(registry._stability):
+            stability = registry._stability[name]
+            prom = _prom_name(name)
+            labels = {"stability": stability}
+            if name in registry._counters:
+                lines.append(f"# TYPE {prom} counter")
+                sample(prom, labels, registry._counters[name].value)
+            elif name in registry._hists:
+                hist = registry._hists[name]
+                lines.append(f"# TYPE {prom} histogram")
+                cumulative = 0
+                for bound, count in zip(hist.bounds, hist.counts):
+                    cumulative += count
+                    sample(prom + "_bucket", {**labels, "le": str(bound)},
+                           cumulative)
+                cumulative += hist.counts[-1]
+                sample(prom + "_bucket", {**labels, "le": "+Inf"}, cumulative)
+                sample(prom + "_count", labels, cumulative)
     for name, value in sorted((extra_gauges or {}).items()):
         labels = {}
         if isinstance(value, tuple):
@@ -334,11 +341,28 @@ def render_prometheus(registry, extra_gauges=None):
 
 
 _REGISTRY = MetricsRegistry()
+# A process forked while another thread held the lock gets a fresh one.
+os.register_at_fork(
+    after_in_child=lambda: setattr(_REGISTRY, "_lock", threading.Lock()))
+_recording = threading.local()
 
 
 def get_registry():
-    """The process-global registry (one per worker process)."""
-    return _REGISTRY
+    """The registry this thread records into: the process-global one, or
+    the one of an open :func:`recording_into`."""
+    return getattr(_recording, "registry", None) or _REGISTRY
+
+
+@contextlib.contextmanager
+def recording_into(registry):
+    """Make ``registry`` this thread's :func:`get_registry` for the
+    ``with`` body (a sweep attempt's scratch registry)."""
+    outer = getattr(_recording, "registry", None)
+    _recording.registry = registry
+    try:
+        yield registry
+    finally:
+        _recording.registry = outer
 
 
 def reset_registry():

@@ -62,6 +62,7 @@ def _det_delta(registry, snap):
 
 
 async def _smoke(args):
+    from repro.harness.parallel import submit_call
     from repro.obs import get_registry
     from repro.service.cells import direct_lines
     from repro.service.client import get_json, request_lines
@@ -82,23 +83,26 @@ async def _smoke(args):
             return [line for line in request_lines(host, port, SMOKE_PAYLOAD)
                     if json.loads(line).get("event") == "result"]
 
-        # Registry reads queue on the service's executor thread: it
-        # serializes every registry mutation, and a sweep folds its
-        # workers' metrics in only after the last cell has streamed.
+        # Registry reads run on the pool thread, behind the sweep's
+        # close-out: a sweep folds its workers' metrics in when its last
+        # cell lands, just after that cell has streamed.
         registry = get_registry()
-        executor = server.service._executor
+        service = server.service
+
+        def on_pool(fn):
+            return asyncio.wrap_future(submit_call(fn, jobs=service.jobs))
 
         def cache_hits():
             return registry.export().get("cache.hits", 0)
 
-        snap = await loop.run_in_executor(executor, registry.snapshot)
+        snap = await on_pool(registry.snapshot)
         cold = await loop.run_in_executor(None, stream)
-        cold_det, snap, hits_before = await loop.run_in_executor(
-            executor, lambda: (_det_delta(registry, snap),
-                               registry.snapshot(), cache_hits()))
+        cold_det, snap, hits_before = await on_pool(
+            lambda: (_det_delta(registry, snap), registry.snapshot(),
+                     cache_hits()))
         warm = await loop.run_in_executor(None, stream)
-        warm_det, hits_after = await loop.run_in_executor(
-            executor, lambda: (_det_delta(registry, snap), cache_hits()))
+        warm_det, hits_after = await on_pool(
+            lambda: (_det_delta(registry, snap), cache_hits()))
         if not cold:
             print("smoke: no result lines streamed", flush=True)
             return 1
@@ -113,9 +117,8 @@ async def _smoke(args):
             print("smoke: warm pass's DET metrics delta differs from the "
                   "cold pass's", flush=True)
             return 1
-        cells = server.service.last_cells
-        direct = await loop.run_in_executor(
-            server.service._executor,
+        cells = service.last_cells
+        direct = await on_pool(
             lambda: [line.encode("utf-8") for line in direct_lines(cells)])
         if cold != direct:
             print("smoke: streamed lines differ from direct path",

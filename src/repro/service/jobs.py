@@ -10,14 +10,12 @@ thin shell over it).  One :class:`SweepService` owns:
   (:func:`repro.cache.lookup`) that serves memoized cells without
   touching the scheduler at all;
 * **one sweep per request**: the coroutine that probes a request's new
-  cells settles the warm ones and sweeps the misses itself, as one
-  :func:`~repro.harness.parallel.run_sweep` call on the process's
-  long-lived worker pool (whose workers keep their derived state
-  between sweeps) — no window and no queue of its own: dedupe comes
-  from the in-flight table, and the executor thread runs probes and
-  sweeps in admission order.  The sweep rides the scheduler's
+  cells settles the warm ones and queues the misses as one sweep on the
+  process's one queue, the worker pool's (whose workers keep their
+  derived state between sweeps) — no window and no queue of its own:
+  dedupe comes from the in-flight table.  The sweep rides the pool's
   retry/timeout/fault machinery, with per-cell results streamed out of
-  the scheduler's ``on_result`` hook the moment each cell lands;
+  the ``on_result`` hook the moment each cell lands;
 * **admission control** (``REPRO_SERVICE_MAX_CELLS`` outstanding cells
   server-wide) and **per-client budgets**
   (``REPRO_SERVICE_BUDGET`` in-flight cells per client id) — both reject
@@ -34,20 +32,23 @@ thin shell over it).  One :class:`SweepService` owns:
   exported trace links request → cell → attempt → engine phase.
 
 Threading model: all bookkeeping (in-flight table, budgets, counters)
-happens on the event loop; sweeps and warm probes run on a single
-dedicated executor thread, which also serializes every metrics-registry
-mutation the service performs.  Scheduler worker processes hand results
-back through ``loop.call_soon_threadsafe``.
+happens on the event loop.  Warm probes, and at ``jobs=1`` the sweeps,
+run as calls on the pool thread, one at a time, so a probe's DET replay
+never lands inside an in-process cell's memo snapshot.  At ``jobs >= 2``
+the misses are queued without blocking any thread, and the pool thread
+closes the sweep when its last cell lands.  Results hop to the loop via
+``loop.call_soon_threadsafe``; the metrics registry locks itself.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.cache import MISS, get_cache, lookup
-from repro.harness.parallel import run_sweep, shutdown_pool
+from repro.harness.parallel import (
+    default_jobs, run_sweep, shutdown_pool, submit_call, submit_sweep,
+)
 from repro.obs import (
     SCHED, TraceContext, emit_span, env_int, events_enabled, get_registry,
 )
@@ -104,7 +105,7 @@ class SweepService:
 
     def __init__(self, jobs=None, max_cells=None, client_budget=None,
                  sweep_tmp_age=3600.0):
-        self.jobs = jobs
+        self.jobs = default_jobs() if jobs is None else jobs
         self.max_cells = max_cells if max_cells is not None else \
             env_int(SERVICE_MAX_CELLS_ENV, DEFAULT_MAX_CELLS, minimum=0)
         self.client_budget = client_budget if client_budget is not None \
@@ -120,8 +121,6 @@ class SweepService:
         self._cell_traces = {}     # cell key -> owning TraceContext
         self.last_cells = ()       # cells of the last admitted request
         self._loop = None
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-sweep")
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -130,9 +129,10 @@ class SweepService:
 
     async def stop(self):
         """Cancel every request's probe/sweep task, settle the cells they
-        leave as ``ServiceStopped``, and shut the executor down without
-        starting what it still has queued.  A sweep already running
-        finishes first (its late results find no future to settle)."""
+        leave as ``ServiceStopped``, and stop the worker pool: queued
+        calls and cells never start, cells still running are killed, and
+        an in-process call already running finishes first (its late
+        results find no future to settle)."""
         tasks = list(self._tasks)
         for task in tasks:
             task.cancel()
@@ -147,7 +147,6 @@ class SweepService:
         self._outstanding = 0
         self._client_load.clear()
         self._cell_traces.clear()
-        self._executor.shutdown(wait=True, cancel_futures=True)
         shutdown_pool()
 
     # -- submission ----------------------------------------------------------
@@ -166,7 +165,7 @@ class SweepService:
         """Canonicalize and admit one request payload.
 
         Returns a :class:`SweepJob` whose futures resolve as cells
-        complete (warm cells resolve after the next executor turn).
+        complete (warm cells resolve after the pool thread's next turn).
         Raises :class:`~repro.service.requests.RequestError` on a
         malformed payload and :class:`AdmissionError` when over
         capacity or budget.  Must be called on the service's loop.
@@ -242,34 +241,36 @@ class SweepService:
                         trace=root, cell_traces=cell_traces)
 
     async def _run_new(self, new_keys):
-        """Probe a request's new cells against the result cache, settle
-        the warm ones and sweep the misses, both on the executor thread
-        (the probe replays DET metrics; the executor serializes all
-        registry access)."""
+        """Probe a request's new cells against the result cache on the
+        pool thread (the probe replays DET metrics), settle the warm
+        ones and sweep the misses."""
         try:
-            probes = await self._loop.run_in_executor(
-                self._executor, self._probe_warm,
+            probes = await asyncio.wrap_future(submit_call(
+                self._probe_warm,
                 [(spec, self._cell_traces.get(key))
-                 for key, spec, _future in new_keys])
+                 for key, spec, _future in new_keys], jobs=self.jobs))
             misses = []
-            for (key, spec, _future), value in zip(new_keys, probes):
+            for entry, value in zip(new_keys, probes):
+                key, spec, _future = entry
                 if value is MISS:
-                    misses.append(spec)
+                    misses.append(entry)
                 else:
                     self._count("cells.warm")
                     self._settle(key, ("warm", value))
             if misses:
-                await self._loop.run_in_executor(
-                    self._executor, self._sweep, misses)
+                self._sweep(misses)
         except Exception as exc:   # defensive: never strand a future
-            lost = ("failed", {"error": type(exc).__name__,
-                               "message": str(exc), "kind": "lost",
-                               "attempts": 0})
-            for key, _spec, future in new_keys:
-                # A cell that already settled may be in flight again for
-                # a later request: settle only this request's futures.
-                if self._inflight.get(key) is future:
-                    self._settle(key, lost)
+            self._lose(new_keys, exc)
+
+    def _lose(self, new_keys, exc):
+        lost = ("failed", {"error": type(exc).__name__,
+                           "message": str(exc), "kind": "lost",
+                           "attempts": 0})
+        for key, _spec, future in new_keys:
+            # A cell that already settled may be in flight again for a
+            # later request: settle only this request's futures.
+            if self._inflight.get(key) is future:
+                self._settle(key, lost)
 
     @staticmethod
     def _probe_warm(pairs):
@@ -297,23 +298,27 @@ class SweepService:
 
     # -- sweeping ------------------------------------------------------------
 
-    def _sweep(self, specs):
-        """One scheduler sweep over one request's missed cells (executor
-        thread).
+    def _sweep(self, misses):
+        """Sweep one request's missed cells (``(key, spec, future)``
+        entries): queue them on the pool at ``jobs >= 2``, or queue one
+        in-process ``run_sweep(jobs=1)`` call on the pool thread.
 
         Every cell is self-describing, so any mix of benchmarks,
         toolchains, levels and profiles rides one sweep.  Each cell's
-        owning trace context rides the sweep (the scheduler ships it to
-        the worker over the Pipe protocol) and additionally gets a
+        owning trace context rides the sweep (the pool ships it to the
+        worker over the Pipe protocol) and additionally gets a
         ``service.batch`` membership span covering the sweep, so an
-        exported trace shows which cells shared a sweep.  If the sweep
-        itself raises, :meth:`_run_new` settles the cells it left."""
+        exported trace shows which cells shared a sweep.  When the last
+        cell lands, the spans are emitted and one store shard is swept;
+        if the sweep itself raised, the cells it left are settled as
+        lost."""
         self._count("sweeps")
-        self._count("cells.swept", len(specs))
+        self._count("cells.swept", len(misses))
         self._sweep_seq += 1
         sweep_seq = self._sweep_seq
-        keys = [spec.cell_key() for spec in specs]
-        traces = [self._cell_traces.get(key) for key in keys]
+        specs = [spec for _key, spec, _future in misses]
+        traces = [self._cell_traces.get(key) for key, _s, _f in misses]
+        loop = self._loop
         started = time.time()
         t0 = time.perf_counter()
 
@@ -324,14 +329,10 @@ class SweepService:
                     "kind": failure.kind, "attempts": failure.attempts})
             else:
                 outcome = ("ok", value)
-            self._loop.call_soon_threadsafe(self._settle, keys[index],
-                                            outcome)
+            loop.call_soon_threadsafe(self._settle, misses[index][0],
+                                      outcome)
 
-        try:
-            run_sweep(run_cell_task, [spec.as_tuple() for spec in specs],
-                      jobs=self.jobs, labels=[spec.label() for spec in specs],
-                      on_result=on_result, traces=traces)
-        finally:
+        def landed(outcome):   # on the pool thread
             duration = time.perf_counter() - t0
             for spec, ctx in zip(specs, traces):
                 if ctx is not None:
@@ -340,6 +341,24 @@ class SweepService:
                               batch=sweep_seq, size=len(specs),
                               cell=spec.label())
             self._sweep_one_shard()
+            if isinstance(outcome, BaseException):
+                loop.call_soon_threadsafe(self._lose, misses, outcome)
+
+        def serial():
+            try:
+                outcome = run_sweep(run_cell_task, items, jobs=1, **options)
+            except Exception as exc:
+                outcome = exc
+            landed(outcome)
+
+        items = [spec.as_tuple() for spec in specs]
+        options = {"labels": [spec.label() for spec in specs],
+                   "on_result": on_result, "traces": traces}
+        if self.jobs >= 2:
+            submit_sweep(run_cell_task, items, landed, jobs=self.jobs,
+                         **options)
+        else:
+            submit_call(serial, jobs=self.jobs)
 
     def _sweep_one_shard(self):
         """Round-robin orphan-temp sweep of one disk-store shard."""

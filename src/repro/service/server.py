@@ -324,8 +324,9 @@ class SweepServer:
         belongs to the request that scheduled it).  With tracing off the
         trace fields are stripped from the payload, keeping the stream
         byte-identical to an untraced server's.  The tap fires on the
-        executor thread (scheduler side), so writes hop to the loop; a
-        closed writer ends the tap's output harmlessly."""
+        pool thread (or, at ``jobs=1``, in the in-process sweep it runs),
+        so writes hop to the loop; a closed writer ends the tap's output
+        harmlessly."""
         trace_id = job.trace.trace_id
 
         def write_progress(record):

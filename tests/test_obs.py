@@ -8,6 +8,7 @@ import json
 import os
 import pickle
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from repro.native.machine import N_COST, VECTOR_COST_FACTOR
 from repro.obs import (
     DET, SCHED, WALL, EngineProfile, MetricsRegistry, TraceContext, emit,
     events_enabled, get_registry, new_profile, profile_enabled,
-    reset_registry, span,
+    recording_into, reset_registry, span,
 )
 from repro.obs.metrics import Counter, DEFAULT_BOUNDS
 from repro.wasm.instructions import OP_COST
@@ -204,18 +205,64 @@ def test_export_is_sorted_and_json_clean():
     json.dumps(out)                        # must not raise
 
 
-def test_snapshot_restore_roundtrip():
+def test_registry_totals_are_exact_under_threads():
+    """Recording, export and apply from several threads at once: every
+    total is exact, and no reader sees a dict change under it."""
     reg = MetricsRegistry()
-    reg.counter_add("c", 2)
-    reg.hist_observe("h", 4)
-    snap = reg.snapshot()
-    reg.counter_add("c", 100)
-    reg.counter_add("new", 1)
-    reg.hist_observe("h", 4)
-    reg.restore(snap)
-    assert reg.export() == {"c": 2, "h": reg.export()["h"]}
-    assert sum(reg.export()["h"]["counts"]) == 1
-    assert "new" not in reg.export()
+    reg.counter_add("shared", 0)
+    adders, rounds = 4, 2000
+    payload = {"counters": {"applied": (DET, 1, 0)}, "hists": {}}
+    start = threading.Barrier(adders + 1)
+    stop = threading.Event()
+
+    def add(n):
+        start.wait()
+        for i in range(rounds):
+            reg.counter_add("shared", 1)
+            reg.counter_add(f"t{n}.{i % 50}", 1)     # new names, then old
+            reg.hist_observe("h", i % 7)
+
+    def read():
+        start.wait()
+        while not stop.is_set():
+            reg.export()
+            reg.diff(reg.snapshot())
+            reg.apply(payload)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=add, args=(n,))
+                   for n in range(adders)]
+        reader = threading.Thread(target=read)
+        for thread in (*threads, reader):
+            thread.start()
+        for thread in threads:
+            thread.join()
+        stop.set()
+        reader.join()
+    finally:
+        sys.setswitchinterval(interval)
+    out = reg.export()
+    assert out["shared"] == adders * rounds
+    assert all(out[f"t{n}.{k}"] == rounds // 50
+               for n in range(adders) for k in range(50))
+    assert sum(out["h"]["counts"]) == adders * rounds
+    assert out["applied"] >= 1
+
+
+def test_recording_into_isolates_one_thread():
+    """While one thread records into a scratch registry, another
+    thread's counts still land in the global one."""
+    scratch = MetricsRegistry()
+    with recording_into(scratch):
+        get_registry().counter_add("mine", 1)
+        other = threading.Thread(
+            target=lambda: get_registry().counter_add("theirs", 1))
+        other.start()
+        other.join()
+    assert scratch.export() == {"mine": 1}
+    assert get_registry().export() == {"theirs": 1}
 
 
 def test_diff_apply_equals_direct_accumulation():

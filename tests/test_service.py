@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.cache import MISS, RESULT_CACHE_ENV, configure, result_key
+from repro.harness.parallel import submit_call
 from repro.obs import (
     EVENTS_ENV, SCHED, TRACE_ENV, TraceContext, add_listener, get_registry,
     remove_listener, reset_registry, tracing,
@@ -59,12 +60,12 @@ def service_env(tmp_path, monkeypatch):
 
 
 @contextlib.contextmanager
-def held_executor(service):
-    """Block the service's executor thread for the duration: warm probes
-    and sweeps queue behind the hold, so cells admitted meanwhile stay
+def held_pool_thread(service):
+    """Block the pool thread for the duration: warm probes and in-process
+    sweeps queue behind the hold, so cells admitted meanwhile stay
     unsettled until the block exits."""
     gate = threading.Event()
-    service._executor.submit(gate.wait)
+    submit_call(gate.wait, jobs=service.jobs)
     try:
         yield
     finally:
@@ -189,7 +190,7 @@ class TestAdmissionControl:
             service = SweepService(jobs=1, client_budget=1)
             await service.start()
             try:
-                with held_executor(service):   # hold cells pending
+                with held_pool_thread(service):   # hold cells pending
                     job = service.admit(dict(TINY_PAYLOAD, client="alice"))
                     with pytest.raises(AdmissionError, match="budget"):
                         service.admit(dict(TINY_PAYLOAD, client="alice"))
@@ -212,7 +213,7 @@ class TestAdmissionControl:
         async def scenario():
             service = SweepService(jobs=1)
             await service.start()
-            with held_executor(service):   # hold the cell pending
+            with held_pool_thread(service):   # hold the cell pending
                 job = service.admit(TINY_PAYLOAD)
                 await asyncio.sleep(0)     # its probe queues behind the hold
             await service.stop()
@@ -340,6 +341,89 @@ class TestDedupe:
         assert counters["service.cells.warm"] == 1
         assert counters.get("sched.cells", 0) == 0   # never scheduled
         assert counters["cache.hits"] >= 1
+
+
+class TestOneQueue:
+    """At ``jobs=2`` every request's cells share the pool's one queue:
+    concurrent sweeps fill the idle workers, and a warm probe never
+    waits behind a running sweep."""
+
+    @staticmethod
+    def _cell_events():
+        records = []
+        token = add_listener(lambda record: records.append(record)
+                             if record.get("event") == "cell" else None)
+        return records, token
+
+    def test_concurrent_one_cell_requests_run_side_by_side(
+            self, service_env):
+        records, token = self._cell_events()
+
+        async def scenario():
+            service = SweepService(jobs=2)
+            await service.start()
+            try:
+                jobs = [service.admit(dict(TINY_PAYLOAD, targets=[target]))
+                        for target in ("wasm", "js")]
+                outcomes = await asyncio.gather(
+                    *(future for job in jobs for future in job.futures))
+                pool_threads = [thread for thread in threading.enumerate()
+                                if thread.name == "repro-pool"]
+                for job in jobs:
+                    job.close()
+                return outcomes, len(pool_threads)
+            finally:
+                await service.stop()
+
+        try:
+            outcomes, pool_threads = asyncio.run(scenario())
+        finally:
+            remove_listener(token)
+        assert [status for status, _value in outcomes] == ["ok", "ok"]
+        assert get_registry().export([SCHED])["sched.pool.spawned"] == 2
+        workers = {record["worker"] for record in records}
+        assert len(records) == 2 and len(workers) == 2
+        assert os.getpid() not in workers
+        assert pool_threads == 1            # the server's one extra thread
+
+    def test_warm_request_settles_while_a_sweep_runs(self, service_env,
+                                                     monkeypatch):
+        warm = canonicalize_request(TINY_PAYLOAD).cells[0]
+        run_cell(warm)                      # populate the result cache
+        cold_payload = dict(TINY_PAYLOAD, targets=["js"])
+        cold = canonicalize_request(cold_payload).cells[0]
+        # The cold cell's first attempt hangs until the cell timeout
+        # kills its worker; the retry then computes it.
+        monkeypatch.setenv("REPRO_FAULT_INJECT", f"{cold.label()}=hang:1")
+        monkeypatch.setenv("REPRO_CELL_TIMEOUT", "3")
+        records, token = self._cell_events()
+
+        async def scenario():
+            service = SweepService(jobs=2)
+            await service.start()
+            try:
+                cold_job = service.admit(cold_payload)
+                await asyncio.sleep(0.5)     # its cell is on a worker now
+                warm_job = service.admit(TINY_PAYLOAD)
+                (status, _value), = await asyncio.wait_for(
+                    asyncio.gather(*warm_job.futures), 2.0)
+                cold_pending = not cold_job.futures[0].done()
+                (cold_status, _value), = await asyncio.gather(
+                    *cold_job.futures)
+                warm_job.close()
+                cold_job.close()
+                return status, cold_pending, cold_status
+            finally:
+                await service.stop()
+
+        try:
+            status, cold_pending, cold_status = asyncio.run(scenario())
+        finally:
+            remove_listener(token)
+        assert status == "warm"
+        assert cold_pending
+        assert cold_status == "ok"
+        assert [record["attempts"] for record in records] == [2]
 
 
 class TestWarmHotPath:

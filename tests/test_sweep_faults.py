@@ -3,6 +3,7 @@ deterministic backoff, per-cell timeouts, fault injection, and graceful
 degradation of experiment sweeps (partial results + failure report)."""
 
 import os
+import threading
 import time
 
 import pytest
@@ -14,6 +15,7 @@ from repro.harness.parallel import (
     InjectedFault, RETRIES_ENV, SweepResult, backoff_delay,
     default_cell_timeout, default_retries, run_sweep,
 )
+from repro.obs import SCHED, get_registry, reset_registry
 from repro.suites import all_benchmarks
 
 
@@ -134,6 +136,34 @@ class TestRetries:
         assert delays == [0.05, 0.1, 0.2]
         # ... and bounded.
         assert backoff_delay(50) == 1.0
+
+    def test_serial_rollback_keeps_other_threads_counts(self):
+        """A failed in-process attempt leaves nothing it recorded, not
+        even a registered name, while a count another thread added
+        during that attempt survives."""
+        reset_registry()
+        calls = []
+
+        def cell(x):
+            get_registry().counter_add("cell.attempts", 1)
+            if not calls:
+                calls.append(x)
+                get_registry().counter_add("cell.failed_only", 1)
+                other = threading.Thread(target=lambda: get_registry()
+                                         .counter_add("loop.count", 1, SCHED))
+                other.start()
+                other.join()
+                raise ValueError("flake")
+            return x
+
+        sweep = run_sweep(cell, [7], jobs=1, retries=1,
+                          sleep=lambda _d: None)
+        exported = get_registry().export()
+        reset_registry()
+        assert sweep.ok and sweep.values == [7]
+        assert exported["loop.count"] == 1
+        assert exported["cell.attempts"] == 1
+        assert "cell.failed_only" not in exported
 
     def test_retries_env(self, monkeypatch):
         monkeypatch.setenv(RETRIES_ENV, "4")

@@ -233,6 +233,36 @@ class TestReuse:
         assert _sched("sched.pool.spawned") == 3
 
 
+def test_calls_submitted_from_many_threads_all_run(fresh):
+    """In-process calls put while the pool thread is taking the queue
+    are never lost: every future completes, each call once."""
+    import sys
+    from concurrent.futures import wait
+    from repro.harness.parallel import submit_call
+
+    ran = []
+    futures = []
+
+    def submit(n):
+        for i in range(300):
+            futures.append(submit_call(ran.append, (n, i), jobs=2))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=submit, args=(n,))
+                   for n in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        done, pending = wait(futures, timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not pending
+    assert sorted(ran) == [(n, i) for n in range(4) for i in range(300)]
+
+
 #: Two cells of one program: each worker runs one of them.
 CELLS = canonicalize_request(
     {"benchmarks": ["atax"], "targets": ["wasm", "js"],

@@ -31,10 +31,13 @@ gates the cross-tier stats-equality check; tier-1 CI exercises it.
 from __future__ import annotations
 
 import argparse
+import atexit
 import json
 import os
+import shutil
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -42,8 +45,12 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT))     # tests.golden_config for the sweep slice
 
-# Measurements must be live, never memoized.
+# Measurements must be live, never memoized, and the cache counts in
+# ``interp_metrics`` start from an empty store of the run's own, not
+# from whatever earlier runs left in the user's default one.
 os.environ["REPRO_RESULT_CACHE"] = "0"
+os.environ["REPRO_CACHE_DIR"] = tempfile.mkdtemp(prefix="repro-bench-")
+atexit.register(shutil.rmtree, os.environ["REPRO_CACHE_DIR"], True)
 
 #: The two tiers, cheapest-dispatch last (see ``engine/codegen.py``).
 TIERS = ("reference", "codegen")
